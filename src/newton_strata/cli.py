@@ -258,7 +258,8 @@ def cmd_tables(args) -> int:
         if args.verify:
             cfg = make_config(x, p=args.p, trials=args.trials, seed=args.seed, workers=args.workers)
             hist = empirical_poset(x, cfg)
-            ok = set(hist.counts) <= set(poset.elements) and hist.mode() == poset.nu_x
+            # the generic slope must occur; the mode need not be it at small p
+            ok = set(hist.counts) <= set(poset.elements) and poset.nu_x in hist.counts
             row["verify"] = "ok" if ok else "MISMATCH"
             discrepancies += 0 if ok else 1
         rows.append(row)
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("tables", help="generic slopes and poset shapes over a grid")
     s.add_argument("--w", choices=_W_NAMES + ("all",), default="all")
     s.add_argument("--bound", type=int, default=2)
-    s.add_argument("--verify", action="store_true", help="compare with sampled support")
+    s.add_argument("--verify", action="store_true", help="check that the sampled support lies in N(G)_x and contains nu_x")
     _add_common(s, sampling=True)
     s.set_defaults(func=cmd_tables)
 

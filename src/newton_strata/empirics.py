@@ -5,18 +5,20 @@ truncations of the cosets), computes their slope sequences in bulk, and
 compares the resulting histograms, frequencies, and stratum memberships
 against the closed-form predictions.
 
-The bulk kernel works on blocks of samples at once: every entry of every
-sampled matrix is a coefficient row on a shared exponent window, and the
-characteristic polynomial coefficients (trace, principal 2x2 minor sum,
-determinant) are computed by batched FFT convolution mod p.  The slope
-sequence is read off the valuations of those coefficients.  A sample is
-"resolved" when the truncated window provably pins the slopes of every
-lift of the truncation; otherwise it is retried at doubled precision.
+The bulk kernel works on blocks of samples at once.  Every entry is an
+exponent-major (L, B) int64 block, row t holding the coefficient of
+pi^(g + t) for B samples; rows below an entry's structural onset are
+zero and never multiplied.  Trace, principal 2x2 minor sum and
+determinant come from exact truncated convolution mod p, reduced often
+enough that no int64 sum overflows for any prime with (p-1)**2 + p <
+2**63 (SampleConfig rejects larger ones).  As val(det) = 0, valuations
+above 0 cannot move the Newton polygon, so the window pi^g .. pi^(-2g)
+pins every slope sequence exactly, with no retry.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
-slot, exponent), so a sample is a pure function of its trial index:
-raising the precision extends the same matrix with further terms, and
-histograms do not depend on how trials are split across workers.
+slot, exponent), so a sample is a pure function of its trial index: the
+scalar sample_pattern/sample_ixi draw the same matrices, and histograms
+do not depend on how trials are split across workers.
 """
 
 import math
@@ -58,6 +60,9 @@ __all__ = [
 ]
 
 BLOCK = 4096
+# a histogram code packs three doubled slopes, each within 2 * max_abs_k
+_FIELD = 21
+_OFFSET = 1 << (_FIELD - 1)
 MAX_RETRIES = 3
 MAX_UNRESOLVED_RATE = 1e-3
 
@@ -110,7 +115,9 @@ class SampleConfig:
     """Parameters of one sampling run over a fixed valuation pattern.
 
     prec defaults to 4 * max_abs_k + 8, enough window below every exact
-    and threshold exponent that first-attempt resolution is the norm.
+    and threshold exponent that first-attempt resolution is the norm on
+    the scalar path.  The bulk kernel is exact for (p-1)**2 + p < 2**63
+    and 2 * max_abs_k < 2**20; anything outside raises ValueError.
     """
 
     pattern: ValuationPattern
@@ -121,13 +128,18 @@ class SampleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % r == 0 for r in range(2, int(self.p**0.5) + 1)):
+        if (self.p - 1) ** 2 + self.p >= 1 << 63:
+            raise ValueError(f"p = {self.p} is too large: (p-1)**2 + p must stay below 2**63")
+        if self.p < 2 or any(self.p % r == 0 for r in range(2, math.isqrt(self.p) + 1)):
             raise ValueError(f"p must be prime, got {self.p}")
+        max_k = self.pattern.max_abs_k()
+        if 2 * max_k >= _OFFSET:
+            raise ValueError(f"pattern onsets reach {max_k}; need 2 * |k| < 2**20")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        floor = 4 * self.pattern.max_abs_k() + 8
+        floor = 4 * max_k + 8
         if self.prec is None:
             self.prec = floor
         elif self.prec < floor:
@@ -195,160 +207,153 @@ def _identity_pattern() -> ValuationPattern:
 # -- batched sampling and slope kernel -------------------------------------------
 
 
-def _pattern_blocks(pattern, p, seed, ids, prec, slot_base=0):
-    """Coefficient blocks for all 9 entries on a shared exponent window.
+def _onset(pattern) -> int:
+    """Least onset among the nonzero entries of a pattern."""
+    return min(e.k for row in pattern.entries for e in row if e.kind != "zero")
 
-    Returns (entries, g, L) where entries[3*i+j] has shape (len(ids), L)
-    and column t holds the coefficient of pi^(g + t); the window covers
-    [g, prec) with g the least onset among nonzero entries.
+
+def _pattern_blocks(pattern, p, seed, ids, L, slot_base=0):
+    """Exponent-major coefficient blocks for all 9 entries.
+
+    blocks[3*i+j] = (arr, onset), arr of shape (L, len(ids)) whose row t
+    holds the coefficient of pi^(g + t), g = _onset(pattern).  Rows below
+    the structural onset are zero; a zero entry has onset L.
     """
-    onsets = [e.k for row in pattern.entries for e in row if e.kind != "zero"]
-    g = min(onsets)
-    L = prec - g
-    trials = _as_u64(ids).reshape(-1, 1)
-    exps = _as_u64(np.arange(g, prec, dtype=np.int64)).reshape(1, -1)
+    g = _onset(pattern)
+    trials = _as_u64(ids).reshape(1, -1)
     pu = np.uint64(p)
     out = []
-    for i in range(3):
-        for j in range(3):
-            entry = pattern.entries[i][j]
-            if entry.kind == "zero":
-                out.append(np.zeros((len(ids), L), dtype=np.int64))
-                continue
-            raw = _raw_hash(seed, slot_base + 3 * i + j, trials, exps)
-            arr = (raw % pu).astype(np.int64)
-            onset = entry.k - g
-            if onset:
-                arr[:, :onset] = 0
+    for slot, entry in enumerate(e for row in pattern.entries for e in row):
+        arr = np.zeros((L, len(ids)), dtype=np.int64)
+        onset = min(entry.k - g, L) if entry.kind != "zero" else L
+        if onset < L:
+            exps = _as_u64(np.arange(entry.k, g + L, dtype=np.int64)).reshape(-1, 1)
+            raw = _raw_hash(seed, slot_base + slot, trials, exps)
+            arr[onset:] = raw % pu
             if entry.kind == "exact":
-                arr[:, onset] = 1 + (raw[:, onset] % np.uint64(p - 1)).astype(np.int64)
-            out.append(arr)
-    return out, g, L
+                arr[onset] = 1 + raw[0] % np.uint64(p - 1)
+        out.append((arr, onset))
+    return out
 
 
-def _product_blocks(left_pattern, right_pattern, p, seed, ids, prec):
-    """Entry blocks of (left sample) @ (right sample), truncated to the
-    provable window [gl + gr, gl + gr + min(Ll, Lr))."""
-    U, gl, Ll = _pattern_blocks(left_pattern, p, seed, ids, prec, slot_base=0)
-    M, gr, Lr = _pattern_blocks(right_pattern, p, seed, ids, prec, slot_base=9)
-    L = min(Ll, Lr)
-    nfft = 1 << (Ll + Lr - 2).bit_length()
-    FU = [np.fft.rfft(u, nfft, axis=1) for u in U]
-    FM = [np.fft.rfft(m, nfft, axis=1) for m in M]
-    out = []
-    for i in range(3):
-        for j in range(3):
-            acc = FU[3 * i] * FM[j]
-            for k in (1, 2):
-                acc = acc + FU[3 * i + k] * FM[3 * k + j]
-            conv = np.rint(np.fft.irfft(acc, nfft, axis=1)[:, :L]).astype(np.int64)
-            out.append(conv % p)
-    return out, gl + gr, L
+def _conv(x, y, p, L):
+    """Rows [0, L) of the product of two blocks of residues, reduced mod p.
+
+    Each shift k adds a[k] * b[ob : L-k] into rows k+ob onward; the sum is
+    reduced every ((1<<63) - p) // (p-1)**2 shifts, so no int64 entry
+    overflows whenever (p-1)**2 + p < 2**63.
+    """
+    (a, oa), (b, ob) = x, y
+    onset = min(oa + ob, L)
+    out = np.zeros((L, a.shape[1]), dtype=np.int64)
+    step = ((1 << 63) - p) // (p - 1) ** 2
+    for n, k in enumerate(range(oa, L - ob)):
+        if n and n % step == 0:
+            out[onset:] %= p
+        out[k + ob :] += a[k] * b[ob : L - k]
+    out[onset:] %= p
+    return out, onset
 
 
-def _lead_val(arr, base):
-    """(valuation, found) per row; unfound rows sit at the horizon base+L."""
-    nz = arr != 0
-    found = nz.any(axis=1)
-    idx = np.argmax(nz, axis=1)
-    val = base + np.where(found, idx, arr.shape[1]).astype(np.int64)
-    return val, found
+def _combine(p, plus, minus=()):
+    """(sum of plus - sum of minus) mod p, with the least onset."""
+    acc = np.zeros_like(plus[0][0])
+    for arr, _ in plus:
+        acc += arr
+    for arr, _ in minus:
+        acc -= arr
+    return acc % p, min(o for _, o in (*plus, *minus))
 
 
-def _slopes_block(entries, g, L, p):
-    """Doubled slope triples (2*lam) and a resolution mask for one block.
+def _sample_blocks(x, mode, p, seed, ids):
+    """Entry blocks of the sampled xI (or I * xI) matrices and their base g.
+
+    The window holds the 1 - 3g rows from pi^g through pi^(-2g): exactly
+    what the slopes need (see _slopes_block).
+    """
+    xpat = coset_pattern(x, "xI")
+    if mode == "xI":
+        g = _onset(xpat)
+        return _pattern_blocks(xpat, p, seed, ids, 1 - 3 * g), g
+    ipat = _identity_pattern()
+    g = _onset(ipat) + _onset(xpat)
+    L = 1 - 3 * g
+    U = _pattern_blocks(ipat, p, seed, ids, L, slot_base=0)
+    M = _pattern_blocks(xpat, p, seed, ids, L, slot_base=9)
+    blocks = [
+        _combine(p, [_conv(U[3 * i + k], M[3 * k + j], p, L) for k in range(3)])
+        for i in range(3)
+        for j in range(3)
+    ]
+    return blocks, g
+
+
+def _lead_val(block, base):
+    """Valuation per column; a zero column reads the window's horizon."""
+    nz = block[0] != 0
+    idx = np.where(nz.any(axis=0), nz.argmax(axis=0), nz.shape[0])
+    return base + idx.astype(np.int64)
+
+
+def _slopes_block(entries, g, p):
+    """Doubled slope triples (2*lam) for one block of samples.
 
     The polygon of the characteristic polynomial gives, with v2 = val(trace)
     and v1 = val(sum of principal 2x2 minors) and val(det) = 0:
         2*lam1    = max(-2*v2, -v1, 0)
         2*(-lam3) = max(-2*v1, -v2, 0)
-    A row is resolved when the formulas agree whether an unseen valuation
-    is at its window horizon or beyond it entirely.
+    A valuation above 0 moves neither formula, so every coefficient is
+    needed only through pi^0.  On the 1 - 3g rows of the entry window, det
+    (base 3g) reaches exactly pi^0, as far as the unit check needs, and the
+    trace and minors reach beyond it; a column with no nonzero row reads a
+    horizon above 0, which gives the same slopes as its true valuation.
     """
-    nfft = 1 << (2 * L - 2).bit_length() if L > 1 else 2
-    spec = [np.fft.rfft(m, nfft, axis=1) for m in entries]
+    a, b, c, d, e, f, g_, h, i = entries
 
-    def mul_spec(fx, fy):
-        conv = np.rint(np.fft.irfft(fx * fy, nfft, axis=1)[:, :L]).astype(np.int64)
-        return conv % p
+    def mul(x, y):
+        return _conv(x, y, p, x[0].shape[0])
 
-    trace = (entries[0] + entries[4] + entries[8]) % p
-    m_ei, m_fh = mul_spec(spec[4], spec[8]), mul_spec(spec[5], spec[7])
-    m_di, m_fg = mul_spec(spec[3], spec[8]), mul_spec(spec[5], spec[6])
-    m_dh, m_eg = mul_spec(spec[3], spec[7]), mul_spec(spec[4], spec[6])
-    minors = (
-        mul_spec(spec[0], spec[4]) - mul_spec(spec[1], spec[3])
-        + mul_spec(spec[0], spec[8]) - mul_spec(spec[2], spec[6])
-        + m_ei - m_fh
-    ) % p
-    cof_a = (m_ei - m_fh) % p
-    cof_b = (m_di - m_fg) % p
-    cof_c = (m_dh - m_eg) % p
-    fa, fb, fc = (np.fft.rfft(m, nfft, axis=1) for m in (cof_a, cof_b, cof_c))
-    det = (mul_spec(spec[0], fa) - mul_spec(spec[1], fb) + mul_spec(spec[2], fc)) % p
+    ei, fh = mul(e, i), mul(f, h)
+    trace = _combine(p, [a, e, i])
+    minors = _combine(p, [mul(a, e), mul(a, i), ei], [mul(b, d), mul(c, g_), fh])
+    cof_a = _combine(p, [ei], [fh])
+    cof_b = _combine(p, [mul(d, i)], [mul(f, g_)])
+    cof_c = _combine(p, [mul(d, h)], [mul(e, g_)])
+    det = _combine(p, [mul(a, cof_a), mul(c, cof_c)], [mul(b, cof_b)])
 
-    v_tr, f_tr = _lead_val(trace, g)
-    v_mi, f_mi = _lead_val(minors, 2 * g)
-    v_dt, f_dt = _lead_val(det, 3 * g)
-    if not bool(np.all(f_dt & (v_dt == 0))):
+    v_tr = _lead_val(trace, g)
+    v_mi = _lead_val(minors, 2 * g)
+    if not bool(np.all(_lead_val(det, 3 * g) == 0)):
         raise ArithmeticError("sampled determinant is not a unit; kernel inconsistency")
-
-    big = np.int64(1) << np.int64(40)
-    zero = np.int64(0)
-
-    def polygon(vt, vm):
-        two_l1 = np.maximum(np.maximum(-2 * vt, -vm), zero)
-        two_l3n = np.maximum(np.maximum(-2 * vm, -vt), zero)
-        return two_l1, two_l3n
-
-    l1_h, l3n_h = polygon(v_tr, v_mi)
-    l1, l3n = polygon(np.where(f_tr, v_tr, big), np.where(f_mi, v_mi, big))
-    resolved = (l1 == l1_h) & (l3n == l3n_h)
-    two_l1, two_l3 = l1, -l3n
-    two_l2 = l3n - l1
-    return two_l1, two_l2, two_l3, resolved
+    two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
+    two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
+    return two_l1, two_l3n - two_l1, -two_l3n
 
 
 def _encode(t1, t2, t3):
-    return ((t1 + 512) << np.int64(20)) | ((t2 + 512) << np.int64(10)) | (t3 + 512)
+    return ((t1 + _OFFSET) << 2 * _FIELD) | ((t2 + _OFFSET) << _FIELD) | (t3 + _OFFSET)
 
 
 def _decode(code: int):
-    return (code >> 20) - 512, ((code >> 10) & 1023) - 512, (code & 1023) - 512
+    mask = (1 << _FIELD) - 1
+    return tuple(((code >> s) & mask) - _OFFSET for s in (2 * _FIELD, _FIELD, 0))
 
 
-def _poset_range(x: AffineWeylElt, mode, p, prec, seed, lo, hi):
+def _poset_range(x: AffineWeylElt, mode, p, seed, lo, hi):
     """Histogram of encoded doubled slopes for trial ids in [lo, hi)."""
-    xpat = coset_pattern(x, "xI")
-    ipat = _identity_pattern() if mode == "IxI" else None
     counts = {}
-    unresolved = 0
-    errors = 0
     ids = np.arange(lo, hi, dtype=np.int64)
     for start in range(0, ids.size, BLOCK):
-        pending = ids[start : start + BLOCK]
-        for attempt in range(MAX_RETRIES + 1):
-            q = prec << attempt
-            if mode == "IxI":
-                entries, g, L = _product_blocks(ipat, xpat, p, seed, pending, q)
-            else:
-                entries, g, L = _pattern_blocks(xpat, p, seed, pending, q)
-            t1, t2, t3, ok = _slopes_block(entries, g, L, p)
-            codes, n = np.unique(_encode(t1[ok], t2[ok], t3[ok]), return_counts=True)
-            for code, cnt in zip(codes.tolist(), n.tolist()):
-                counts[code] = counts.get(code, 0) + cnt
-            pending = pending[~ok]
-            if not pending.size:
-                break
-            if attempt < MAX_RETRIES:
-                errors += pending.size
-        unresolved += pending.size
-    return counts, unresolved, errors
+        entries, g = _sample_blocks(x, mode, p, seed, ids[start : start + BLOCK])
+        codes, n = np.unique(_encode(*_slopes_block(entries, g, p)), return_counts=True)
+        for code, cnt in zip(codes.tolist(), n.tolist()):
+            counts[code] = counts.get(code, 0) + cnt
+    return counts
 
 
 def _poset_worker(args):
-    x_text, mode, p, prec, seed, lo, hi = args
-    return _poset_range(AffineWeylElt.parse(x_text), mode, p, prec, seed, lo, hi)
+    x_text, mode, p, seed, lo, hi = args
+    return _poset_range(AffineWeylElt.parse(x_text), mode, p, seed, lo, hi)
 
 
 # -- histograms ------------------------------------------------------------------
@@ -406,8 +411,8 @@ class StratumHistogram:
 def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI") -> StratumHistogram:
     """Histogram of slope sequences over sampled xI (or I * xI products).
 
-    Unresolved samples (window never pinned the polygon after retries) are
-    counted separately, never silently dropped.
+    The bulk kernel pins every sample's slopes exactly, so the record's
+    unresolved and errors counts are always 0.
     """
     if mode not in ("xI", "IxI"):
         raise ValueError(f"unknown sampling mode {mode!r}")
@@ -417,27 +422,22 @@ def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI"
     chunks = []
     step = max(1, -(-cfg.trials // cfg.workers))
     for lo in range(0, cfg.trials, step):
-        chunks.append((str(x), mode, cfg.p, cfg.prec, cfg.seed, lo, min(lo + step, cfg.trials)))
+        chunks.append((str(x), mode, cfg.p, cfg.seed, lo, min(lo + step, cfg.trials)))
     if cfg.workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(_poset_worker, chunks))
     else:
         parts = [_poset_worker(c) for c in chunks]
     counts = {}
-    unresolved = 0
-    errors = 0
-    for part_counts, part_unres, part_err in parts:
-        for code, n in part_counts.items():
+    for part in parts:
+        for code, n in part.items():
             counts[code] = counts.get(code, 0) + n
-        unresolved += part_unres
-        errors += part_err
     slopes = {}
     for code, n in counts.items():
         t1, t2, t3 = _decode(code)
         slopes[SlopeSeq(Fraction(t1, 2), Fraction(t2, 2), Fraction(t3, 2))] = n
     return StratumHistogram(
         x=str(x), p=cfg.p, trials=cfg.trials, counts=slopes,
-        unresolved=unresolved, errors=errors,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_INT64_BOUND = 1 << 63
 
 
 class InsufficientPrecision(ArithmeticError):
@@ -108,6 +109,17 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self.value}, p={self.p})"
+
+
+def _convolve_mod(a, b, p: int) -> np.ndarray:
+    """Full convolution of two residue arrays, reduced mod p, exact for every p.
+
+    Stays in int64 while no sum of min(len) products of residues can
+    overflow, and falls back to Python integers (object dtype) otherwise.
+    """
+    if min(a.size, b.size) * (p - 1) ** 2 < _INT64_BOUND:
+        return np.convolve(a, b) % p
+    return (np.convolve(a.astype(object), b.astype(object)) % p).astype(np.int64)
 
 
 class TruncatedSeries:
@@ -264,7 +276,7 @@ class TruncatedSeries:
         prec = min(self.prec + other.val_lower_bound(), other.prec + self.val_lower_bound())
         if not self.coeffs.size or not other.coeffs.size:
             return TruncatedSeries(self.p, 0, [], prec)
-        conv = np.convolve(self.coeffs, other.coeffs) % self.p
+        conv = _convolve_mod(self.coeffs, other.coeffs, self.p)
         return TruncatedSeries(self.p, self.off + other.off, conv, prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
@@ -299,10 +311,9 @@ class TruncatedSeries:
         x = np.array([inv0], dtype=np.int64)
         while x.size < n:
             k = min(2 * x.size, n)
-            ux = np.convolve(u[:k], x)[:k] % self.p
-            ux = (-ux) % self.p
+            ux = (-_convolve_mod(u[:k], x, self.p)[:k]) % self.p
             ux[0] = (ux[0] + 2) % self.p
-            x = np.convolve(x, ux)[:k] % self.p
+            x = _convolve_mod(x, ux, self.p)[:k]
         return TruncatedSeries(self.p, -v, x, self.prec - 2 * v)
 
     def frobenius(self, e: int = 1) -> "TruncatedSeries":

@@ -217,6 +217,16 @@ class TestCampaignAndTables:
         assert code == 0
         assert "MISMATCH" not in out
 
+    def test_tables_verify_at_small_prime(self, capsys):
+        # at p = 2 the mode of mu=-2,0,2;w=s121 is 0,0,0, not nu_x = 1,0,-1;
+        # the check is support in N(G)_x with nu_x sampled
+        code, out, _ = run(
+            capsys, "tables", "--w", "s121", "--bound", "2", "--verify",
+            "--p", "2", "--trials", "4000",
+        )
+        assert code == 0
+        assert "MISMATCH" not in out and out.count("  ok") == 19
+
 
 class TestParseMatrix:
     def test_json_matrix_roundtrip(self):

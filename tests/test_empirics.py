@@ -1,12 +1,17 @@
 """Monte-Carlo sampling over coset patterns and its statistical reports."""
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from newton_strata.isocrystal import SlopeSeq, slope_leq, slope_sequence
-from newton_strata.affine_weyl import AffineWeylElt, coset_pattern
+from newton_strata.affine_weyl import AffineWeylElt, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of
 from newton_strata.empirics import (
+    _conv,
+    _decode,
+    _encode,
     CodimEstimate,
     SampleConfig,
     StratumHistogram,
@@ -25,6 +30,9 @@ from conftest import P
 
 X = AffineWeylElt.parse
 HEADLINE = X("mu=-2,0,2;w=s121")
+# the largest prime with (p-1)**2 + p < 2**63, and the next prime
+P_MAX = 3037000493
+P_OVER = 3037000507
 
 
 def lam(text):
@@ -41,6 +49,17 @@ class TestSampleConfig:
             make_config(HEADLINE, workers=0)
         with pytest.raises(ValueError):
             make_config(HEADLINE, trials=-1)
+
+    def test_rejects_primes_outside_the_exact_range(self):
+        assert make_config(HEADLINE, p=P_MAX).p == P_MAX
+        with pytest.raises(ValueError, match="too large"):
+            make_config(HEADLINE, p=P_OVER)
+
+    def test_rejects_onsets_outside_the_slope_encoding(self):
+        k = 2**19 - 1
+        assert make_config(X(f"mu={-k},0,{k};w=s121")).pattern.max_abs_k() == k
+        with pytest.raises(ValueError, match="onsets"):
+            make_config(X(f"mu={-k - 1},0,{k + 1};w=s121"))
 
     def test_rejects_precision_below_floor(self):
         pat = coset_pattern(HEADLINE, "xI")
@@ -80,6 +99,79 @@ class TestSampling:
         assert ipat.contains(u)
         assert coset_pattern(HEADLINE, "xI").contains(m)
         assert slope_sequence(um) in poset_of(HEADLINE)
+
+
+def _python_conv(x, y, p, L):
+    """Reference for _conv with Python integers, column by column."""
+    (a, _), (b, _) = x, y
+    out = np.zeros((L, a.shape[1]), dtype=np.int64)
+    for col in range(a.shape[1]):
+        for t in range(L):
+            out[t, col] = sum(int(a[i, col]) * int(b[t - i, col]) for i in range(t + 1)) % p
+    return out
+
+
+def _block(rng, p, L, onset, worst=False):
+    arr = np.full((L, 4), p - 1, dtype=np.int64) if worst else rng.integers(0, p, size=(L, 4))
+    arr[:onset] = 0
+    return arr, onset
+
+
+class TestBulkKernel:
+    @pytest.mark.parametrize("p", [2**31 - 1, P_MAX, 1753413037, 2, 11])
+    def test_conv_matches_python_integers(self, p, rng):
+        # reductions fall every ((1<<63) - p) // (p-1)**2 shifts: 2, 1 and 3
+        # for the three large primes; all-(p-1) blocks are the worst case
+        for L in range(1, 9):
+            for oa, ob in ((0, 0), (1, 0), (0, 2), (2, 3)):
+                for worst in (True, False):
+                    x, y = _block(rng, p, L, oa, worst), _block(rng, p, L, ob, worst)
+                    out, onset = _conv(x, y, p, L)
+                    assert onset == min(oa + ob, L)
+                    assert np.array_equal(out, _python_conv(x, y, p, L)), (p, L, oa, ob, worst)
+
+    def test_slope_codes_roundtrip_at_the_field_ends(self):
+        lo, hi = -(2**20), 2**20 - 1
+        for t in ((lo, 0, hi), (hi, lo, 0), (0, hi, lo), (-1, 0, 1)):
+            code = _encode(*(np.array([v], dtype=np.int64) for v in t))
+            assert _decode(int(code[0])) == t
+
+    def test_large_mu_samples_without_overflow(self):
+        x = X("mu=-300,0,300;w=s121")
+        cfg = make_config(x, trials=8, seed=0)
+        hist = empirical_poset(x, cfg)
+        assert sum(hist.counts.values()) == 8
+        assert all(slope_leq(z, mazur_bound(x)) for z in hist.counts)
+        assert hist.counts == Counter(slope_sequence(sample_pattern(cfg, t)) for t in range(8))
+
+    def test_largest_accepted_prime_matches_the_scalar_path(self):
+        cfg = make_config(HEADLINE, p=P_MAX, trials=6, seed=2)
+        for mode in ("xI", "IxI"):
+            hist = empirical_poset(HEADLINE, cfg, mode=mode)
+            assert hist.counts == _scalar_histogram(HEADLINE, cfg, mode)
+
+
+def _scalar_histogram(x, cfg, mode):
+    """The histogram of cfg.trials draws, one matrix at a time."""
+    def draw(t):
+        return sample_ixi(cfg, t)[2] if mode == "IxI" else sample_pattern(cfg, t)
+    return Counter(slope_sequence(draw(t)) for t in range(cfg.trials))
+
+
+DIFFERENTIAL_XS = [str(x) for x in list(enumerate_grid(2))[::13]] + ["mu=-8,2,6;w=s121"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
+def test_bulk_and_scalar_histograms_agree_on_identical_draws(p):
+    """empirical_poset and sample_pattern/sample_ixi + slope_sequence see the
+    same matrices for the same trial ids, so their histograms are equal."""
+    for text in DIFFERENTIAL_XS:
+        x = X(text)
+        cfg = make_config(x, p=p, trials=32, seed=5)
+        for mode in ("xI", "IxI"):
+            hist = empirical_poset(x, cfg, mode=mode)
+            assert hist.counts == _scalar_histogram(x, cfg, mode), (text, mode)
+            assert set(hist.counts) <= set(poset_of(x).elements), (text, mode)
 
 
 class TestHistograms:

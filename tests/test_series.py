@@ -181,6 +181,34 @@ class TestArithmetic:
             TruncatedSeries.zero(P, 4).inverse()
 
 
+class TestLargePrimes:
+    """Products of residues near 2**31 overflow int64 once summed; the
+    results must still equal Python-integer arithmetic."""
+
+    BIG = 2**31 - 1
+
+    def test_product_matches_python_integers(self, rng):
+        p = self.BIG
+        for n in (1, 2, 3, 17):
+            a = [p - 1] * n if n < 17 else [int(c) for c in rng.integers(0, p, size=n)]
+            b = [p - 1] * 5 if n < 17 else [int(c) for c in rng.integers(0, p, size=9)]
+            prod = TruncatedSeries(p, 0, a, 40) * TruncatedSeries(p, 0, b, 40)
+            expect = {
+                k: sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % p
+                for k in range(len(a) + len(b) - 1)
+            }
+            assert prod.terms() == [(k, c) for k, c in sorted(expect.items()) if c]
+
+    def test_inverse_roundtrip(self, rng):
+        p = self.BIG
+        for _ in range(5):
+            coeffs = rng.integers(0, p, size=30)
+            coeffs[0] = int(rng.integers(1, p))
+            a = TruncatedSeries(p, -2, coeffs, 28)
+            prod = a * a.inverse()
+            assert prod == TruncatedSeries.one(p, prod.prec)
+
+
 class TestFrobenius:
     @given(a=series_strategy, b=series_strategy)
     @settings(max_examples=100, deadline=None)
