@@ -4,7 +4,8 @@ Slope sequences of sigma-linear maps on F_p((t))^3
 
 A matrix A with unit determinant valuation acts on column vectors by
 v -> A sigma(v); its isomorphism class is captured by three rational
-slopes, read off the Newton polygon of the characteristic polynomial.
+slopes.  Here sigma is the identity on F_p((t)), so the slopes are read off
+the Newton polygon of the ordinary characteristic polynomial of A.
 """
 
 from newton_strata import IsoMatrix, TruncatedSeries, slope_sequence
@@ -37,11 +38,12 @@ C = IsoMatrix(
 )
 print("dense coset element:   ", slope_sequence(C))
 
-# under the hood: the characteristic polynomial sigma^3 + a sigma^2 +
-# b sigma + c of a cyclic vector, and the convex hull of the coefficient
+# under the hood: the characteristic polynomial X^3 + alpha X^2 + beta X +
+# gamma of the exact matrix (alpha = -trace, beta = sum of the principal
+# 2x2 minors, gamma = -det), and the convex hull of the coefficient
 # valuations
-cp = charpoly3(C.truncate(40))
-print("cyclic vector used:    ", cp.cyclic_vector)
+cp = charpoly3(C)
+print("alpha, beta, gamma:    ", cp.alpha.to_text(), "|", cp.beta.to_text(), "|", cp.gamma.to_text())
 print("val(alpha), val(beta), val(gamma):",
       cp.alpha.valuation(), cp.beta.valuation(), cp.gamma.valuation())
 

@@ -1,15 +1,14 @@
-"""Slope sequences of sigma-linear maps Phi = A*sigma on F^3.
+"""Slope sequences of the isocrystals (F^3, A*sigma), F = F_p((t)).
 
-The characteristic polynomial sigma^3 + alpha*sigma^2 + beta*sigma + gamma is
-computed with respect to a cyclic vector: alpha and beta from the explicit
-wedge formulas (with the volume factor D), gamma from the wedge identity
-gamma = -(sigma(D)/D) det A.  The slope sequence is read off the upper convex
-hull of the points (i, -val(coefficient)).
-
-Exactly block-triangular inputs (entries that are exactly zero by
-construction, as in the witness matrices) bypass the cyclic search: a short
-exact sequence of isocrystals splits, so the slopes are the merged slopes of
-the diagonal blocks.
+Here q = p, so sigma is the identity on F and A*sigma is an ordinary
+linear map.  By Dieudonne-Manin its slope sequence is the Newton polygon
+of the ordinary characteristic polynomial X^3 + alpha X^2 + beta X + gamma
+(alpha = -tr A, beta = sum of the principal 2x2 minors, gamma = -det A),
+read off the upper convex hull of the points (i, -val(coefficient)).
+The coefficients are polynomials in the entries, computed with exact
+TruncatedSeries arithmetic: exact inputs need no working precision, and
+finite-precision inputs raise InsufficientPrecision when the known
+coefficients do not pin the hull.
 """
 
 from __future__ import annotations
@@ -19,46 +18,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .series import (
-    INF,
-    InsufficientPrecision,
-    TruncatedSeries,
-    ceil_q,
-)
+from .series import INF, InsufficientPrecision, TruncatedSeries
 
 __all__ = [
-    "NoCyclicVectorFound",
-    "NotCyclic",
     "SlopeSeq",
     "IsoMatrix",
     "CharPoly3",
-    "wedge_D",
     "charpoly3",
-    "charpoly2",
     "newton_polygon",
     "slope_sequence",
     "slope_leq",
     "order_criterion",
-    "split_slopes",
 ]
 
 
-class NoCyclicVectorFound(ArithmeticError):
-    """The bounded cyclic-vector search failed (degenerate input)."""
-
-
-class NotCyclic(ArithmeticError):
-    """e1 is not cyclic for the 2x2 input (lower-left entry vanishes)."""
-
-
 # -- slope sequences --------------------------------------------------------
-
-
-def _as_fraction(x) -> Fraction:
-    f = Fraction(x)
-    return f
 
 
 @dataclass(frozen=True)
@@ -75,9 +49,9 @@ class SlopeSeq:
     lam3: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam1", _as_fraction(self.lam1))
-        object.__setattr__(self, "lam2", _as_fraction(self.lam2))
-        object.__setattr__(self, "lam3", _as_fraction(self.lam3))
+        object.__setattr__(self, "lam1", Fraction(self.lam1))
+        object.__setattr__(self, "lam2", Fraction(self.lam2))
+        object.__setattr__(self, "lam3", Fraction(self.lam3))
         l1, l2, l3 = self.lam1, self.lam2, self.lam3
         if not (l1 >= l2 >= l3):
             raise ValueError(f"slopes not sorted: {(l1, l2, l3)}")
@@ -143,41 +117,32 @@ _ENTRY_NAMES_3 = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
 
 
 class IsoMatrix:
-    """A 2x2 or 3x3 matrix of truncated series, representing Phi = A*sigma.
+    """A 3x3 matrix of truncated series, representing Phi = A*sigma.
 
-    Entry names a..i follow the row-major 3x3 layout of the explicit
-    characteristic-polynomial formulas.
+    Entry names a..i follow the row-major layout of the characteristic
+    polynomial formulas.
     """
 
-    __slots__ = ("n", "p", "entries")
+    __slots__ = ("p", "entries")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        if n not in (2, 3) or any(len(r) != n for r in rows):
-            raise ValueError("IsoMatrix must be 2x2 or 3x3")
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("IsoMatrix must be 3x3")
         p = rows[0][0].p
         for row in rows:
             for ts in row:
                 if ts.p != p:
                     raise ValueError("mixed moduli in IsoMatrix")
-        self.n = n
         self.p = p
         self.entries = rows
 
     # construction helpers
 
     @classmethod
-    def identity(cls, p: int, n: int = 3, prec=INF) -> "IsoMatrix":
-        return cls(
-            [
-                [
-                    TruncatedSeries.one(p, prec) if i == j else TruncatedSeries.zero(p, prec)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+    def identity(cls, p: int, prec=INF) -> "IsoMatrix":
+        one, zero = TruncatedSeries.one(p, prec), TruncatedSeries.zero(p, prec)
+        return cls([[one if i == j else zero for j in range(3)] for i in range(3)])
 
     @classmethod
     def from_int_matrix(cls, p: int, rows, prec=INF) -> "IsoMatrix":
@@ -188,9 +153,8 @@ class IsoMatrix:
 
     @classmethod
     def diag(cls, p: int, series_list) -> "IsoMatrix":
-        n = len(series_list)
         z = TruncatedSeries.zero(p)
-        return cls([[series_list[i] if i == j else z for j in range(n)] for i in range(n)])
+        return cls([[series_list[i] if i == j else z for j in range(3)] for i in range(3)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -201,44 +165,28 @@ class IsoMatrix:
         return self.entries[k // 3][k % 3]
 
     def __matmul__(self, other: "IsoMatrix") -> "IsoMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
         return IsoMatrix(
             [
                 [
-                    _sum_series([self.entries[i][k] * other.entries[k][j] for k in range(n)])
-                    for j in range(n)
+                    _sum_series([self.entries[i][k] * other.entries[k][j] for k in range(3)])
+                    for j in range(3)
                 ]
-                for i in range(n)
+                for i in range(3)
             ]
         )
 
-    def frobenius(self, e: int = 1) -> "IsoMatrix":
-        return IsoMatrix([[ts.frobenius(e) for ts in row] for row in self.entries])
-
     def transpose(self) -> "IsoMatrix":
-        return IsoMatrix([[self.entries[j][i] for j in range(self.n)] for i in range(self.n)])
+        return IsoMatrix([[self.entries[j][i] for j in range(3)] for i in range(3)])
 
     def scale(self, u: TruncatedSeries) -> "IsoMatrix":
         return IsoMatrix([[ts * u for ts in row] for row in self.entries])
 
     def det(self) -> TruncatedSeries:
-        e = self.entries
-        if self.n == 2:
-            return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        return _sum_series(
-            [
-                e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1]),
-                -(e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])),
-                e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]),
-            ]
-        )
+        (a, b, c), (d, e, f), (g, h, i) = self.entries
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     def adjugate(self) -> "IsoMatrix":
         e = self.entries
-        if self.n == 2:
-            return IsoMatrix([[e[1][1], -e[0][1]], [-e[1][0], e[0][0]]])
         cof = [
             [
                 (e[(i + 1) % 3][(j + 1) % 3] * e[(i + 2) % 3][(j + 2) % 3])
@@ -256,21 +204,8 @@ class IsoMatrix:
     def truncate(self, new_prec) -> "IsoMatrix":
         return IsoMatrix([[ts.truncate(new_prec) for ts in row] for row in self.entries])
 
-    def is_exact(self) -> bool:
-        return all(ts.is_exact() for row in self.entries for ts in row)
-
     def min_prec(self):
         return min(ts.prec for row in self.entries for ts in row)
-
-    def val_scale(self) -> int:
-        """Max |valuation| over entries with determined valuation (>= 1)."""
-        m = 1
-        for row in self.entries:
-            for ts in row:
-                v = ts.valuation()
-                if v is not None:
-                    m = max(m, abs(v), abs(v + ts.coeffs.size - 1))
-        return m
 
     def to_json(self) -> dict:
         mp = self.min_prec()
@@ -303,114 +238,24 @@ def _sum_series(terms):
 
 @dataclass(frozen=True)
 class CharPoly3:
-    """sigma^3 + alpha*sigma^2 + beta*sigma + gamma, with the search record."""
+    """X^3 + alpha*X^2 + beta*X + gamma, the characteristic polynomial of A."""
 
     alpha: TruncatedSeries
     beta: TruncatedSeries
     gamma: TruncatedSeries
-    cyclic_vector: str
-
-
-def wedge_D(A: IsoMatrix) -> TruncatedSeries:
-    """Volume e1 ^ Phi(e1) ^ Phi^2(e1) = D * (e1 ^ e2 ^ e3).
-
-    D = sigma(d)(dh - eg) + sigma(g)(di - fg); e1 is cyclic iff D != 0.
-    """
-    a, b, c, d, e, f, g, h, i = (A.named(n) for n in _ENTRY_NAMES_3)
-    s = TruncatedSeries.frobenius
-    return s(d) * (d * h - e * g) + s(g) * (d * i - f * g)
-
-
-def _charpoly3_at(A: IsoMatrix, D: TruncatedSeries) -> tuple:
-    """alpha, beta, gamma for e1 cyclic, from the explicit formulas."""
-    a, b, c, d, e, f, g, h, i = (A.named(n) for n in _ENTRY_NAMES_3)
-
-    def s(x, k=1):
-        return x.frobenius(k)
-
-    dh_eg = d * h - e * g
-    di_fg = d * i - f * g
-    Dinv = D.inverse()
-    alpha = -s(a, 2) - Dinv * ((s(d, 2) * s(e) + s(g, 2) * s(f)) * dh_eg
-                               + (s(d, 2) * s(h) + s(g, 2) * s(i)) * di_fg)
-    sD_over_D = s(D) * Dinv
-    beta = -(s(a) * alpha + s(a, 2) * s(a) + s(d, 2) * s(b) + s(g, 2) * s(c)) \
-        + sD_over_D * (e * i - f * h)
-    gamma = -(sD_over_D * A.det())
-    return alpha, beta, gamma
-
-
-_RANDOM_DIRECTIONS = 32
-_SEARCH_SEED = 0xA11CE
-
-
-def _cyclic_candidates(p: int):
-    """Basis-change matrices B with B e1 = candidate vector, and inverses."""
-    yield "e1", None, None
-    yield "e2", ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    yield "e3", ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    rng = np.random.default_rng(_SEARCH_SEED)
-    for _ in range(_RANDOM_DIRECTIONS):
-        v1, v2, v3 = (int(x) for x in rng.integers(1, p, size=3))
-        inv1 = pow(v1, p - 2, p)
-        B = ((v1, 0, 0), (v2, 1, 0), (v3, 0, 1))
-        Binv = ((inv1, 0, 0), ((-v2 * inv1) % p, 1, 0), ((-v3 * inv1) % p, 0, 1))
-        yield f"random({v1},{v2},{v3})", B, Binv
 
 
 def charpoly3(A: IsoMatrix) -> CharPoly3:
-    """Characteristic sigma-polynomial of Phi = A*sigma on F^3.
+    """The ordinary characteristic polynomial of A (sigma is the identity).
 
-    Searches e1, e2, e3, then random unit-coordinate vectors for a cyclic
-    vector (basis change by an exact scalar matrix, which sigma fixes).  If
-    every candidate volume D vanishes exactly, the input is a degenerate
-    exact matrix; since sigma fixes the coefficient field here, Phi is an
-    ordinary linear map and the ordinary characteristic polynomial
-    (-trace, trace of adjugate, -det) is returned instead.
+    alpha = -tr A, beta = ae - bd + ai - cg + ei - fh, gamma = -det A; the
+    determinant expands along the first row and reuses the minor ei - fh.
     """
-    if A.n != 3:
-        raise ValueError("charpoly3 needs a 3x3 matrix")
-    saw_undetermined = False
-    for name, B, Binv in _cyclic_candidates(A.p):
-        if B is None:
-            Ab = A
-        else:
-            mB = IsoMatrix.from_int_matrix(A.p, B)
-            mBinv = IsoMatrix.from_int_matrix(A.p, Binv)
-            Ab = mBinv @ A @ mB.frobenius()
-        D = wedge_D(Ab)
-        if D.valuation() is None:
-            if not D.is_exact_zero():
-                saw_undetermined = True
-            continue
-        alpha, beta, gamma = _charpoly3_at(Ab, D)
-        return CharPoly3(alpha, beta, gamma, name)
-    if saw_undetermined:
-        raise InsufficientPrecision(
-            "every candidate cyclic volume D is zero to working precision"
-        )
-    if A.is_exact():
-        tr = _sum_series([A.entries[k][k] for k in range(3)])
-        adj = A.adjugate()
-        tr_adj = _sum_series([adj.entries[k][k] for k in range(3)])
-        return CharPoly3(-tr, tr_adj, -A.det(), "none (ordinary charpoly; degenerate exact input)")
-    raise NoCyclicVectorFound("no cyclic vector among e1, e2, e3 and random directions")
-
-
-def charpoly2(A: IsoMatrix):
-    """(alpha1, gamma1) with f = sigma^2 + alpha1*sigma + gamma1, e1 cyclic.
-
-    alpha1 = -(sigma(a) + (sigma(c)/c) d), gamma1 = (sigma(c)/c) det.
-    """
-    if A.n != 2:
-        raise ValueError("charpoly2 needs a 2x2 matrix")
-    (a, b), (c, d) = A.entries
-    if c.valuation() is None:
-        raise NotCyclic("lower-left entry is zero to precision; e1 not cyclic")
-    ratio = c.frobenius() * c.inverse()
-    alpha1 = -(a.frobenius() + ratio * d)
-    gamma1 = ratio * (a * d - b * c)
-    return alpha1, gamma1
+    (a, b, c), (d, e, f), (g, h, i) = A.entries
+    ei_fh = e * i - f * h
+    det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
+    beta = (a * e - b * d) + (a * i - c * g) + ei_fh
+    return CharPoly3(-(a + e + i), beta, -det)
 
 
 # -- Newton polygons --------------------------------------------------------
@@ -426,7 +271,7 @@ def _val_info(ts: TruncatedSeries):
     return ("ge", ts.prec)
 
 
-def _hull_slopes(points, n):
+def _hull_slopes(points):
     """Slopes of the upper convex hull, left to right (descending).
 
     points: list of (index, val) with val int/Fraction (known), INF (exact
@@ -442,7 +287,7 @@ def _hull_slopes(points, n):
             continue
         else:
             known.append((i, -Fraction(v)))
-    if not known or known[0][0] != 0 or known[-1][0] != n:
+    if not known or known[0][0] != 0 or known[-1][0] != 3:
         raise InsufficientPrecision("polygon endpoints must have known valuations")
     # upper hull by monotone scan (points already sorted by index)
     hull = []
@@ -479,12 +324,12 @@ def newton_polygon(points) -> SlopeSeq:
     Valuations are ints, INF for exactly-zero coefficients (point absent),
     or ("ge", L) for coefficients only known to vanish below precision L.
     """
-    return SlopeSeq(*_hull_slopes(points, 3))
+    return SlopeSeq(*_hull_slopes(points))
 
 
 def polygon_vertices(points):
     """The hull's vertex list [(i, height)] for reporting."""
-    slopes = _hull_slopes(points, 3)
+    slopes = _hull_slopes(points)
     verts = [(0, Fraction(0))]
     h = Fraction(0)
     for k, s in enumerate(slopes, start=1):
@@ -497,124 +342,20 @@ def polygon_vertices(points):
 # -- slope sequences of matrices --------------------------------------------
 
 
-def _exact_split(A: IsoMatrix):
-    """A 2-block partition (S, T) with span{e_s : s in S} exactly invariant."""
-    n = A.n
-    idx = range(n)
-    subsets = [(k,) for k in idx] + ([tuple(sorted(set(idx) - {k})) for k in idx] if n == 3 else [])
-    for S in subsets:
-        T = tuple(k for k in idx if k not in S)
-        if not T:
-            continue
-        if all(A.entries[t][s].is_exact_zero() for t in T for s in S):
-            return (S, T)
-    return None
-
-
-def _submatrix(A: IsoMatrix, S):
-    if len(S) == 1:
-        return A.entries[S[0]][S[0]]
-    return IsoMatrix([[A.entries[i][j] for j in S] for i in S])
-
-
-def _block_slopes(block) -> list:
-    """Slopes of a 1x1 (series) or 2x2 (IsoMatrix) diagonal block."""
-    if isinstance(block, TruncatedSeries):
-        v = block.valuation()
-        if v is None:
-            raise InsufficientPrecision("1-dim block entry is zero to precision")
-        return [Fraction(-v)]
-    # 2x2: exactly triangular inputs split into diagonal valuations
-    (a, b), (c, d) = block.entries
-    if c.is_exact_zero() or b.is_exact_zero():
-        va, vd = a.valuation(), d.valuation()
-        if va is None or vd is None:
-            raise InsufficientPrecision("triangular 2x2 block with undetermined diagonal")
-        return sorted([Fraction(-va), Fraction(-vd)], reverse=True)
-    try:
-        alpha1, gamma1 = charpoly2(block)
-    except ValueError:
-        # exact non-monomial inversion: recompute at a finite working precision
-        N = 8 * (block.val_scale() + 2)
-        alpha1, gamma1 = charpoly2(block.truncate(N))
-    vg = gamma1.valuation()
-    if vg is None:
-        raise InsufficientPrecision("2x2 block determinant is zero to precision")
-    return _hull_slopes([(0, 0), (1, _val_info(alpha1)), (2, vg)], 2)
-
-
-def split_slopes(A: IsoMatrix, block_shape) -> SlopeSeq:
-    """Merged block slopes for an exactly block-triangular matrix.
-
-    block_shape is an ordered partition of the indices, e.g. ((1,), (0, 2));
-    every column set union of a prefix must be exactly invariant (a short
-    exact sequence of isocrystals splits, so only the diagonal blocks
-    contribute).
-    """
-    seen = []
-    for S in block_shape:
-        inside = set(seen) | set(S)
-        for s in list(inside):
-            for t in range(A.n):
-                if t not in inside and not A.entries[t][s].is_exact_zero():
-                    raise ValueError(f"block shape {block_shape} does not match zero pattern")
-        seen.extend(S)
-    if sorted(seen) != list(range(A.n)):
-        raise ValueError("block shape must partition the indices")
-    slopes = []
-    for S in block_shape:
-        slopes.extend(_block_slopes(_submatrix(A, S)))
-    slopes.sort(reverse=True)
-    if A.n == 3:
-        return SlopeSeq(*slopes)
-    return slopes
-
-
-def _slope_sequence_once(A: IsoMatrix) -> SlopeSeq:
-    cp = charpoly3(A)
-    vg = cp.gamma.valuation()
-    if vg is None:
-        raise InsufficientPrecision("gamma is zero to precision")
-    return newton_polygon([(0, 0), (1, _val_info(cp.alpha)), (2, _val_info(cp.beta)), (3, vg)])
-
-
-_MAX_RETRIES = 3
-
-
-def default_working_precision(A: IsoMatrix) -> int:
-    return 8 * (A.val_scale() + 2)
-
-
 def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     """The slope sequence nu-bar(A) of the isocrystal (F^3, A*sigma).
 
-    Requires val(det A) = 0.  Exactly block-triangular inputs use the split
-    path; exact inputs are truncated to a working precision that doubles on
-    demand (bounded retries); finite-precision inputs propagate
-    InsufficientPrecision to the caller (who controls resampling).
+    Requires val(det A) = 0.  Exact inputs resolve exactly; finite-precision
+    inputs raise InsufficientPrecision when the known coefficients do not
+    pin the polygon (the caller controls resampling).
     """
-    if A.n != 3:
-        raise ValueError("slope_sequence needs a 3x3 matrix")
-    dv = A.det().valuation()
+    cp = charpoly3(A)
+    dv = cp.gamma.valuation()
     if dv is None:
         raise InsufficientPrecision("det is zero to precision")
     if dv != 0:
         raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
-    split = _exact_split(A)
-    if split is not None:
-        S, T = split
-        return split_slopes(A, (S, T))
-    if A.is_exact():
-        N = default_working_precision(A)
-        last = None
-        for _ in range(_MAX_RETRIES + 1):
-            try:
-                return _slope_sequence_once(A.truncate(N))
-            except InsufficientPrecision as exc:
-                last = exc
-                N *= 2
-        raise last
-    return _slope_sequence_once(A)
+    return newton_polygon([(0, 0), (1, _val_info(cp.alpha)), (2, _val_info(cp.beta)), (3, 0)])
 
 
 def order_criterion(cp: CharPoly3, lam: SlopeSeq) -> bool:

@@ -6,13 +6,13 @@ precision bound ``prec``.  Coefficients at exponents >= prec are unknown,
 not zero.  All arithmetic tracks how far the result is determined by the
 inputs and never reports a coefficient beyond that range.
 
-The Frobenius sigma raises coefficients to the q-th power.  With q = p the
-coefficient map is the identity (Fermat), but it is still applied
-structurally wherever the formulas demand it.
+The Frobenius sigma raises coefficients to the q-th power; with q = p it is
+the identity on F_p((t)) (Fermat), so no operation here applies it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -21,13 +21,7 @@ import numpy as np
 
 __all__ = [
     "InsufficientPrecision",
-    "FieldElem",
     "TruncatedSeries",
-    "ts_add",
-    "ts_mul",
-    "ts_inv",
-    "ts_frobenius",
-    "ts_valuation",
     "ceil_q",
 ]
 
@@ -47,68 +41,31 @@ def ceil_q(x) -> int:
     return -((-f.numerator) // f.denominator)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@functools.lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n < 3.3 * 10**24."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
-
-
-class FieldElem:
-    """A residue in GF(p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.value - other.value, self.p)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.value * other.value, self.p)
-
-    def inverse(self) -> "FieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        return FieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def frobenius(self, e: int = 1) -> "FieldElem":
-        # x -> x^q fixes GF(p) pointwise when q = p.
-        return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"FieldElem({self.value}, p={self.p})"
 
 
 def _convolve_mod(a, b, p: int) -> np.ndarray:
@@ -140,7 +97,7 @@ class TruncatedSeries:
         # drop anything at or beyond the precision bound
         if prec is not INF and arr.size and off + arr.size > prec:
             arr = arr[: max(0, prec - off)]
-        nz = np.flatnonzero(arr)
+        nz = arr.nonzero()[0]
         if nz.size:
             arr = arr[nz[0] : nz[-1] + 1]
             off = off + int(nz[0])
@@ -250,24 +207,28 @@ class TruncatedSeries:
             raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, to the smaller of the two precisions."""
         self._check(other)
         prec = min(self.prec, other.prec)
         if not self.coeffs.size:
-            return TruncatedSeries(other.p, other.off, other.coeffs, prec)
+            return TruncatedSeries(other.p, other.off, sign * other.coeffs, prec)
         if not other.coeffs.size:
             return TruncatedSeries(self.p, self.off, self.coeffs, prec)
         lo = min(self.off, other.off)
         hi = max(self.off + self.coeffs.size, other.off + other.coeffs.size)
         arr = np.zeros(hi - lo, dtype=np.int64)
         arr[self.off - lo : self.off - lo + self.coeffs.size] += self.coeffs
-        arr[other.off - lo : other.off - lo + other.coeffs.size] += other.coeffs
+        arr[other.off - lo : other.off - lo + other.coeffs.size] += sign * other.coeffs
         return TruncatedSeries(self.p, lo, arr, prec)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.p, self.off, (-self.coeffs) % self.p, self.prec)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return TruncatedSeries(self.p, self.off, -self.coeffs, self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -315,14 +276,6 @@ class TruncatedSeries:
             ux[0] = (ux[0] + 2) % self.p
             x = _convolve_mod(x, ux, self.p)[:k]
         return TruncatedSeries(self.p, -v, x, self.prec - 2 * v)
-
-    def frobenius(self, e: int = 1) -> "TruncatedSeries":
-        """sigma^e: coefficients to the q^e-th power; exponents unchanged.
-
-        With q = p the coefficient map is the identity, so the series is
-        returned unchanged (values are immutable).
-        """
-        return self
 
     def truncate(self, new_prec) -> "TruncatedSeries":
         if new_prec >= self.prec:
@@ -400,30 +353,3 @@ class TruncatedSeries:
     def __repr__(self):
         prec = "inf" if self.prec is INF else self.prec
         return f"TruncatedSeries({self.to_text()}, p={self.p}, prec={prec})"
-
-
-# -- module-level operation aliases ---------------------------------------
-
-
-def ts_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def ts_inv(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
-
-
-def ts_frobenius(a: TruncatedSeries, e: int = 1) -> TruncatedSeries:
-    return a.frobenius(e)
-
-
-def ts_valuation(a: TruncatedSeries):
-    """Valuation, or the string ">= N" when undetermined at precision N."""
-    v = a.valuation()
-    if v is None:
-        return f">= {a.prec}"
-    return v

@@ -448,7 +448,7 @@ def _minor_ae_bd(A: IsoMatrix):
 
 
 def _db_plus_gc(A: IsoMatrix):
-    return A[1, 0].frobenius() * A[0, 1] + A[2, 0].frobenius() * A[0, 2]
+    return A[1, 0] * A[0, 1] + A[2, 0] * A[0, 2]
 
 
 def stratum_predicate(x: AffineWeylElt, lam: SlopeSeq, A: IsoMatrix) -> bool:

@@ -44,6 +44,12 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             make_config(HEADLINE, p=15)
 
+    def test_rejects_large_composites_and_pseudoprimes(self):
+        for n in (561, 2**31 + 1, 46337**2):
+            with pytest.raises(ValueError, match="prime"):
+                make_config(HEADLINE, p=n)
+        assert make_config(HEADLINE, p=2**31 - 1).p == 2**31 - 1
+
     def test_rejects_zero_workers_and_negative_trials(self):
         with pytest.raises(ValueError):
             make_config(HEADLINE, workers=0)

@@ -1,15 +1,13 @@
 """Slope sequences, characteristic polynomials, and Newton polygons."""
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from newton_strata.series import INF, InsufficientPrecision, TruncatedSeries
 from newton_strata.isocrystal import (
-    CharPoly3,
     IsoMatrix,
     SlopeSeq,
-    charpoly2,
     charpoly3,
     dominant_rep,
     newton_polygon,
@@ -17,8 +15,6 @@ from newton_strata.isocrystal import (
     polygon_vertices,
     slope_leq,
     slope_sequence,
-    split_slopes,
-    wedge_D,
 )
 
 from conftest import P, rand_iwahori, rand_matrix, rand_series
@@ -131,6 +127,37 @@ class TestIsoMatrix:
                 assert A[i, j] == B[i, j]
 
 
+def laurent_matrix(rng, p, lo=-3, hi=4, zero_below=()):
+    """An exact matrix with random Laurent-polynomial entries, exponents in
+    [lo, hi); the entries (i, j) listed in zero_below are exactly zero."""
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            if (i, j) in zero_below:
+                row.append(zero(p))
+                continue
+            exps = rng.choice(np.arange(lo, hi), size=3, replace=False)
+            row.append(TruncatedSeries.from_terms(p, [(int(e), int(rng.integers(1, p))) for e in exps]))
+        rows.append(row)
+    return IsoMatrix(rows)
+
+
+def sympy_charpoly(A, shift, p):
+    """(alpha, beta, gamma) of the polynomial matrix t^shift * A from sympy,
+    each as sorted (exponent, coefficient) terms.  sympy expands over Z; the
+    coefficients are integer polynomials in the entries, so reducing them
+    mod p gives the characteristic polynomial over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    t, X = sympy.symbols("t X")
+    M = sympy.Matrix(3, 3, lambda i, j: sum(c * t ** (e + shift) for e, c in A[i, j].terms()))
+    out = []
+    for coeff in M.charpoly(X).all_coeffs()[1:]:
+        terms = sympy.Poly(coeff, t).terms()
+        out.append(sorted((int(m[0]), int(c) % p) for m, c in terms if int(c) % p))
+    return out
+
+
 class TestCharpoly:
     def test_explicit_witness_coefficient_valuations(self):
         A = IsoMatrix(
@@ -140,21 +167,18 @@ class TestCharpoly:
                 [zero(), pi(2), zero()],
             ]
         )
-        cp = charpoly3(A.truncate(40))
-        assert cp.alpha.valuation() == -1
-        # beta = -1/pi here: the polygon through (1,-1) and (2,-1) is the
-        # only one consistent with the slope sequence (1,0,-1) below
-        assert cp.beta.valuation() == -1
-        assert cp.gamma.valuation() == 0
+        cp = charpoly3(A)
+        assert cp.alpha == -pi(-1)
+        # beta = ae - bd = -1/pi: the polygon through (1,-1) and (2,-1) is
+        # the only one consistent with the slope sequence (1,0,-1) below
+        assert cp.beta == -pi(-1)
+        assert cp.gamma == -pi(0)
         assert slope_sequence(A) == SlopeSeq(1, 0, -1)
 
     def test_identity_gives_unit_coefficients_and_zero_slopes(self):
-        # no single vector is cyclic for the identity; the exact degenerate
-        # path falls back to the ordinary characteristic polynomial
+        # (X - 1)^3 = X^3 - 3X^2 + 3X - 1
         cp = charpoly3(IsoMatrix.identity(P))
-        assert cp.alpha.valuation() == 0
-        assert cp.beta.valuation() == 0
-        assert cp.gamma.valuation() == 0
+        assert (cp.alpha, cp.beta, cp.gamma) == (pi(0, -3), pi(0, 3), pi(0, -1))
         assert slope_sequence(IsoMatrix.identity(P)) == SlopeSeq(0, 0, 0)
 
     def test_gamma_is_unit_for_unit_determinant(self, rng):
@@ -164,8 +188,10 @@ class TestCharpoly:
             cp = charpoly3(A)
             assert cp.gamma.valuation() == A.det().valuation() == 0
 
-    def test_cyclic_vector_fallback_used_when_first_column_degenerate(self):
-        # d = g = 0 makes e1 non-cyclic (D = 0); another vector must be found
+    def test_degenerate_first_column_resolves_exactly(self):
+        # d = g = 0 makes e1 an eigenvector, so e1 is not a cyclic vector;
+        # the ordinary characteristic polynomial needs none, and the exact
+        # input needs no working precision
         A = IsoMatrix(
             [
                 [pi(0), pi(1), pi(-1)],
@@ -173,23 +199,21 @@ class TestCharpoly:
                 [zero(), pi(1), pi(0, 7)],
             ]
         )
-        D = wedge_D(A)
-        assert D.is_exact_zero()
-        cp = charpoly3(A.truncate(40))
-        assert "e1" not in cp.cyclic_vector.split(",")[0] or cp.cyclic_vector != "e1"
-        assert cp.gamma.valuation() == 0
+        cp = charpoly3(A)
+        assert cp.gamma.valuation() == 0 and cp.gamma.is_exact()
+        assert slope_sequence(A) == SlopeSeq(0, 0, 0)
 
-    def test_wedge_D_nonzero_on_generic_input(self, rng):
-        A = rand_iwahori(rng)
-        assert wedge_D(A).valuation() is not None
-
-    def test_charpoly2_explicit_formula(self):
-        a, b, c, d = pi(1), pi(0), pi(0, 2), pi(-1, 3)
-        A = IsoMatrix([[a, b], [c, d]])
-        alpha1, gamma1 = charpoly2(A)
-        ratio = c.frobenius() * c.inverse()
-        assert alpha1 == -(a.frobenius() + ratio * d)
-        assert gamma1 == ratio * (a * d - b * c)
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_matches_sympy_charpoly_over_gf_p(self, p):
+        # Laurent inputs, scaled by t^3 into polynomial matrices for sympy:
+        # the coefficients of t^3 A are t^3 alpha, t^6 beta, t^9 gamma
+        rng = np.random.default_rng(p)
+        inputs = [laurent_matrix(rng, p) for _ in range(3)]
+        inputs.append(laurent_matrix(rng, p, zero_below=((1, 0), (2, 0))))
+        for A in inputs:
+            cp = charpoly3(A)
+            ours = [cp.alpha.shift(3).terms(), cp.beta.shift(6).terms(), cp.gamma.shift(9).terms()]
+            assert ours == sympy_charpoly(A, 3, p)
 
 
 class TestNewtonPolygon:
@@ -270,6 +294,8 @@ class TestSlopeSequence:
             assert slope_sequence(A.scale(u)) == slope_sequence(A)
 
     def test_split_block_triangular_matches_general_path(self):
+        # span{e1} is invariant; conjugating by an exact scalar matrix gives
+        # a dense input with the same isocrystal
         A = IsoMatrix(
             [
                 [pi(-1), pi(0), pi(1)],
@@ -277,14 +303,37 @@ class TestSlopeSequence:
                 [zero(), pi(1, 4), zero()],
             ]
         )
-        lam = split_slopes(A, ((0,), (1, 2)))
-        assert lam == slope_sequence(A)
+        g = IsoMatrix.from_int_matrix(P, [[1, 0, 0], [2, 1, 0], [5, 3, 1]])
+        B = g @ A @ g.inverse()
+        assert not any(B[i, j].is_exact_zero() for i in range(3) for j in range(3))
+        lam = slope_sequence(A)
+        assert lam == slope_sequence(B)
         assert lam == SlopeSeq(1, Fraction(-1, 2), Fraction(-1, 2))
 
-    def test_split_rejects_wrong_shape(self):
-        A = diag_matrix(0, 0, 0)
-        with pytest.raises(ValueError):
-            split_slopes(A, ((0, 1),))
+    def test_wide_valuation_spread_resolves_exactly(self):
+        # diag(t^-40, 1, t^40) conjugated by exact unipotent Laurent
+        # matrices: every entry is dense, valuations span -50 .. 53
+        def s(*terms):
+            return TruncatedSeries.from_terms(P, dict(terms))
+
+        lower = IsoMatrix(
+            [
+                [pi(0), zero(), zero()],
+                [s((-3, 1), (0, 2), (5, 1)), pi(0), zero()],
+                [s((1, 4), (7, 3)), s((-2, 6), (2, 1)), pi(0)],
+            ]
+        )
+        upper = IsoMatrix(
+            [
+                [pi(0), s((-1, 3), (4, 1)), s((2, 5))],
+                [zero(), pi(0), s((-5, 2), (0, 1))],
+                [zero(), zero(), pi(0)],
+            ]
+        )
+        g = upper @ lower
+        A = g @ diag_matrix(-40, 0, 40) @ g.inverse()
+        assert all(A[i, j].is_exact() and A[i, j].valuation() is not None for i in range(3) for j in range(3))
+        assert slope_sequence(A) == SlopeSeq(40, 0, -40)
 
     def test_order_criterion_matches_slope_comparison(self, rng):
         targets = [
