@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .series import INF, InsufficientPrecision, TruncatedSeries
-from .isocrystal import IsoMatrix, SlopeSeq, slope_sequence
+from .isocrystal import IsoMatrix, SlopeSeq, _vertices, slope_sequence
 from .affine_weyl import AffineWeylElt, chamber_of, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
@@ -92,17 +92,6 @@ def _matrix_rows(A: IsoMatrix):
     return [[A[i, j].to_text() for j in range(3)] for i in range(3)]
 
 
-def _polygon_vertices(lam: SlopeSeq):
-    verts = [(0, Fraction(0))]
-    height = Fraction(0)
-    slopes = lam.as_tuple()
-    for k, s in enumerate(slopes, start=1):
-        height += s
-        if k == 3 or slopes[k] != s:
-            verts.append((k, height))
-    return verts
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -110,7 +99,7 @@ def cmd_slopes(args) -> int:
     prec = INF if args.prec is None else args.prec
     A = _parsed(parse_matrix, args.matrix, args.p, prec)
     lam = slope_sequence(A)
-    verts = _polygon_vertices(lam)
+    verts = _vertices(lam)
     _emit(
         args,
         {"slopes": str(lam), "polygon": [[i, str(h)] for i, h in verts]},

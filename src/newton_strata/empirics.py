@@ -25,12 +25,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .series import InsufficientPrecision, TruncatedSeries, _is_prime
-from .isocrystal import IsoMatrix, SlopeSeq, dominant_rep, slope_leq, slope_sequence
+from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq, slope_sequence
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
@@ -89,16 +88,19 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _raw_hash(seed: int, slot: int, trials, exps):
+def _raw_hash(seed: int, slot, trials, exps):
     """uint64 hash array indexed by (seed, slot, trial, exponent).
 
-    trials and exps are uint64 arrays shaped to broadcast, e.g. (B, 1)
-    against (1, L).  The value at a given index tuple never depends on the
-    window, so re-sampling at higher precision extends the same series.
+    slot is an int or a uint64 array; slot, trials and exps are shaped to
+    broadcast, e.g. trials (B, 1) against exps (1, L).  The value at a given
+    index tuple never depends on the window, so re-sampling at higher
+    precision extends the same series.
     """
-    base = (seed * _SEED_MULT + (slot + 1) * _SLOT_MULT) & _MASK64
     with np.errstate(over="ignore"):
-        h = _mix64(np.uint64(base) ^ (trials * np.uint64(_TRIAL_MULT)))
+        # (seed * _SEED_MULT + (slot + 1) * _SLOT_MULT) mod 2**64
+        base = np.uint64((seed * _SEED_MULT + _SLOT_MULT) & _MASK64)
+        base = base + np.asarray(slot, dtype=np.uint64) * np.uint64(_SLOT_MULT)
+        h = _mix64(base ^ (trials * np.uint64(_TRIAL_MULT)))
         h = _mix64(h ^ (exps * np.uint64(_EXP_MULT)))
     return h
 
@@ -154,15 +156,27 @@ def make_config(x: AffineWeylElt, which: str = "xI", **kw) -> SampleConfig:
 # -- scalar sampling -------------------------------------------------------------
 
 
-def _scalar_entry(p, entry, prec, seed, index, slot) -> TruncatedSeries:
-    if entry.kind == "zero":
-        return TruncatedSeries.zero(p, prec)
-    exps = np.arange(entry.k, prec, dtype=np.int64)
-    raw = _raw_hash(seed, slot, _as_u64([index]).reshape(1, 1), _as_u64(exps).reshape(1, -1))[0]
-    coeffs = (raw % np.uint64(p)).astype(np.int64)
-    if entry.kind == "exact":
-        coeffs[0] = 1 + int(raw[0] % np.uint64(p - 1))
-    return TruncatedSeries(p, entry.k, coeffs, prec)
+def _draw(p, seed, index, prec, specs):
+    """One series per (slot, k, unit) spec, hashed in one pass.
+
+    Each series holds the hash residues at exponents k .. prec-1 of its
+    slot; a unit spec gets a nonzero leading coefficient at pi^k.
+    """
+    slots, ks, units = zip(*specs)
+    onsets = np.array(ks, dtype=np.int64)
+    lens = np.maximum(prec - onsets, 0)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(onsets - starts, lens)
+    raw = _raw_hash(seed, np.repeat(np.array(slots, dtype=np.uint64), lens), _as_u64([index]), _as_u64(exps))
+    res = (raw % np.uint64(p)).astype(np.int64)
+    out = []
+    for k, unit, lo, hi in zip(ks, units, starts.tolist(), ends.tolist()):
+        coeffs = res[lo:hi]
+        if unit:
+            coeffs[0] = 1 + int(raw[lo] % np.uint64(p - 1))
+        out.append(TruncatedSeries._reduced(p, k, coeffs, prec))
+    return out
 
 
 def sample_pattern(cfg: SampleConfig, index: int = 0, slot_base: int = 0) -> IsoMatrix:
@@ -173,14 +187,11 @@ def sample_pattern(cfg: SampleConfig, index: int = 0, slot_base: int = 0) -> Iso
     coefficients from pi^k; zero entries stay zero.  Deterministic in
     (seed, index), and refined in place by raising prec.
     """
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            entry = cfg.pattern.entries[i][j]
-            row.append(_scalar_entry(cfg.p, entry, cfg.prec, cfg.seed, index, slot_base + 3 * i + j))
-        rows.append(row)
-    return IsoMatrix(rows)
+    entries = [e for row in cfg.pattern.entries for e in row]
+    specs = [(slot_base + s, e.k, e.kind == "exact") for s, e in enumerate(entries) if e.kind != "zero"]
+    drawn = iter(_draw(cfg.p, cfg.seed, index, cfg.prec, specs))
+    flat = [TruncatedSeries.zero(cfg.p, cfg.prec) if e.kind == "zero" else next(drawn) for e in entries]
+    return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
 
 
 def sample_ixi(cfg: SampleConfig, index: int = 0):
@@ -298,10 +309,11 @@ def _lead_val(block, base):
 def _slopes_block(entries, g, p):
     """Doubled slope triples (2*lam) for one block of samples.
 
-    The polygon of the characteristic polynomial gives, with v2 = val(trace)
-    and v1 = val(sum of principal 2x2 minors) and val(det) = 0:
-        2*lam1    = max(-2*v2, -v1, 0)
-        2*(-lam3) = max(-2*v1, -v2, 0)
+    The polygon of the characteristic polynomial gives, with v1 = val(trace)
+    and v2 = val(sum of principal 2x2 minors) and val(det) = 0 (the closed
+    form of isocrystal.newton_polygon):
+        2*lam1    = max(-2*v1, -v2, 0)
+        2*(-lam3) = max(-2*v2, -v1, 0)
     A valuation above 0 moves neither formula, so every coefficient is
     needed only through pi^0.  On the 1 - 3g rows of the entry window, det
     (base 3g) reaches exactly pi^0, as far as the unit check needs, and the
@@ -432,10 +444,7 @@ def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI"
     for part in parts:
         for code, n in part.items():
             counts[code] = counts.get(code, 0) + n
-    slopes = {}
-    for code, n in counts.items():
-        t1, t2, t3 = _decode(code)
-        slopes[SlopeSeq(Fraction(t1, 2), Fraction(t2, 2), Fraction(t3, 2))] = n
+    slopes = {_from_doubled(*_decode(code)): n for code, n in counts.items()}
     return StratumHistogram(
         x=str(x), p=cfg.p, trials=cfg.trials, counts=slopes,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
@@ -549,21 +558,12 @@ def _unipotent_rows(x: AffineWeylElt, which: str):
 
 
 def _sample_unipotent(p, rows, prec, seed, index, slot_base) -> IsoMatrix:
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            spec = rows[i][j]
-            if spec == "one":
-                row.append(TruncatedSeries.one(p))
-            elif spec == "zero":
-                row.append(TruncatedSeries.zero(p))
-            else:
-                exps = np.arange(spec, prec, dtype=np.int64)
-                raw = _raw_hash(seed, slot_base + 3 * i + j, _as_u64([index]).reshape(1, 1), _as_u64(exps).reshape(1, -1))[0]
-                row.append(TruncatedSeries(p, spec, (raw % np.uint64(p)).astype(np.int64), prec))
-        out.append(row)
-    return IsoMatrix(out)
+    fixed = {"one": TruncatedSeries.one(p), "zero": TruncatedSeries.zero(p)}
+    flat = [spec for row in rows for spec in row]
+    specs = [(slot_base + s, spec, False) for s, spec in enumerate(flat) if not isinstance(spec, str)]
+    drawn = iter(_draw(p, seed, index, prec, specs))
+    flat = [fixed[spec] if isinstance(spec, str) else next(drawn) for spec in flat]
+    return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
 
 
 @dataclass
@@ -779,6 +779,21 @@ def predicate_campaign(
             tag = _subcase_tag(case, x, lam)
             groups.setdefault(tag, []).append((x, lam, pat))
 
+    # each lam of an x sees the same draws: (x, rep, attempt) -> (A, slopes
+    # or None where the precision does not pin them), drawn once per call
+    draws = {}
+
+    def draw(x, pat, rep, attempt):
+        key = (x, rep, attempt)
+        if key not in draws:
+            prec = (4 * pat.max_abs_k() + 8) << attempt
+            A = sample_pattern(SampleConfig(pattern=pat, p=p, prec=prec, trials=1, seed=seed), rep)
+            try:
+                draws[key] = A, slope_sequence(A)
+            except InsufficientPrecision:
+                draws[key] = A, None
+        return draws[key]
+
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()
     for tag in sorted(groups):
@@ -786,17 +801,17 @@ def predicate_campaign(
         share = max(1, trials_per_case // len(pairs))
         stats = {"pairs": len(pairs), "trials": 0, "mismatches": 0, "unresolved": 0}
         for x, lam, pat in pairs:
-            base_prec = 4 * pat.max_abs_k() + 8
             for rep in range(share):
                 stats["trials"] += 1
                 for attempt in range(MAX_RETRIES + 1):
-                    cfg = SampleConfig(pattern=pat, p=p, prec=base_prec << attempt, trials=1, seed=seed)
-                    A = sample_pattern(cfg, rep)
+                    A, slopes = draw(x, pat, rep, attempt)
                     try:
                         predicted = stratum_predicate(x, lam, A)
-                        actual = slope_leq(slope_sequence(A), lam)
                     except InsufficientPrecision:
                         continue
+                    if slopes is None:
+                        continue
+                    actual = slope_leq(slopes, lam)
                     if predicted != actual:
                         stats["mismatches"] += 1
                         if len(report.mismatches) < max_mismatches:

@@ -3,16 +3,19 @@
 Here q = p, so sigma is the identity on F and A*sigma is an ordinary
 linear map.  By Dieudonne-Manin its slope sequence is the Newton polygon
 of the ordinary characteristic polynomial X^3 + alpha X^2 + beta X + gamma
-(alpha = -tr A, beta = sum of the principal 2x2 minors, gamma = -det A),
-read off the upper convex hull of the points (i, -val(coefficient)).
+(alpha = -tr A, beta = sum of the principal 2x2 minors, gamma = -det A).
+With val(gamma) = 0 that polygon has a closed form in v1 = val(alpha) and
+v2 = val(beta), the same one the batched sampler uses:
+    2*lam1 = max(-2*v1, -v2, 0),   -2*lam3 = max(-2*v2, -v1, 0).
 The coefficients are polynomials in the entries, computed with exact
 TruncatedSeries arithmetic: exact inputs need no working precision, and
 finite-precision inputs raise InsufficientPrecision when the known
-coefficients do not pin the hull.
+coefficients do not pin the polygon.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -271,65 +274,58 @@ def _val_info(ts: TruncatedSeries):
     return ("ge", ts.prec)
 
 
-def _hull_slopes(points):
-    """Slopes of the upper convex hull, left to right (descending).
+@functools.lru_cache(maxsize=4096)
+def _from_doubled(t1, t2, t3) -> SlopeSeq:
+    """The SlopeSeq (t1/2, t2/2, t3/2), built and validated once per triple."""
+    return SlopeSeq(Fraction(t1, 2), Fraction(t2, 2), Fraction(t3, 2))
 
-    points: list of (index, val) with val int/Fraction (known), INF (exact
-    zero coefficient, point absent), or ("ge", L) (absent unless it could
-    rise above the hull, in which case the answer is undetermined).
+
+def _doubled_ends(v1, v2):
+    """(2*lam1, -2*lam3) of the polygon through (0,0), (1,-v1), (2,-v2), (3,0).
+
+    An absent point has valuation INF, so its -INF term never wins.
     """
-    known = []
-    unknown = []
-    for i, v in points:
-        if isinstance(v, tuple):
-            unknown.append((i, v[1]))
-        elif v is INF or (isinstance(v, float) and math.isinf(v)):
-            continue
-        else:
-            known.append((i, -Fraction(v)))
-    if not known or known[0][0] != 0 or known[-1][0] != 3:
-        raise InsufficientPrecision("polygon endpoints must have known valuations")
-    # upper hull by monotone scan (points already sorted by index)
-    hull = []
-    for pt in known:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x2) <= (pt[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    return max(-2 * v1, -v2, 0), max(-2 * v2, -v1, 0)
 
-    def hull_height(x):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= x <= x2:
-                return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
-        raise AssertionError
 
-    for i, L in unknown:
-        if -L > hull_height(i):
-            raise InsufficientPrecision(
-                f"valuation >= {L} at index {i} is not dominated by the hull"
-            )
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y2 - y1, x2 - x1)
-        slopes.extend([s] * (x2 - x1))
-    return slopes
+def _polygon(v1, v2) -> SlopeSeq:
+    """Newton polygon of 1, alpha, beta, gamma with val(gamma) = 0.
+
+    v1, v2 are the valuations of alpha and beta: ints, INF, or ("ge", L),
+    which raises exactly when putting L in place of INF moves the polygon.
+    """
+    absent = [INF if isinstance(v, tuple) else v for v in (v1, v2)]
+    two_l1, two_l3n = _doubled_ends(*absent)
+    if absent != [v1, v2]:
+        bounds = [v[1] if isinstance(v, tuple) else v for v in (v1, v2)]
+        if _doubled_ends(*bounds) != (two_l1, two_l3n):
+            raise InsufficientPrecision(f"valuations {v1}, {v2} do not pin the polygon")
+    return _from_doubled(two_l1, two_l3n - two_l1, -two_l3n)
 
 
 def newton_polygon(points) -> SlopeSeq:
-    """SlopeSeq from hull points (i, valuation) for i = 0..3.
+    """SlopeSeq of the upper hull of the points (i, -valuation), i = 0..3.
 
     Valuations are ints, INF for exactly-zero coefficients (point absent),
     or ("ge", L) for coefficients only known to vanish below precision L.
+    The endpoints must be known and equal (the slopes sum to 0); after
+    normalising by v0 the hull has the closed form
+        2*lam1 = max(-2*v1, -v2, 0),   -2*lam3 = max(-2*v2, -v1, 0).
     """
-    return SlopeSeq(*_hull_slopes(points))
+    vals = dict(points)
+    v0, v3 = vals.get(0, INF), vals.get(3, INF)
+    if isinstance(v0, tuple) or isinstance(v3, tuple) or INF in (v0, v3):
+        raise InsufficientPrecision("polygon endpoints must have known valuations")
+    if v0 != v3:
+        raise ValueError(f"endpoint valuations {v0} != {v3}: slopes do not sum to 0")
+    mid = [vals.get(i, INF) for i in (1, 2)]
+    v1, v2 = (("ge", v[1] - v0) if isinstance(v, tuple) else v - v0 for v in mid)
+    return _polygon(v1, v2)
 
 
-def polygon_vertices(points):
-    """The hull's vertex list [(i, height)] for reporting."""
-    slopes = _hull_slopes(points)
+def _vertices(lam: SlopeSeq):
+    """The polygon's vertex list [(i, height)] from (0, 0)."""
+    slopes = lam.as_tuple()
     verts = [(0, Fraction(0))]
     h = Fraction(0)
     for k, s in enumerate(slopes, start=1):
@@ -337,6 +333,11 @@ def polygon_vertices(points):
         if k == 3 or slopes[k] != s:
             verts.append((k, h))
     return verts
+
+
+def polygon_vertices(points):
+    """The hull's vertex list [(i, height)] for reporting."""
+    return _vertices(newton_polygon(points))
 
 
 # -- slope sequences of matrices --------------------------------------------
@@ -355,7 +356,7 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
         raise InsufficientPrecision("det is zero to precision")
     if dv != 0:
         raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
-    return newton_polygon([(0, 0), (1, _val_info(cp.alpha)), (2, _val_info(cp.beta)), (3, 0)])
+    return _polygon(_val_info(cp.alpha), _val_info(cp.beta))
 
 
 def order_criterion(cp: CharPoly3, lam: SlopeSeq) -> bool:

@@ -79,6 +79,24 @@ def _convolve_mod(a, b, p: int) -> np.ndarray:
     return (np.convolve(a.astype(object), b.astype(object)) % p).astype(np.int64)
 
 
+# the coefficient array of every series that is zero to its precision
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _trim(off: int, arr, prec):
+    """(off, arr) cut below prec, trimmed to nonzero ends and made read-only."""
+    if prec is not INF and off + arr.size > prec:
+        arr = arr[: max(0, prec - off)]
+    if arr.size and not (arr[0] and arr[-1]):
+        nz = arr.nonzero()[0]
+        off, arr = (off + int(nz[0]), arr[nz[0] : nz[-1] + 1]) if nz.size else (0, _EMPTY)
+    if not arr.size:
+        return 0, _EMPTY
+    arr.flags.writeable = False
+    return off, arr
+
+
 class TruncatedSeries:
     """Laurent series over GF(p), exact at all exponents below ``prec``.
 
@@ -93,22 +111,16 @@ class TruncatedSeries:
     def __init__(self, p: int, off: int, coeffs, prec):
         # canonicalize so that prec is either the int value or math.inf itself
         prec = INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
-        arr = np.asarray(coeffs, dtype=np.int64) % p
-        # drop anything at or beyond the precision bound
-        if prec is not INF and arr.size and off + arr.size > prec:
-            arr = arr[: max(0, prec - off)]
-        nz = arr.nonzero()[0]
-        if nz.size:
-            arr = arr[nz[0] : nz[-1] + 1]
-            off = off + int(nz[0])
-        else:
-            arr = arr[:0]
-            off = 0
-        arr.flags.writeable = False
-        self.p = p
-        self.off = off
-        self.coeffs = arr
-        self.prec = prec
+        self.p, self.prec = p, prec
+        self.off, self.coeffs = _trim(off, np.asarray(coeffs, dtype=np.int64) % p, prec)
+
+    @classmethod
+    def _reduced(cls, p: int, off: int, arr, prec) -> "TruncatedSeries":
+        """Wrap an int64 array already reduced mod p (prec an int or inf)."""
+        self = object.__new__(cls)
+        self.p, self.prec = p, INF if prec == INF else prec
+        self.off, self.coeffs = _trim(off, arr, self.prec)
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -217,18 +229,20 @@ class TruncatedSeries:
         self._check(other)
         prec = min(self.prec, other.prec)
         if not self.coeffs.size:
-            return TruncatedSeries(other.p, other.off, sign * other.coeffs, prec)
+            coeffs = other.coeffs if sign == 1 else -other.coeffs % self.p
+            return TruncatedSeries._reduced(self.p, other.off, coeffs, prec)
         if not other.coeffs.size:
-            return TruncatedSeries(self.p, self.off, self.coeffs, prec)
+            return TruncatedSeries._reduced(self.p, self.off, self.coeffs, prec)
         lo = min(self.off, other.off)
         hi = max(self.off + self.coeffs.size, other.off + other.coeffs.size)
         arr = np.zeros(hi - lo, dtype=np.int64)
-        arr[self.off - lo : self.off - lo + self.coeffs.size] += self.coeffs
+        arr[self.off - lo : self.off - lo + self.coeffs.size] = self.coeffs
         arr[other.off - lo : other.off - lo + other.coeffs.size] += sign * other.coeffs
-        return TruncatedSeries(self.p, lo, arr, prec)
+        arr %= self.p
+        return TruncatedSeries._reduced(self.p, lo, arr, prec)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.p, self.off, -self.coeffs, self.prec)
+        return TruncatedSeries._reduced(self.p, self.off, -self.coeffs % self.p, self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
@@ -236,16 +250,16 @@ class TruncatedSeries:
         # by their lower bounds when undetermined
         prec = min(self.prec + other.val_lower_bound(), other.prec + self.val_lower_bound())
         if not self.coeffs.size or not other.coeffs.size:
-            return TruncatedSeries(self.p, 0, [], prec)
+            return TruncatedSeries._reduced(self.p, 0, _EMPTY, prec)
         conv = _convolve_mod(self.coeffs, other.coeffs, self.p)
-        return TruncatedSeries(self.p, self.off + other.off, conv, prec)
+        return TruncatedSeries._reduced(self.p, self.off + other.off, conv, prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries(self.p, self.off, (self.coeffs * (c % self.p)) % self.p, self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by pi^k."""
-        return TruncatedSeries(self.p, self.off + k, self.coeffs, self.prec + k)
+        return TruncatedSeries._reduced(self.p, self.off + k, self.coeffs, self.prec + k)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse to the provable precision.
@@ -275,7 +289,7 @@ class TruncatedSeries:
             ux = (-_convolve_mod(u[:k], x, self.p)[:k]) % self.p
             ux[0] = (ux[0] + 2) % self.p
             x = _convolve_mod(x, ux, self.p)[:k]
-        return TruncatedSeries(self.p, -v, x, self.prec - 2 * v)
+        return TruncatedSeries._reduced(self.p, -v, x, self.prec - 2 * v)
 
     def truncate(self, new_prec) -> "TruncatedSeries":
         if new_prec >= self.prec:

@@ -1,4 +1,5 @@
 """Monte-Carlo sampling over coset patterns and its statistical reports."""
+import hashlib
 import json
 from collections import Counter
 
@@ -12,6 +13,10 @@ from newton_strata.empirics import (
     _conv,
     _decode,
     _encode,
+    _onset,
+    _pattern_blocks,
+    _sample_unipotent,
+    _unipotent_rows,
     CodimEstimate,
     SampleConfig,
     StratumHistogram,
@@ -105,6 +110,58 @@ class TestSampling:
         assert ipat.contains(u)
         assert coset_pattern(HEADLINE, "xI").contains(m)
         assert slope_sequence(um) in poset_of(HEADLINE)
+
+
+GOLDEN_X = X("mu=-1,0,1;w=s1")
+# sha256 (first 16 hex digits) of the sorted-key JSON of three draws of
+# GOLDEN_X at seed 5: sample_pattern on the K2 pattern (zero, exact and
+# min-valuation entries) at index 3, the slot_base=9 factor of sample_ixi
+# at index 4, and a K2 unipotent complement of kappa_check (prec 12,
+# index 2, slot_base 9)
+GOLDEN_DIGESTS = {
+    2: ("79e3b1d0308cb278", "b1c5505187bbfdbd", "2da6905aad3235ca"),
+    11: ("2c45eac18f7975a6", "65294068f7af70aa", "397f4852f2117585"),
+    2**31 - 1: ("49a01740dacfcfb5", "85a8b4ae2792e58f", "cf9aa3794f5c1cb2"),
+}
+# the first four terms of each entry of the K2 draw at p = 11
+GOLDEN_K2_HEAD = [
+    [[(0, 10), (1, 9), (3, 6), (4, 1)], [(-1, 8), (0, 9), (1, 10), (2, 9)], [(-1, 7), (0, 7), (1, 10), (2, 9)]],
+    [[(0, 6), (1, 8), (2, 10), (3, 9)], [], [(0, 5), (1, 9), (4, 2), (5, 5)]],
+    [[(2, 3), (3, 9), (5, 9), (6, 1)], [], [(1, 10), (4, 8), (5, 6), (6, 5)]],
+]
+
+
+def _golden_draws(p):
+    k2 = sample_pattern(SampleConfig(pattern=coset_pattern(GOLDEN_X, "K2"), p=p, seed=5), 3)
+    m = sample_ixi(make_config(GOLDEN_X, p=p, seed=5), 4)[1]
+    j = _sample_unipotent(p, _unipotent_rows(GOLDEN_X, "K2"), 12, 5, 2, 9)
+    return k2, m, j
+
+
+class TestGoldenDraws:
+    @pytest.mark.parametrize("p", sorted(GOLDEN_DIGESTS))
+    def test_draws_keep_their_recorded_coefficients(self, p):
+        def digest(A):
+            return hashlib.sha256(json.dumps(A.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+
+        assert tuple(digest(A) for A in _golden_draws(p)) == GOLDEN_DIGESTS[p]
+
+    def test_k2_draw_head_terms(self):
+        k2 = _golden_draws(11)[0]
+        assert [[k2[i, j].terms()[:4] for j in range(3)] for i in range(3)] == GOLDEN_K2_HEAD
+        assert k2.min_prec() == 16
+
+    @pytest.mark.parametrize("p", [11, 2**31 - 1])
+    def test_scalar_entries_equal_the_bulk_block_columns(self, p):
+        cfg = SampleConfig(pattern=coset_pattern(GOLDEN_X, "K2"), p=p, seed=5)
+        g = _onset(cfg.pattern)
+        ids = np.array([2, 7, 40], dtype=np.int64)
+        blocks = _pattern_blocks(cfg.pattern, p, cfg.seed, ids, cfg.prec - g, slot_base=9)
+        for col, index in enumerate(ids.tolist()):
+            A = sample_pattern(cfg, index, slot_base=9)
+            for slot, (arr, _) in enumerate(blocks):
+                entry = A[slot // 3, slot % 3]
+                assert arr[:, col].tolist() == [entry.coeff(e) for e in range(g, cfg.prec)], (index, slot)
 
 
 def _python_conv(x, y, p, L):

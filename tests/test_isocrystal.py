@@ -16,6 +16,8 @@ from newton_strata.isocrystal import (
     slope_leq,
     slope_sequence,
 )
+from newton_strata.affine_weyl import AffineWeylElt
+from newton_strata.empirics import make_config, sample_ixi
 
 from conftest import P, rand_iwahori, rand_matrix, rand_series
 
@@ -253,6 +255,74 @@ class TestNewtonPolygon:
         assert verts == [(0, 0), (2, 1), (3, 0)]
 
 
+def hull_oracle(v1, v2):
+    """Slopes of the upper hull of (0, 0), (1, -v1), (2, -v2), (3, 0), or
+    None when an unknown ("ge", L) point lies strictly above the hull of
+    the known points.  Heights are the best chord through each abscissa."""
+    known = {0: Fraction(0), 3: Fraction(0)}
+    unknown = {}
+    for i, v in ((1, v1), (2, v2)):
+        if isinstance(v, tuple):
+            unknown[i] = -v[1]
+        elif v != INF:
+            known[i] = Fraction(-v)
+    height = {}
+    for x in range(4):
+        height[x] = max(
+            known[a] + (known[b] - known[a]) * Fraction(x - a, b - a) if a != b else known[a]
+            for a in known for b in known if a <= x <= b
+        )
+    if any(y > height[i] for i, y in unknown.items()):
+        return None
+    return tuple(height[x + 1] - height[x] for x in range(3))
+
+
+def shift(v, k):
+    """A valuation (int, INF or ("ge", L)) raised by k."""
+    return ("ge", v[1] + k) if isinstance(v, tuple) else v + k
+
+
+POLYGON_VALUES = list(range(-6, 7)) + [INF] + [("ge", L) for L in range(-3, 4)]
+
+
+class TestPolygonOracle:
+    def test_closed_form_matches_hull_oracle(self):
+        raised = 0
+        for v1 in POLYGON_VALUES:
+            for v2 in POLYGON_VALUES:
+                points = [(0, 0), (1, v1), (2, v2), (3, 0)]
+                want = hull_oracle(v1, v2)
+                if want is None:
+                    raised += 1
+                    with pytest.raises(InsufficientPrecision):
+                        newton_polygon(points)
+                    with pytest.raises(InsufficientPrecision):
+                        polygon_vertices(points)
+                    continue
+                assert newton_polygon(points).as_tuple() == want, (v1, v2)
+                heights = [sum(want[:k]) for k in range(4)]
+                corners = [k for k in (1, 2) if want[k - 1] != want[k]]
+                assert polygon_vertices(points) == [(k, heights[k]) for k in [0, *corners, 3]], (v1, v2)
+        assert 0 < raised < len(POLYGON_VALUES) ** 2
+
+    def test_endpoints_normalise_by_v0(self):
+        for v1 in (-2, 1, INF, ("ge", 0)):
+            for v2 in (-3, 0, 4, INF, ("ge", 1)):
+                shifted = [(0, 5), (1, shift(v1, 5)), (2, shift(v2, 5)), (3, 5)]
+                want = hull_oracle(v1, v2)
+                if want is None:
+                    with pytest.raises(InsufficientPrecision):
+                        newton_polygon(shifted)
+                else:
+                    assert newton_polygon(shifted).as_tuple() == want
+
+    def test_level_endpoints_required(self):
+        with pytest.raises(ValueError):
+            newton_polygon([(0, 0), (1, 0), (2, 0), (3, 1)])
+        with pytest.raises(InsufficientPrecision):
+            newton_polygon([(0, INF), (1, 0), (2, 0), (3, 0)])
+
+
 class TestSlopeSequence:
     def test_diagonal_slopes_negate_and_sort_exponents(self):
         assert slope_sequence(diag_matrix(-1, 0, 1)) == SlopeSeq(1, 0, -1)
@@ -334,6 +404,23 @@ class TestSlopeSequence:
         A = g @ diag_matrix(-40, 0, 40) @ g.inverse()
         assert all(A[i, j].is_exact() and A[i, j].valuation() is not None for i in range(3) for j in range(3))
         assert slope_sequence(A) == SlopeSeq(40, 0, -40)
+
+    @pytest.mark.parametrize(
+        "text, index, first, slopes",
+        [("mu=-2,1,1;w=s12", 0, 2, "1,-1/2,-1/2"), ("mu=-2,1,1;w=1", 1, 4, "2,-1,-1")],
+    )
+    def test_truncations_raise_below_the_recorded_precision(self, text, index, first, slopes):
+        # I * xI draws at p = 2 whose truncations reach the polygon with
+        # alpha or beta only bounded below; the resolving precisions were
+        # recorded from the general upper-hull implementation
+        x = AffineWeylElt.parse(text)
+        A = sample_ixi(make_config(x, p=2, seed=1), index)[2]
+        for q in range(-4, 9):
+            if q < first:
+                with pytest.raises(InsufficientPrecision):
+                    slope_sequence(A.truncate(q))
+            else:
+                assert slope_sequence(A.truncate(q)) == SlopeSeq.parse(slopes), q
 
     def test_order_criterion_matches_slope_comparison(self, rng):
         targets = [
