@@ -17,11 +17,10 @@ pos = poset_of(x)
 # 20k draws at p = 11: the generic stratum dominates, the bottom stratum
 # appears at a rate around 1/p
 hist = empirical_poset(x, make_config(x, p=11, trials=20_000, seed=1))
-resolved = hist.trials - hist.unresolved
 print(f"x = {x}, {hist.trials} trials at p = {hist.p}")
 for lam in hist.support():
     n = hist.counts[lam]
-    print(f"  {str(lam):12s} {n:7d}   {n / resolved:.4f}")
+    print(f"  {str(lam):12s} {n:7d}   {n / hist.trials:.4f}")
 print(f"poset predicts: {'; '.join(str(z) for z in pos.elements)}")
 print()
 

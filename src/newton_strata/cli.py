@@ -190,19 +190,16 @@ def cmd_witness(args) -> int:
 
 def cmd_sample(args) -> int:
     x = _parsed(AffineWeylElt.parse, args.x)
-    cfg = make_config(
-        x, p=args.p, prec=args.prec, trials=args.trials, seed=args.seed, workers=args.workers
-    )
+    cfg = make_config(x, p=args.p, trials=args.trials, seed=args.seed, workers=args.workers)
     hist = empirical_poset(x, cfg, mode=args.mode)
     if args.csv:
         print(hist.to_csv(), end="")
         return EXIT_OK
-    resolved = hist.trials - hist.unresolved
     lines = [f"x: {x}   p={hist.p} trials={hist.trials} mode={args.mode}"]
     for s in hist.support():
         n = hist.counts[s]
-        lines.append(f"  {str(s):16s} {n:10d}  {n / max(resolved, 1):.6f}")
-    lines.append(f"unresolved: {hist.unresolved}   elapsed: {hist.elapsed_ms:.0f} ms")
+        lines.append(f"  {str(s):16s} {n:10d}  {n / max(hist.trials, 1):.6f}")
+    lines.append(f"elapsed: {hist.elapsed_ms:.0f} ms")
     _emit(args, hist.to_json(), lines)
     return EXIT_OK
 
@@ -220,7 +217,7 @@ def cmd_campaign(args) -> int:
         st = report.cases[tag]
         lines.append(
             f"{tag:9s} pairs={st['pairs']:4d} trials={st['trials']:6d} "
-            f"mismatches={st['mismatches']} unresolved={st['unresolved']}"
+            f"mismatches={st['mismatches']}"
         )
     for mm in report.mismatches:
         lines.append(f"MISMATCH x={mm['x']} lam={mm['lam']} sample={mm['index']}: {mm['matrix']}")
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("x")
     s.add_argument("--mode", choices=("xI", "IxI"), default="xI")
     s.add_argument("--csv", action="store_true", help="emit the histogram as CSV")
-    _add_common(s, prec=True, sampling=True)
+    _add_common(s, sampling=True)
     s.set_defaults(func=cmd_sample)
 
     s = subs.add_parser("campaign", help="closed-form predicate vs sampled slopes")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import InsufficientPrecision, TruncatedSeries, _is_prime
+from .series import TruncatedSeries, _check_modulus, _is_prime
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq, slope_sequence
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
@@ -47,7 +47,6 @@ __all__ = [
     "CampaignReport",
     "ZeroCount",
     "MAX_RETRIES",
-    "MAX_UNRESOLVED_RATE",
     "make_config",
     "sample_pattern",
     "sample_ixi",
@@ -62,8 +61,8 @@ BLOCK = 4096
 # a histogram code packs three doubled slopes, each within 2 * max_abs_k
 _FIELD = 21
 _OFFSET = 1 << (_FIELD - 1)
+# nothing retries any more; bench/workloads.py still reads this name
 MAX_RETRIES = 3
-MAX_UNRESOLVED_RATE = 1e-3
 
 _MASK64 = (1 << 64) - 1
 _SEED_MULT = 0x9E3779B97F4A7C15
@@ -116,10 +115,11 @@ def _as_u64(arr) -> np.ndarray:
 class SampleConfig:
     """Parameters of one sampling run over a fixed valuation pattern.
 
-    prec defaults to 4 * max_abs_k + 8, enough window below every exact
-    and threshold exponent that first-attempt resolution is the norm on
-    the scalar path.  The bulk kernel is exact for (p-1)**2 + p < 2**63
-    and 2 * max_abs_k < 2**20; anything outside raises ValueError.
+    prec defaults to the floor 4 * max_abs_k + 8.  There every draw's
+    characteristic polynomial is known past pi^0, which pins its slopes
+    and every predicate threshold, so every draw resolves; a higher prec
+    only extends the same draws.  Sampling is exact for (p-1)**2 + p <
+    2**63 and 2 * max_abs_k < 2**20; anything outside raises ValueError.
     """
 
     pattern: ValuationPattern
@@ -130,8 +130,7 @@ class SampleConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if (self.p - 1) ** 2 + self.p >= 1 << 63:
-            raise ValueError(f"p = {self.p} is too large: (p-1)**2 + p must stay below 2**63")
+        _check_modulus(self.p)
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         max_k = self.pattern.max_abs_k()
@@ -379,8 +378,7 @@ class StratumHistogram:
     p: int
     trials: int
     counts: dict
-    unresolved: int = 0
-    errors: int = 0
+    unresolved: int = 0  # always 0, every draw resolves; bench/workloads.py still reads it
     elapsed_ms: float = 0.0
 
     def support(self):
@@ -391,16 +389,11 @@ class StratumHistogram:
             raise ZeroCount("empty histogram")
         return max(self.counts, key=lambda s: (self.counts[s], s.as_tuple()))
 
-    @property
-    def unresolved_rate(self) -> float:
-        return self.unresolved / self.trials if self.trials else 0.0
-
     def frequency(self, lam: SlopeSeq) -> float:
-        """Fraction of resolved samples with slope sequence <= lam."""
-        resolved = self.trials - self.unresolved
-        if resolved <= 0:
+        """Fraction of samples with slope sequence <= lam."""
+        if not self.trials:
             return 0.0
-        return sum(n for s, n in self.counts.items() if slope_leq(s, lam)) / resolved
+        return sum(n for s, n in self.counts.items() if slope_leq(s, lam)) / self.trials
 
     def to_json(self) -> dict:
         return {
@@ -408,8 +401,6 @@ class StratumHistogram:
             "p": self.p,
             "trials": self.trials,
             "histogram": {str(s): n for s, n in sorted(self.counts.items(), key=lambda kv: kv[0].as_tuple(), reverse=True)},
-            "unresolved": self.unresolved,
-            "errors": self.errors,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
@@ -423,8 +414,9 @@ class StratumHistogram:
 def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI") -> StratumHistogram:
     """Histogram of slope sequences over sampled xI (or I * xI products).
 
-    The bulk kernel pins every sample's slopes exactly, so the record's
-    unresolved and errors counts are always 0.
+    The bulk kernel pins every sample's slopes exactly, so the counts add
+    up to cfg.trials.  The trial ids are split into one contiguous chunk
+    per worker, and the counts do not depend on the split.
     """
     if mode not in ("xI", "IxI"):
         raise ValueError(f"unknown sampling mode {mode!r}")
@@ -471,7 +463,7 @@ class CodimEstimate:
     x: str
     lam: SlopeSeq
     trials: int
-    counts: dict  # p -> (hits, resolved)
+    counts: dict  # p -> (hits, trials)
     estimate: float
     stderr: float
     ci95: tuple
@@ -495,7 +487,6 @@ def estimate_codim(
     p2: int = 31,
     trials: int = 10**6,
     seed: int = 0,
-    prec: int = None,
     workers: int = 1,
 ) -> CodimEstimate:
     """Estimate codim of the closed stratum at lam from two sampling primes.
@@ -511,13 +502,11 @@ def estimate_codim(
         raise ValueError("lam equals the generic slope; nothing to estimate")
     stats = {}
     for p in (p1, p2):
-        cfg = make_config(x, p=p, trials=trials, seed=seed, prec=prec, workers=workers)
-        hist = empirical_poset(x, cfg)
-        resolved = hist.trials - hist.unresolved
+        hist = empirical_poset(x, make_config(x, p=p, trials=trials, seed=seed, workers=workers))
         hits = sum(n for s, n in hist.counts.items() if slope_leq(s, lam))
         if hits == 0:
             raise ZeroCount(f"no hits at lam = {lam} for p = {p}; increase trials")
-        stats[p] = (hits, resolved)
+        stats[p] = (hits, trials)
     (c1, n1), (c2, n2) = stats[p1], stats[p2]
     f1, f2 = c1 / n1, c2 / n2
     scale = math.log(p2 / p1)
@@ -578,13 +567,12 @@ class KappaReport:
     identity_ok: int = 0
     inverse_passes: int = 0
     inverse_trials: int = 0
-    unresolved: int = 0
     failures: list = field(default_factory=list)
     elapsed_ms: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.unresolved <= max(1, self.trials) * MAX_UNRESOLVED_RATE
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -595,7 +583,6 @@ class KappaReport:
             "identity_ok": self.identity_ok,
             "inverse_passes": self.inverse_passes,
             "inverse_trials": self.inverse_trials,
-            "unresolved": self.unresolved,
             "failures": self.failures[:10],
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
@@ -615,7 +602,6 @@ def kappa_check(
     trials: int = 1000,
     p: int = 11,
     seed: int = 0,
-    prec: int = None,
 ) -> KappaReport:
     """Sampled check of the twisted-conjugation parametrization of xI.
 
@@ -625,80 +611,59 @@ def kappa_check(
     explicit inverse (d' = -f/c, h' = (bi - ch)/(ce - bf),
     g' = -((i + f h')/c)) is exercised as well: it must produce a
     complement element j with j A j^-1 back in the reduced pattern.
+    Draws are at the SampleConfig floor of the k and j patterns, where
+    every test is decided; an InsufficientPrecision would be a bug and
+    propagates.
     """
     kpat = coset_pattern(x, which)
     xpat = coset_pattern(x, "xI")
     jrows = _unipotent_rows(x, which)
     jmax = max(abs(s) for row in jrows for s in row if isinstance(s, int))
-    base_prec = prec if prec is not None else 4 * max(kpat.max_abs_k(), jmax) + 8
+    prec = 4 * max(kpat.max_abs_k(), jmax) + 8
+    kcfg = SampleConfig(pattern=kpat, p=p, prec=prec, trials=1, seed=seed)
+    ident = IsoMatrix.identity(p)
     report = KappaReport(x=str(x), which=which, trials=trials)
     t0 = time.perf_counter()
 
     for t in range(trials):
-        for attempt in range(MAX_RETRIES + 1):
-            q = base_prec << attempt
-            kcfg = SampleConfig(pattern=kpat, p=p, prec=q, trials=1, seed=seed)
-            k = sample_pattern(kcfg, t)
-            j = _sample_unipotent(p, jrows, q, seed, t, slot_base=9)
-            try:
-                kappa = j.inverse() @ k @ j
-                good = xpat.contains(kappa) and slope_sequence(kappa) == slope_sequence(k)
-            except InsufficientPrecision:
-                continue
-            if good:
-                report.passes += 1
+        k = sample_pattern(kcfg, t)
+        j = _sample_unipotent(p, jrows, prec, seed, t, slot_base=9)
+        kappa = j.inverse() @ k @ j
+        if xpat.contains(kappa) and slope_sequence(kappa) == slope_sequence(k):
+            report.passes += 1
+        elif len(report.failures) < 10:
+            report.failures.append(
+                {"kind": "forward", "index": t, "k": _matrix_text(k), "j": _matrix_text(j)}
+            )
+        if t < 32:
+            if _same_matrix(ident.inverse() @ k @ ident, k):
+                report.identity_ok += 1
             elif len(report.failures) < 10:
-                report.failures.append(
-                    {"kind": "forward", "index": t, "k": _matrix_text(k), "j": _matrix_text(j)}
-                )
-            if t < 32:
-                ident = IsoMatrix.identity(p)
-                if _same_matrix(ident.inverse() @ k @ ident, k):
-                    report.identity_ok += 1
-                elif len(report.failures) < 10:
-                    report.failures.append({"kind": "identity", "index": t})
-            break
-        else:
-            report.unresolved += 1
+                report.failures.append({"kind": "identity", "index": t})
 
     if which == "K1":
-        inv_seed = seed ^ 0x5DEECE66D
+        acfg = SampleConfig(pattern=xpat, p=p, prec=prec, trials=1, seed=seed ^ 0x5DEECE66D)
+        one, zero = TruncatedSeries.one(p), TruncatedSeries.zero(p)
+        m1, m2, m3 = x.mu
         report.inverse_trials = trials
         for t in range(trials):
-            for attempt in range(MAX_RETRIES + 1):
-                q = base_prec << attempt
-                acfg = SampleConfig(pattern=xpat, p=p, prec=q, trials=1, seed=inv_seed)
-                A = sample_pattern(acfg, t)
-                b, c, f = A[0, 1], A[0, 2], A[1, 2]
-                e, h, i = A[1, 1], A[2, 1], A[2, 2]
-                try:
-                    c_inv = c.inverse()
-                    d_p = -(f * c_inv)
-                    h_p = (b * i - c * h) * (c * e - b * f).inverse()
-                    g_p = -((i + f * h_p) * c_inv)
-                    m1, m2, m3 = x.mu
-                    j = IsoMatrix(
-                        [
-                            [TruncatedSeries.one(p), TruncatedSeries.zero(p), TruncatedSeries.zero(p)],
-                            [d_p, TruncatedSeries.one(p), TruncatedSeries.zero(p)],
-                            [g_p, h_p, TruncatedSeries.one(p)],
-                        ]
-                    )
-                    good = (
-                        d_p.in_P(m2 - m1)
-                        and h_p.in_P(m3 - m2)
-                        and g_p.in_P(m3 - m1)
-                        and kpat.contains(j @ A @ j.inverse())
-                    )
-                except InsufficientPrecision:
-                    continue
-                if good:
-                    report.inverse_passes += 1
-                elif len(report.failures) < 10:
-                    report.failures.append({"kind": "inverse", "index": t, "A": _matrix_text(A)})
-                break
-            else:
-                report.unresolved += 1
+            A = sample_pattern(acfg, t)
+            b, c, f = A[0, 1], A[0, 2], A[1, 2]
+            e, h, i = A[1, 1], A[2, 1], A[2, 2]
+            c_inv = c.inverse()
+            d_p = -(f * c_inv)
+            h_p = (b * i - c * h) * (c * e - b * f).inverse()
+            g_p = -((i + f * h_p) * c_inv)
+            j = IsoMatrix([[one, zero, zero], [d_p, one, zero], [g_p, h_p, one]])
+            if (
+                d_p.in_P(m2 - m1)
+                and h_p.in_P(m3 - m2)
+                and g_p.in_P(m3 - m1)
+                and kpat.contains(j @ A @ j.inverse())
+            ):
+                report.inverse_passes += 1
+            elif len(report.failures) < 10:
+                report.failures.append({"kind": "inverse", "index": t, "A": _matrix_text(A)})
 
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -728,14 +693,11 @@ class CampaignReport:
     cases: dict = field(default_factory=dict)  # tag -> stats dict
     mismatches: list = field(default_factory=list)
     trials_total: int = 0
-    unresolved_total: int = 0
     elapsed_ms: float = 0.0
 
     @property
     def ok(self) -> bool:
-        if any(st["mismatches"] for st in self.cases.values()):
-            return False
-        return self.unresolved_total <= max(1, self.trials_total) * MAX_UNRESOLVED_RATE
+        return not any(st["mismatches"] for st in self.cases.values())
 
     def to_json(self) -> dict:
         return {
@@ -745,7 +707,6 @@ class CampaignReport:
             "cases": self.cases,
             "mismatches": self.mismatches[:20],
             "trials_total": self.trials_total,
-            "unresolved_total": self.unresolved_total,
             "ok": self.ok,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
@@ -764,7 +725,9 @@ def predicate_campaign(
     For each grid element with a direct case, each slope in its described
     poset, and each sampled matrix from the case pattern, asserts
     stratum_predicate(x, lam, A) == slope_leq(slope_sequence(A), lam).
-    Mismatching matrices are reported verbatim.
+    Mismatching matrices are reported verbatim.  Draws are at the
+    SampleConfig floor, where both sides are always decided; an
+    InsufficientPrecision would be a bug and propagates.
     """
     groups = {}
     for x in enumerate_grid(bound):
@@ -774,24 +737,20 @@ def predicate_campaign(
             continue
         if cases is not None and case not in cases:
             continue
-        pat = coset_pattern(x, pattern_name)
+        cfg = SampleConfig(pattern=coset_pattern(x, pattern_name), p=p, trials=1, seed=seed)
         for lam in predicate_poset(x).elements:
             tag = _subcase_tag(case, x, lam)
-            groups.setdefault(tag, []).append((x, lam, pat))
+            groups.setdefault(tag, []).append((x, lam, cfg))
 
-    # each lam of an x sees the same draws: (x, rep, attempt) -> (A, slopes
-    # or None where the precision does not pin them), drawn once per call
+    # each lam of an x sees the same draws: (x, rep) -> (A, slopes), drawn
+    # once per call
     draws = {}
 
-    def draw(x, pat, rep, attempt):
-        key = (x, rep, attempt)
+    def draw(x, cfg, rep):
+        key = (x, rep)
         if key not in draws:
-            prec = (4 * pat.max_abs_k() + 8) << attempt
-            A = sample_pattern(SampleConfig(pattern=pat, p=p, prec=prec, trials=1, seed=seed), rep)
-            try:
-                draws[key] = A, slope_sequence(A)
-            except InsufficientPrecision:
-                draws[key] = A, None
+            A = sample_pattern(cfg, rep)
+            draws[key] = A, slope_sequence(A)
         return draws[key]
 
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
@@ -799,34 +758,23 @@ def predicate_campaign(
     for tag in sorted(groups):
         pairs = groups[tag]
         share = max(1, trials_per_case // len(pairs))
-        stats = {"pairs": len(pairs), "trials": 0, "mismatches": 0, "unresolved": 0}
-        for x, lam, pat in pairs:
+        stats = {"pairs": len(pairs), "trials": len(pairs) * share, "mismatches": 0}
+        for x, lam, cfg in pairs:
             for rep in range(share):
-                stats["trials"] += 1
-                for attempt in range(MAX_RETRIES + 1):
-                    A, slopes = draw(x, pat, rep, attempt)
-                    try:
-                        predicted = stratum_predicate(x, lam, A)
-                    except InsufficientPrecision:
-                        continue
-                    if slopes is None:
-                        continue
-                    actual = slope_leq(slopes, lam)
-                    if predicted != actual:
-                        stats["mismatches"] += 1
-                        if len(report.mismatches) < max_mismatches:
-                            report.mismatches.append(
-                                {
-                                    "x": str(x), "lam": str(lam), "index": rep,
-                                    "predicate": predicted, "sampled": str(actual),
-                                    "matrix": _matrix_text(A),
-                                }
-                            )
-                    break
-                else:
-                    stats["unresolved"] += 1
+                A, slopes = draw(x, cfg, rep)
+                predicted = stratum_predicate(x, lam, A)
+                actual = slope_leq(slopes, lam)
+                if predicted != actual:
+                    stats["mismatches"] += 1
+                    if len(report.mismatches) < max_mismatches:
+                        report.mismatches.append(
+                            {
+                                "x": str(x), "lam": str(lam), "index": rep,
+                                "predicate": predicted, "sampled": str(actual),
+                                "matrix": _matrix_text(A),
+                            }
+                        )
         report.cases[tag] = stats
         report.trials_total += stats["trials"]
-        report.unresolved_total += stats["unresolved"]
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report

@@ -68,8 +68,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_modulus(p: int) -> None:
+    """Residue products and sums fit in int64 only while (p-1)**2 + p < 2**63."""
+    if (p - 1) ** 2 + p >= _INT64_BOUND:
+        raise ValueError(f"p = {p} is too large: (p-1)**2 + p must stay below 2**63")
+
+
 def _convolve_mod(a, b, p: int) -> np.ndarray:
-    """Full convolution of two residue arrays, reduced mod p, exact for every p.
+    """Full convolution of two residue arrays, reduced mod p, exact.
 
     Stays in int64 while no sum of min(len) products of residues can
     overflow, and falls back to Python integers (object dtype) otherwise.
@@ -103,7 +109,8 @@ class TruncatedSeries:
     The coefficient of pi^(off + j) is ``coeffs[j]``; the array is trimmed
     so that, when nonempty, both ends are nonzero.  ``prec`` is an integer
     or ``math.inf`` for exactly known series (finitely many terms, all of
-    them stored).
+    them stored).  The prime must satisfy (p-1)**2 + p < 2**63, that is
+    p <= 3037000493; a larger one raises ValueError.
     """
 
     __slots__ = ("p", "off", "coeffs", "prec")
@@ -111,6 +118,7 @@ class TruncatedSeries:
     def __init__(self, p: int, off: int, coeffs, prec):
         # canonicalize so that prec is either the int value or math.inf itself
         prec = INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
+        _check_modulus(p)
         self.p, self.prec = p, prec
         self.off, self.coeffs = _trim(off, np.asarray(coeffs, dtype=np.int64) % p, prec)
 

@@ -198,6 +198,17 @@ class TestCampaignAndTables:
         doc = json.loads(out)
         assert doc["ok"] is True and not doc["mismatches"]
 
+    def test_campaign_undecided_draw_exits_precision(self, capsys, monkeypatch):
+        from newton_strata import empirics
+        from newton_strata.series import InsufficientPrecision
+
+        def undecided(A):
+            raise InsufficientPrecision("forced")
+
+        monkeypatch.setattr(empirics, "slope_sequence", undecided)
+        code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "5")
+        assert code == 3 and "precision error" in err
+
     def test_tables_slice_contains_known_row(self, capsys):
         code, out, _ = run(capsys, "tables", "--w", "s12", "--bound", "2")
         assert code == 0

@@ -6,7 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from newton_strata import empirics
 from newton_strata.isocrystal import SlopeSeq, slope_leq, slope_sequence
+from newton_strata.series import InsufficientPrecision
 from newton_strata.affine_weyl import AffineWeylElt, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of
 from newton_strata.empirics import (
@@ -263,9 +265,9 @@ class TestHistograms:
         b = empirical_poset(HEADLINE, make_config(HEADLINE, trials=1500, seed=12, workers=3))
         assert a.counts == b.counts and a.unresolved == b.unresolved
 
-    def test_unresolved_rate_is_negligible_at_default_precision(self):
+    def test_every_trial_is_counted_at_default_precision(self):
         hist = empirical_poset(HEADLINE, make_config(HEADLINE, trials=5000, seed=13))
-        assert hist.unresolved_rate < 0.001
+        assert sum(hist.counts.values()) == hist.trials == 5000
 
     def test_empty_histogram_mode_raises(self):
         empty = StratumHistogram(x="x", p=P, trials=0, counts={})
@@ -309,12 +311,24 @@ class TestEstimators:
     def test_kappa_parametrization_k1(self):
         rep = kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=40, seed=4)
         assert rep.ok
-        assert rep.passes == rep.trials - rep.unresolved
+        assert rep.passes == rep.trials
         assert rep.inverse_trials > 0 and rep.inverse_passes == rep.inverse_trials
 
     def test_kappa_parametrization_k2_k3(self):
         assert kappa_check(X("mu=-2,0,2;w=s1"), "K2", trials=30, seed=5).ok
         assert kappa_check(X("mu=-2,0,2;w=s2"), "K3", trials=30, seed=6).ok
+
+    def test_undecided_draws_raise_instead_of_being_counted(self, monkeypatch):
+        # every draw is decided at the SampleConfig floor, so an undecided
+        # one is a bug: campaign and kappa check must not swallow it
+        def undecided(A):
+            raise InsufficientPrecision("forced")
+
+        monkeypatch.setattr(empirics, "slope_sequence", undecided)
+        with pytest.raises(InsufficientPrecision):
+            predicate_campaign(bound=1, trials_per_case=5, seed=7)
+        with pytest.raises(InsufficientPrecision):
+            kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=5, seed=4)
 
     def test_campaign_on_translation_case_only(self):
         rep = predicate_campaign(bound=1, trials_per_case=40, seed=7, cases={"VIA"})

@@ -206,6 +206,20 @@ class TestLargePrimes:
             }
             assert prod.terms() == [(k, c) for k, c in sorted(expect.items()) if c]
 
+    def test_rejects_primes_whose_residue_products_overflow(self):
+        # int64 residue products (first) and sums (second) overflow here
+        with pytest.raises(ValueError, match="too large"):
+            TruncatedSeries(2**61 - 1, 0, [2**60 + 12345], INF).scale(2**40)
+        with pytest.raises(ValueError, match="too large"):
+            p = 2**62 + 135
+            TruncatedSeries(p, 0, [p - 1], INF) + TruncatedSeries(p, 0, [p - 1], INF)
+
+    def test_largest_accepted_prime_scales_and_adds_exactly(self):
+        p = 3037000493
+        a = TruncatedSeries(p, 0, [p - 1, p - 2], INF)
+        assert a.scale(p - 1).terms() == [(0, (p - 1) ** 2 % p), (1, (p - 2) * (p - 1) % p)]
+        assert (a + a).terms() == [(0, p - 2), (1, p - 4)]
+
     def test_inverse_roundtrip(self, rng):
         p = self.BIG
         for _ in range(5):
