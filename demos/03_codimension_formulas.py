@@ -4,7 +4,10 @@ Two codimension formulas and the exception list
 
 The codimension of a closed Newton stratum can be computed as the longest
 chain up to the generic point inside N(G)_x, or by a root-theoretic
-ceiling sum that subtracts 1 on an explicit exception list.  As printed,
+ceiling sum that subtracts 1 on an explicit exception list.  codim reads
+the chain length from Chai's rank r(z) = <rho, z> - def(z)/2, which grades
+N(G): it is r(nu_x) - r(lam), one less on the posets whose generic point
+covers only the point two ranks below it.  As printed,
 the list subtracts 1 at every non-generic stratum of an exceptional x;
 that makes the ceiling sum one short on the (-2n, n, n) s1s2 family and
 its images for n >= 2 (for instance mu = (-4, 2, 2), lam = (1, -1/2, -1/2):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import TruncatedSeries, _check_modulus, _is_prime
+from .series import TruncatedSeries, _check_modulus
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq, slope_sequence
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
@@ -131,8 +131,6 @@ class SampleConfig:
 
     def __post_init__(self):
         _check_modulus(self.p)
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
         max_k = self.pattern.max_abs_k()
         if 2 * max_k >= _OFFSET:
             raise ValueError(f"pattern onsets reach {max_k}; need 2 * |k| < 2**20")

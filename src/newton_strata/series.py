@@ -69,9 +69,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_modulus(p: int) -> None:
-    """Residue products and sums fit in int64 only while (p-1)**2 + p < 2**63."""
+    """p must be prime (inverse is Fermat's) with (p-1)**2 + p < 2**63 (int64)."""
     if (p - 1) ** 2 + p >= _INT64_BOUND:
         raise ValueError(f"p = {p} is too large: (p-1)**2 + p must stay below 2**63")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def _convolve_mod(a, b, p: int) -> np.ndarray:
@@ -109,8 +111,8 @@ class TruncatedSeries:
     The coefficient of pi^(off + j) is ``coeffs[j]``; the array is trimmed
     so that, when nonempty, both ends are nonzero.  ``prec`` is an integer
     or ``math.inf`` for exactly known series (finitely many terms, all of
-    them stored).  The prime must satisfy (p-1)**2 + p < 2**63, that is
-    p <= 3037000493; a larger one raises ValueError.
+    them stored).  The modulus must be a prime with (p-1)**2 + p < 2**63,
+    that is p <= 3037000493; a composite or larger one raises ValueError.
     """
 
     __slots__ = ("p", "off", "coeffs", "prec")

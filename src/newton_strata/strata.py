@@ -245,12 +245,20 @@ class StrataPoset:
         return tuple(z for k, z in enumerate(self.elements) if k not in upper)
 
     def segment(self, mu_low: SlopeSeq, lam: SlopeSeq) -> int:
-        """Longest-chain length from mu_low up to lam within this poset."""
+        """Longest-chain length from mu_low up to lam within this poset.
+
+        That is r(lam) - r(mu_low) for Chai's rank r(z) = <rho, z> - def(z)/2,
+        which grades N(G), except at nu_x of the union shape: it covers only
+        (nu1 - 1, nu2, nu3 + 1), two ranks below, so it counts one less.
+        """
         if mu_low not in self.elements or lam not in self.elements:
             raise ElementsNotInPoset(f"{mu_low} or {lam} not in N(G)_x for x = {self.x}")
         if not slope_leq(mu_low, lam):
             raise ElementsNotInPoset(f"{mu_low} is not <= {lam}")
-        return _longest_chain(self.elements, mu_low, lam)
+        return self._height(lam) - self._height(mu_low)
+
+    def _height(self, z: SlopeSeq) -> int:
+        return _rank(z) - (self.shape == UNION and z == self.nu_x)
 
     def to_json(self):
         return {
@@ -270,15 +278,9 @@ class StrataPoset:
         return "\n".join(lines)
 
 
-def _longest_chain(elements, lo, hi) -> int:
-    nodes = [z for z in elements if slope_leq(lo, z) and slope_leq(z, hi)]
-    nodes.sort(key=lambda z: (z.lam1, z.lam1 + z.lam2))
-    best = {}
-    for k, z in enumerate(nodes):
-        best[z] = max(
-            (best[y] + 1 for y in nodes[:k] if y != z and slope_leq(y, z)), default=0
-        )
-    return best[hi]
+def _rank(z: SlopeSeq) -> int:
+    """Chai's rank <rho, z> - def(z)/2; def = 1 where lam2 is not integral."""
+    return int(z.lam1 - z.lam3 - Fraction(z.lam2.denominator != 1, 2))
 
 
 def _covers(elements):
@@ -324,16 +326,24 @@ def generic_slope(x: AffineWeylElt) -> SlopeSeq:
 
 
 def segment_length(x, lam: SlopeSeq, mu_low: SlopeSeq) -> int:
-    """Longest-chain length from mu_low up to lam; x = None means inside N(G)."""
+    """Longest-chain length from mu_low up to lam; x = None means inside N(G).
+
+    In N(G) that is r(lam) - r(mu_low) for Chai's rank r(z) = <rho, z> -
+    def(z)/2, with def = 1 at the half-integral points.
+    """
     if x is None:
         if not slope_leq(mu_low, lam):
             raise ElementsNotInPoset(f"{mu_low} is not <= {lam}")
-        return _longest_chain(_interval(lam, mu_low), mu_low, lam)
+        return _rank(lam) - _rank(mu_low)
     return poset_of(x).segment(mu_low, lam)
 
 
 def codim(x: AffineWeylElt, lam: SlopeSeq) -> int:
-    """Codimension of the closed stratum of lam: chain length up to nu_x."""
+    """Codimension of the closed stratum of lam: chain length up to nu_x.
+
+    That is r(nu_x) - r(lam) for Chai's rank r, less one for the union
+    shape, whose nu_x covers only a point two ranks below it.
+    """
     return poset_of(x).segment(lam, poset_of(x).nu_x)
 
 

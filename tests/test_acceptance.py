@@ -1,11 +1,11 @@
 """Acceptance sweep: one test per headline claim the package reproduces.
 
 Run with -v to get one pass/fail line per criterion.  Budget assertions use
-wall time around the core computation.  Sampling tests pin their seeds; the
-support-equality sweep uses a seed chosen (and then verified end to end) so
-that one 10^4-trial run per grid element hits every stratum of the small
-posets, including the codimension-4 bottoms whose hit rate is about 7e-5
-per trial.  Any seed reproduces the containment and witness-rescue halves.
+wall time around the core computation.  Sampling tests pin their seeds, and
+no seed was picked by scanning: the support-equality sweep of criterion 5
+samples at p = 2, where a stratum of codimension c has density of order 2^-c,
+so 10^4 trials per grid element hit every stratum at any seed; it runs at
+two seeds to show it.
 """
 import time
 from fractions import Fraction
@@ -52,11 +52,6 @@ from conftest import P, rand_iwahori, rand_matrix, rand_series
 X = AffineWeylElt.parse
 HEADLINE = X("mu=-2,0,2;w=s121")
 GRID_BOUND = 4
-
-# seed for the support-equality sweep of criterion 5, selected by scanning
-# seeds until the twelve deepest small posets were fully hit and then
-# confirmed over the whole grid; see the verification notes for the scan
-SUPPORT_SWEEP_SEED = 7759
 
 
 def lam(text):
@@ -120,28 +115,40 @@ def test_criterion_04_closed_form_predicates_match_sampled_slopes():
 
 
 def test_criterion_05_sampled_support_matches_posets():
+    # at p = 11 deep strata are rare (density of order 11^-c), so this sweep
+    # demands containment and a verified witness for every missed stratum
     t0 = time.perf_counter()
     failures = []
     for x in enumerate_grid(GRID_BOUND):
         pos = poset_of(x)
-        hist = empirical_poset(
-            x, make_config(x, p=11, trials=10_000, seed=SUPPORT_SWEEP_SEED)
-        )
+        hist = empirical_poset(x, make_config(x, p=11, trials=10_000, seed=0))
         support = set(hist.counts)
         extra = support - set(pos.elements)
         if extra:
             failures.append(f"{x}: sampled strata outside N(G)_x: {sorted(map(str, extra))}")
             continue
-        missing = set(pos.elements) - support
-        if not missing:
-            continue
-        if len(pos.elements) <= 6:
-            failures.append(f"{x}: support misses {sorted(map(str, missing))}")
-            continue
-        for z in missing:
+        for z in set(pos.elements) - support:
             W = witness(x, z, p=11)
             if not (coset_pattern(x, "xI").contains(W) and slope_sequence(W) == z):
                 failures.append(f"{x}: witness for missing stratum {z} failed")
+    elapsed = time.perf_counter() - t0
+    assert not failures, f"{len(failures)} support failures:\n" + "\n".join(failures)
+    assert elapsed < 900.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_05_sampled_support_equals_posets_at_p2(seed):
+    t0 = time.perf_counter()
+    failures = []
+    for x in enumerate_grid(GRID_BOUND):
+        pos = poset_of(x)
+        hist = empirical_poset(x, make_config(x, p=2, trials=10_000, seed=seed))
+        support, elems = set(hist.counts), set(pos.elements)
+        if support != elems:
+            failures.append(
+                f"{x}: outside {sorted(map(str, support - elems))}, "
+                f"missed {sorted(map(str, elems - support))}"
+            )
     elapsed = time.perf_counter() - t0
     assert not failures, f"{len(failures)} support failures:\n" + "\n".join(failures)
     assert elapsed < 900.0

@@ -156,6 +156,10 @@ class TestWitness:
         code, out, _ = run(capsys, "witness", "mu=-1,0,1;w=s1", "0,0,0")
         assert code == 1 and "empty" in out
 
+    def test_composite_modulus_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "witness", "mu=-2,0,2;w=s121", "0,0,0", "--p", "4")
+        assert code == 4 and out == "" and "prime" in err
+
 
 class TestSample:
     def test_histogram_json_deterministic(self, capsys):

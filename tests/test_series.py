@@ -214,6 +214,11 @@ class TestLargePrimes:
             p = 2**62 + 135
             TruncatedSeries(p, 0, [p - 1], INF) + TruncatedSeries(p, 0, [p - 1], INF)
 
+    def test_rejects_composite_moduli(self):
+        # inverse inverts by Fermat, which is wrong over Z/4Z
+        with pytest.raises(ValueError, match="prime"):
+            TruncatedSeries(4, 0, [1], INF)
+
     def test_largest_accepted_prime_scales_and_adds_exactly(self):
         p = 3037000493
         a = TruncatedSeries(p, 0, [p - 1, p - 2], INF)
