@@ -152,9 +152,6 @@ class AffineWeylElt:
         wv = _papply(self.w, tuple(Fraction(c) for c in v))
         return tuple(Fraction(m) + c for m, c in zip(self.mu, wv))
 
-    def apply_to_coords(self, nu):
-        return _papply(self.w, nu)
-
 
 def compose(x: AffineWeylElt, y: AffineWeylElt) -> AffineWeylElt:
     """(pi^mu v)(pi^nu w) = pi^(mu + v(nu)) vw."""

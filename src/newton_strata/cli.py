@@ -11,9 +11,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .series import INF, InsufficientPrecision, TruncatedSeries
+from .series import INF, InsufficientPrecision, TruncatedSeries, _check_modulus
 from .isocrystal import IsoMatrix, SlopeSeq, _vertices, slope_sequence
-from .affine_weyl import AffineWeylElt, chamber_of, coset_pattern, enumerate_grid
+from .affine_weyl import W_NAMES, AffineWeylElt, chamber_of, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
     ElementsNotInPoset,
@@ -33,8 +33,6 @@ EXIT_EMPTY = 1
 EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_DOMAIN = 4
-
-_W_NAMES = ("1", "s1", "s2", "s12", "s21", "s121")
 
 
 def _emit(args, obj, text_lines):
@@ -227,7 +225,7 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    names = _W_NAMES if args.w == "all" else (args.w,)
+    names = W_NAMES if args.w == "all" else (args.w,)
     rows = []
     discrepancies = 0
     for x in enumerate_grid(args.bound):
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_campaign)
 
     s = subs.add_parser("tables", help="generic slopes and poset shapes over a grid")
-    s.add_argument("--w", choices=_W_NAMES + ("all",), default="all")
+    s.add_argument("--w", choices=W_NAMES + ("all",), default="all")
     s.add_argument("--bound", type=int, default=2)
     s.add_argument("--verify", action="store_true", help="check that the sampled support lies in N(G)_x and contains nu_x")
     _add_common(s, sampling=True)
@@ -344,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a bad modulus is a domain error before any input is parsed with it
+        if getattr(args, "p", None) is not None:
+            _check_modulus(args.p)
         return args.func(args)
     except SystemExit:
         raise

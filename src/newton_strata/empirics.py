@@ -33,6 +33,7 @@ from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
+    _first_branch,
     poset_of,
     predicate_case,
     predicate_poset,
@@ -420,6 +421,9 @@ def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI"
         raise ValueError(f"unknown sampling mode {mode!r}")
     if cfg is None:
         cfg = make_config(x)
+    elif cfg.pattern != coset_pattern(x, "xI"):
+        # the kernel draws from the xI coset of x itself, whatever cfg says
+        raise ValueError(f"empirical_poset samples the xI coset of {x}; use make_config(x)")
     t0 = time.perf_counter()
     chunks = []
     step = max(1, -(-cfg.trials // cfg.workers))
@@ -670,15 +674,8 @@ def kappa_check(
 # -- closed-form predicate campaign -------------------------------------------------
 
 
-def _subcase_tag(case: str, x: AffineWeylElt, lam: SlopeSeq) -> str:
-    """Case tag refined by which branch of the closed-form test fires."""
-    mu = x.mu
-    if case in ("VIA", "IVA"):
-        return case
-    if case == "VA":
-        return case + ("-i" if mu[1] + 1 == mu[2] else "-ii")
-    threshold = {"IA": -mu[1] + 1, "IIA": -mu[1], "IIIA": -mu[1], "IIB": -mu[0]}[case]
-    return case + ("-i" if lam.lam3 <= threshold else "-ii")
+# the campaign keeps this many mismatching matrices verbatim
+_MAX_MISMATCHES = 20
 
 
 @dataclass
@@ -703,7 +700,7 @@ class CampaignReport:
             "p": self.p,
             "trials_per_case": self.trials_per_case,
             "cases": self.cases,
-            "mismatches": self.mismatches[:20],
+            "mismatches": self.mismatches[:_MAX_MISMATCHES],
             "trials_total": self.trials_total,
             "ok": self.ok,
             "elapsed_ms": round(self.elapsed_ms, 3),
@@ -716,14 +713,13 @@ def predicate_campaign(
     p: int = 11,
     seed: int = 0,
     cases=None,
-    max_mismatches: int = 20,
 ) -> CampaignReport:
     """Compare every covered closed-form stratum test with sampled truth.
 
     For each grid element with a direct case, each slope in its described
     poset, and each sampled matrix from the case pattern, asserts
     stratum_predicate(x, lam, A) == slope_leq(slope_sequence(A), lam).
-    Mismatching matrices are reported verbatim.  Draws are at the
+    The first 20 mismatching matrices are reported verbatim.  Draws are at the
     SampleConfig floor, where both sides are always decided; an
     InsufficientPrecision would be a bug and propagates.
     """
@@ -737,7 +733,9 @@ def predicate_campaign(
             continue
         cfg = SampleConfig(pattern=coset_pattern(x, pattern_name), p=p, trials=1, seed=seed)
         for lam in predicate_poset(x).elements:
-            tag = _subcase_tag(case, x, lam)
+            tag = case
+            if case not in ("VIA", "IVA"):
+                tag += "-i" if _first_branch(case, x.mu, lam) else "-ii"
             groups.setdefault(tag, []).append((x, lam, cfg))
 
     # each lam of an x sees the same draws: (x, rep) -> (A, slopes), drawn
@@ -764,7 +762,7 @@ def predicate_campaign(
                 actual = slope_leq(slopes, lam)
                 if predicted != actual:
                     stats["mismatches"] += 1
-                    if len(report.mismatches) < max_mismatches:
+                    if len(report.mismatches) < _MAX_MISMATCHES:
                         report.mismatches.append(
                             {
                                 "x": str(x), "lam": str(lam), "index": rep,

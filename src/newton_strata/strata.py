@@ -50,7 +50,6 @@ __all__ = [
     "adlv_nonempty",
     "conjecture_rhs",
     "witness",
-    "witness_normalizations",
 ]
 
 
@@ -67,7 +66,7 @@ class CaseNotApplicable(ValueError):
 
 
 class NoWitnessFormula(ValueError):
-    """This stratum is known non-empty but has no recorded witness formula."""
+    """No recorded witness formula verifies for this non-empty stratum at this p."""
 
 
 # -- N(G) ---------------------------------------------------------------------
@@ -461,6 +460,19 @@ def _db_plus_gc(A: IsoMatrix):
     return A[1, 0] * A[0, 1] + A[2, 0] * A[0, 2]
 
 
+def _first_branch(case: str, mu, lam: SlopeSeq) -> bool:
+    """Whether lam is in sub-case i of a two-branch predicate case.
+
+    VA-i is mu2 + 1 = mu3, where every lam passes.  In IA, IIA, IIIA and
+    IIB sub-case i is lam3 at or below the case's threshold, where the test
+    reads the minor ae - bd; above it (sub-case ii) it reads db + gc.
+    """
+    if case == "VA":
+        return mu[1] + 1 == mu[2]
+    threshold = {"IA": -mu[1] + 1, "IIA": -mu[1], "IIIA": -mu[1], "IIB": -mu[0]}[case]
+    return lam.lam3 <= threshold
+
+
 def stratum_predicate(x: AffineWeylElt, lam: SlopeSeq, A: IsoMatrix) -> bool:
     """Entrywise valuation test for membership in the closed stratum of lam.
 
@@ -475,26 +487,15 @@ def stratum_predicate(x: AffineWeylElt, lam: SlopeSeq, A: IsoMatrix) -> bool:
         return True
     if case == "IVA":
         return A[0, 0].in_P(-lam.lam1)
+    first = _first_branch(case, mu, lam)
     if case == "VA":
-        if mu[1] + 1 == mu[2]:
-            return True
-        return _minor_ae_bd(A).in_P(lam.lam3)
-    if case == "IA":
-        threshold = -mu[1] + 1
-    elif case == "IIA":
-        threshold = -mu[1]
-    elif case == "IIB":
-        threshold = -mu[0]
-    else:  # IIIA
-        if mu[1] + 1 == mu[2]:
-            second = _minor_ae_bd if A[1, 0].is_zero_to_precision() else _db_plus_gc
-            return A[0, 0].in_P(-lam.lam1) and second(A).in_P(lam.lam3)
-        threshold = -mu[1]
+        return first or _minor_ae_bd(A).in_P(lam.lam3)
+    if case == "IIIA" and mu[1] + 1 == mu[2]:
+        second = _minor_ae_bd if A[1, 0].is_zero_to_precision() else _db_plus_gc
+        return A[0, 0].in_P(-lam.lam1) and second(A).in_P(lam.lam3)
     if not A[0, 0].in_P(-lam.lam1):
         return False
-    if lam.lam3 > threshold:
-        return _db_plus_gc(A).in_P(lam.lam3)
-    return _minor_ae_bd(A).in_P(lam.lam3)
+    return (_minor_ae_bd if first else _db_plus_gc)(A).in_P(lam.lam3)
 
 
 # -- affine Deligne-Lusztig non-emptiness --------------------------------------
@@ -535,112 +536,77 @@ def _zz(p):
     return TruncatedSeries.zero(p)
 
 
-def _check_in_poset(x, lam):
-    if lam not in poset_of(x):
-        raise ElementsNotInPoset(f"{lam} not in N(G)_x for x = {x}")
+def _base_grids(y: AffineWeylElt, lam: SlopeSeq, p: int) -> list:
+    """Candidate entry grids for a base y: w = 1, or antidominant with mu2 >= 0.
 
-
-def _witness_base(x: AffineWeylElt, lam: SlopeSeq, p: int) -> IsoMatrix:
-    """Witness for x with w = 1 (any chamber) or antidominant x with mu2 >= 0."""
-    _check_in_poset(x, lam)
-    mu = x.mu
-    w = x.w_name
+    The paper's formula for the stratum of lam comes first.  The INT3
+    shape of s1s2s1 has two templates; its other non-generic strata have a
+    formula only for the union shape, and otherwise the list is empty and
+    witness moves on to the next normalization.  Nothing here is checked:
+    _verified decides which grid, if any, is a witness.
+    """
+    mu, w = y.mu, y.w_name
     if w == "1":
-        return IsoMatrix.diag(p, [_pp(p, m) for m in mu])
-    nu = generic_slope(x)
-    shape = poset_of(x).shape
+        return [[
+            [_pp(p, mu[0]), _zz(p), _zz(p)],
+            [_zz(p), _pp(p, mu[1]), _zz(p)],
+            [_zz(p), _zz(p), _pp(p, mu[2])],
+        ]]
+    poset = poset_of(y)
     l1, l3 = lam.lam1, lam.lam3
     if w == "s12":
-        if mu[1] == mu[2] and lam == nu:
-            rows = [
-                [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])],
-                [_pp(p, mu[1]), _zz(p), _zz(p)],
-                [_zz(p), _pp(p, mu[2]), _zz(p)],
-            ]
+        if mu[1] == mu[2] and lam == poset.nu_x:
+            top = [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])]
         else:
-            rows = [
-                [_pp(p, -l1), _pp(p, l3 - mu[1]), _pp(p, mu[0])],
-                [_pp(p, mu[1]), _zz(p), _zz(p)],
-                [_zz(p), _pp(p, mu[2]), _zz(p)],
-            ]
-        return IsoMatrix(rows)
+            top = [_pp(p, -l1), _pp(p, l3 - mu[1]), _pp(p, mu[0])]
+        return [[top, [_pp(p, mu[1]), _zz(p), _zz(p)], [_zz(p), _pp(p, mu[2]), _zz(p)]]]
     if w == "s21":
-        rows = [
+        return [[
             [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
             [_pp(p, l3 - mu[0]), _zz(p), _pp(p, mu[1])],
             [_pp(p, mu[2]), _zz(p), _zz(p)],
-        ]
-        return IsoMatrix(rows)
-    if w == "s121":
-        if lam == nu:
-            rows = [
-                [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])],
-                [_zz(p), _pp(p, mu[1]), _zz(p)],
-                [_pp(p, mu[2]), _zz(p), _zz(p)],
-            ]
-            return IsoMatrix(rows)
-        if shape == INT3:
-            # the corner product of the two exact entries pins the bottom
-            # slope; the (1,1) entry alone dials the top slope, and dropping
-            # it altogether leaves the half-point pair at the top
-            pattern = coset_pattern(x, "xI")
-            candidates = (
-                [
-                    [_pp(p, -l1), _zz(p), _pp(p, mu[0])],
-                    [_zz(p), _pp(p, mu[1]), _zz(p)],
-                    [_pp(p, mu[2]), _zz(p), _zz(p)],
-                ],
-                [
-                    [_zz(p), _zz(p), _pp(p, mu[0])],
-                    [_zz(p), _pp(p, mu[1]), _zz(p)],
-                    [_pp(p, mu[2]), _zz(p), _zz(p)],
-                ],
-            )
-            for rows in candidates:
-                W = IsoMatrix(rows)
-                try:
-                    if pattern.contains(W) and slope_sequence(W) == lam:
-                        return W
-                except (InsufficientPrecision, ValueError):
-                    continue
-            raise NoWitnessFormula(
-                f"no interval template realizes {lam} for {x}"
-            )
-        if shape != UNION:
-            raise NoWitnessFormula(
-                f"non-generic stratum {lam} of {x} is covered only by sampling"
-            )
-        if l3 <= -mu[1]:
-            b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - mu[1]) - 1)
-            rows = [
-                [_pp(p, -l1), b, _pp(p, mu[0])],
-                [_pp(p, mu[1] + 1), _pp(p, mu[1]), _zz(p)],
-                [_pp(p, mu[2]), _zz(p), _zz(p)],
-            ]
-        else:
-            d = _pp(p, mu[2] - 1) + _pp(p, ceil_q(l3 - mu[0]) - 1)
-            rows = [
-                [_pp(p, -l1), _pp(p, mu[0] + 1, coeff=-1), _pp(p, mu[0])],
-                [d, _pp(p, mu[1]), _zz(p)],
-                [_pp(p, mu[2]), _zz(p), _zz(p)],
-            ]
-        return IsoMatrix(rows)
+        ]]
     if w == "s1":
-        rows = [
+        return [[
             [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
             [_pp(p, mu[1]), _zz(p), _zz(p)],
             [_pp(p, mu[2] + 1), _zz(p), _pp(p, mu[2])],
-        ]
-        return IsoMatrix(rows)
+        ]]
     if w == "s2":
         b = _zz(p) if mu[1] + 1 == mu[2] else _pp(p, ceil_q(l3 - mu[1]) - 1)
-        rows = [
+        return [[
             [_pp(p, mu[0]), b, _zz(p)],
             [_pp(p, mu[1] + 1), _zz(p), _pp(p, mu[1])],
             [_zz(p), _pp(p, mu[2]), _zz(p)],
+        ]]
+    # s1s2s1
+    middle = [_zz(p), _pp(p, mu[1]), _zz(p)]
+    bottom = [_pp(p, mu[2]), _zz(p), _zz(p)]
+    if lam == poset.nu_x:
+        return [[[_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])], middle, bottom]]
+    if poset.shape == INT3:
+        # the corner product of the two exact entries pins the bottom
+        # slope; the (1,1) entry alone dials the top slope, and dropping
+        # it altogether leaves the half-point pair at the top
+        return [
+            [[_pp(p, -l1), _zz(p), _pp(p, mu[0])], middle, bottom],
+            [[_zz(p), _zz(p), _pp(p, mu[0])], middle, bottom],
         ]
-        return IsoMatrix(rows)
-    raise AssertionError(w)
+    if poset.shape != UNION:
+        return []
+    if l3 <= -mu[1]:
+        b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - mu[1]) - 1)
+        return [[
+            [_pp(p, -l1), b, _pp(p, mu[0])],
+            [_pp(p, mu[1] + 1), _pp(p, mu[1]), _zz(p)],
+            bottom,
+        ]]
+    d = _pp(p, mu[2] - 1) + _pp(p, ceil_q(l3 - mu[0]) - 1)
+    return [[
+        [_pp(p, -l1), _pp(p, mu[0] + 1, coeff=-1), _pp(p, mu[0])],
+        [d, _pp(p, mu[1]), _zz(p)],
+        bottom,
+    ]]
 
 
 def _swap12(rows):
@@ -749,25 +715,24 @@ def _mirror_candidates(x: AffineWeylElt, lam: SlopeSeq, p: int):
         raise AssertionError(w)
 
 
-def _witness_base_reflected(x: AffineWeylElt, lam: SlopeSeq, p: int) -> IsoMatrix:
-    """Witness for a base x whose alcove sits in the reflected chamber.
+def _verified(y: AffineWeylElt, lam: SlopeSeq, grids, swap: bool):
+    """The first grid that is a witness for lam in the xI coset of y, or None.
 
-    Candidates are produced in conjugated coordinates, swapped back into
-    the coset of x, and checked exactly; the first grid that lands in the
-    coset pattern with the requested slopes wins.
+    swap conjugates each grid by the exchange of the first two basis
+    vectors before the check, as _mirror_candidates needs.  The check is
+    exact: the matrix must satisfy the valuation pattern of the coset and
+    have slope sequence lam; a grid whose slopes cannot be decided is
+    skipped.
     """
-    _check_in_poset(x, lam)
-    pattern = coset_pattern(x, "xI")
-    for rows in _mirror_candidates(x, lam, p):
-        W = IsoMatrix(_swap12(rows))
+    pattern = coset_pattern(y, "xI")
+    for rows in grids:
+        W = IsoMatrix(_swap12(rows) if swap else rows)
         try:
             if pattern.contains(W) and slope_sequence(W) == lam:
                 return W
         except (InsufficientPrecision, ValueError):
             continue
-    raise NoWitnessFormula(
-        f"no reflected-chamber template realizes {lam} for {x}"
-    )
+    return None
 
 
 # recipes expressing x as a word in the automorphisms applied to a base point:
@@ -782,60 +747,53 @@ _RECIPES = (
 )
 
 
-def witness_normalizations(x: AffineWeylElt):
-    """(recipe, y) pairs with x = recipe applied innermost-first to y.
+def _normalizations(x: AffineWeylElt):
+    """Yield (recipe, y, reflected) with x = recipe applied innermost-first to y.
 
-    Each candidate base y is a translation, antidominant with mu2 >= 0, or
-    in the chamber reflected through the first simple wall with mu1 >= 0;
-    the explicit witness displays apply to each of those directly.
+    Each base y is a translation, antidominant with mu2 >= 0, or (reflected)
+    in the chamber reflected through the first simple wall with mu1 >= 0
+    and mu1 != mu3.  Recipes are tried lazily, one chamber_of each.
     """
-    out = []
     for recipe in _RECIPES:
         y = x
         for g in reversed(recipe):
             y = phi(phi(y)) if g == "phi" else psi(y)
         if y.w_name == "1":
-            out.append((recipe, y))
+            yield recipe, y, False
             continue
         name = chamber_of(y).name
         if name == "C0":
             if y.mu[1] < 0:
                 # mirror through the involution into the mu2 >= 0 half; psi
                 # fixes the antidominant chamber and flips the sign of mu2
-                out.append((("psi",) + recipe, psi(y)))
+                yield ("psi",) + recipe, psi(y), False
             else:
-                out.append((recipe, y))
+                yield recipe, y, False
         elif name == "s1(C0)" and y.mu[0] >= 0 and y.mu[0] != y.mu[2]:
-            out.append((recipe, y))
-    return out
+            yield recipe, y, True
 
 
 def witness(x: AffineWeylElt, lam, p: int = 11) -> IsoMatrix:
-    """An explicit matrix in the coset of x with slope sequence exactly lam.
+    """An explicit matrix in the xI coset of x with slope sequence exactly lam.
 
-    Base formulas cover the antidominant chamber and the chamber reflected
-    through the first simple wall; all other chambers are reached by
-    transporting along the automorphisms (tau-conjugation and the
-    transpose-inverse involution).
+    Each normalization writes x as automorphisms (tau-conjugation and the
+    transpose-inverse involution) applied to a base y.  The base formulas
+    give candidate grids for y and the transported slopes, _verified keeps
+    the first that is exactly a witness there, and the automorphisms, which
+    carry coset patterns and slopes along, take it to x.  Raises
+    ElementsNotInPoset when lam does not occur in IxI, and NoWitnessFormula
+    when no candidate of any normalization verifies: at p = 2 the s1s2s1
+    union templates whose two pi^-1 terms cancel (-2 = 0) do not.
     """
     lam = _as_slopes(lam)
-    _check_in_poset(x, lam)
-    last = None
-    for recipe, y in witness_normalizations(x):
+    if lam not in poset_of(x):
+        raise ElementsNotInPoset(f"{lam} not in N(G)_x for x = {x}")
+    for recipe, y, reflected in _normalizations(x):
         lam0 = psi_slopes(lam) if recipe.count("psi") % 2 else lam
-        builder = (
-            _witness_base_reflected
-            if y.w_name != "1" and chamber_of(y).name == "s1(C0)"
-            else _witness_base
-        )
-        try:
-            W = builder(y, lam0, p)
-        except NoWitnessFormula as err:
-            last = err
-            continue
-        for g in recipe:
-            W = phi_matrix(W) if g == "phi" else psi_matrix(W)
-        return W
-    if last is not None:
-        raise last
-    raise NoWitnessFormula(f"no chamber normalization found for {x}")
+        grids = _mirror_candidates(y, lam0, p) if reflected else _base_grids(y, lam0, p)
+        W = _verified(y, lam0, grids, reflected)
+        if W is not None:
+            for g in recipe:
+                W = phi_matrix(W) if g == "phi" else psi_matrix(W)
+            return W
+    raise NoWitnessFormula(f"no verified witness formula realizes {lam} for {x}")

@@ -161,6 +161,20 @@ class TestWitness:
         assert code == 4 and out == "" and "prime" in err
 
 
+class TestModulus:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("slopes", "diag(t^-1, 1, t^1)", "--p", "6"),
+            ("adlv", "mu=-1,0,1;w=s1", "--b", "diag(1,1,1)", "--p", "9"),
+        ],
+        ids=["slopes", "adlv-b"],
+    )
+    def test_composite_modulus_is_a_domain_error_before_parsing(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "" and "prime" in err
+
+
 class TestSample:
     def test_histogram_json_deterministic(self, capsys):
         argv = ("sample", "mu=-2,0,2;w=s121", "--trials", "400", "--seed", "5", "--json")

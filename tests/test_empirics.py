@@ -295,6 +295,12 @@ class TestHistograms:
         hist = empirical_poset(x, make_config(x, trials=800, seed=16))
         assert set(hist.counts) == {mazur_bound(x)}
 
+    def test_config_for_another_pattern_is_rejected(self):
+        other = X("mu=-3,1,2;w=s121")
+        for cfg in (make_config(other, trials=10), make_config(HEADLINE, "K1", trials=10)):
+            with pytest.raises(ValueError, match="xI coset"):
+                empirical_poset(HEADLINE, cfg)
+
 
 class TestEstimators:
     def test_codim_estimate_structure_and_rough_value(self):

@@ -1,4 +1,6 @@
 """Newton strata posets, codimension formulas, predicates, and witnesses."""
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -299,3 +301,42 @@ class TestWitness:
         W = witness(x, lam("1,1,-2"), p=P)
         assert slope_sequence(W) == lam("1,1,-2")
         assert coset_pattern(x, "xI").contains(W)
+
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (11, "5f3fd19165ceac06f5425f2344dbd6717e186e567a9bc6d3a446f04ff03dd90a"),
+            (13, "c7abf274e39c67f6cda9eee17d08ee86803b55dc29b04e36b8b9a4e5723931e5"),
+        ],
+    )
+    def test_bound2_witnesses_keep_their_recorded_entries(self, p, digest):
+        # one line of (x, lam, entry texts) per witness of the |mu_i| <= 2
+        # grid, so a change to any formula or to the order of the
+        # candidates shows here
+        h = hashlib.sha256()
+        n = 0
+        for x in enumerate_grid(2):
+            for z in poset_of(x).elements:
+                W = witness(x, z, p=p)
+                rows = [[W[i, j].to_text() for j in range(3)] for i in range(3)]
+                h.update(json.dumps([str(x), str(z), rows]).encode() + b"\n")
+                n += 1
+        assert n == 280
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_prime_witnesses_verify_or_raise(self, p):
+        # at p = 2 some s1s2s1 union templates lose a term (-2 pi^-1 = 0),
+        # e.g. mu=-4,1,3;w=s121 at 1,0,-1; those strata must raise, never
+        # return a wrong matrix
+        raised = 0
+        for x in enumerate_grid(4):
+            pattern = coset_pattern(x, "xI")
+            for z in poset_of(x).elements:
+                try:
+                    W = witness(x, z, p=p)
+                except NoWitnessFormula:
+                    raised += 1
+                    continue
+                assert pattern.contains(W) and slope_sequence(W) == z, (x, z)
+        assert raised == (20 if p == 2 else 0)
