@@ -384,15 +384,13 @@ _K_CASES = {
 def coset_pattern(x: AffineWeylElt, which: str = "xI") -> ValuationPattern:
     """The entrywise valuation pattern of xI, K_i, x'I', or the Iwahori I.
 
-    which = "I" (alias "IxI": the left factor used when sampling IxI as a
-    product of an I-sample and an xI-sample), "Iprime", "xI", "K1", "K2",
-    "K3", or "xpIp" (the pattern of x'I' = s1^-1 x I s1 as a coset of
-    I' = s1^-1 I s1, whose translation part is (mu2, mu1, mu3)).
+    which = "I" (the left factor used when sampling IxI as a product of an
+    I-sample and an xI-sample), "xI", "K1", "K2", "K3", or "xpIp" (the
+    pattern of x'I' = s1^-1 x I s1 as a coset of I' = s1^-1 I s1, whose
+    translation part is (mu2, mu1, mu3)).
     """
-    if which in ("I", "IxI"):
+    if which == "I":
         return ValuationPattern(_I_ROWS)
-    if which == "Iprime":
-        return ValuationPattern(_IP_ROWS)
     if which == "xI":
         winv = _pinv(x.w)
         return ValuationPattern(

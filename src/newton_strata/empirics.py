@@ -209,8 +209,7 @@ def sample_ixi(cfg: SampleConfig, index: int = 0):
 
 
 def _identity_pattern() -> ValuationPattern:
-    one = AffineWeylElt.parse("mu=0,0,0;w=1")
-    return coset_pattern(one, "I")
+    return coset_pattern(AffineWeylElt.identity(), "I")
 
 
 # -- batched sampling and slope kernel -------------------------------------------

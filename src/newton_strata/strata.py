@@ -447,8 +447,7 @@ def predicate_poset(x: AffineWeylElt) -> StrataPoset:
     """
     case, _ = predicate_case(x)
     if case == "IIB":
-        xp = AffineWeylElt.parse(f"mu={x.mu[1]},{x.mu[0]},{x.mu[2]};w=s12")
-        return poset_of(xp)
+        return poset_of(AffineWeylElt.from_parts((x.mu[1], x.mu[0], x.mu[2]), "s12"))
     return poset_of(x)
 
 
@@ -536,14 +535,104 @@ def _zz(p):
     return TruncatedSeries.zero(p)
 
 
+# Templates: entry grids of (p, mu, l1, l3), l1 and l3 the outer slopes of
+# the stratum, for the xI coset of the w they are named after.  Reflected
+# bases use them all; grids only a base uses are written in _base_grids.
+
+
+def _s12(p, mu, l1, l3):
+    return [
+        [_pp(p, -l1), _pp(p, l3 - mu[1]), _pp(p, mu[0])],
+        [_pp(p, mu[1]), _zz(p), _zz(p)],
+        [_zz(p), _pp(p, mu[2]), _zz(p)],
+    ]
+
+
+def _s21(p, mu, l1, l3):
+    return [
+        [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
+        [_pp(p, l3 - mu[0]), _zz(p), _pp(p, mu[1])],
+        [_pp(p, mu[2]), _zz(p), _zz(p)],
+    ]
+
+
+def _s1(p, mu, l1, l3):
+    return [
+        [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
+        [_pp(p, mu[1]), _zz(p), _zz(p)],
+        [_pp(p, mu[2] + 1), _zz(p), _pp(p, mu[2])],
+    ]
+
+
+def _s2(p, mu, l1, l3):
+    b = _zz(p) if mu[1] + 1 == mu[2] else _pp(p, ceil_q(l3 - mu[1]) - 1)
+    return [
+        [_pp(p, mu[0]), b, _zz(p)],
+        [_pp(p, mu[1] + 1), _zz(p), _pp(p, mu[1])],
+        [_zz(p), _pp(p, mu[2]), _zz(p)],
+    ]
+
+
+def _s2_centre(p, mu, l1, l3):
+    # the s2 grid with its slope-tuning entry at the centre instead of b
+    return [
+        [_pp(p, mu[0]), _zz(p), _zz(p)],
+        [_pp(p, mu[1] + 1), _pp(p, l3 - mu[0]), _pp(p, mu[1])],
+        [_zz(p), _pp(p, mu[2]), _zz(p)],
+    ]
+
+
+def _s121_int3(p, mu, l1, l3):
+    # the corner product of the two exact entries pins the bottom slope;
+    # the top-left entry alone dials the top slope
+    return [
+        [_pp(p, -l1), _zz(p), _pp(p, mu[0])],
+        [_zz(p), _pp(p, mu[1]), _zz(p)],
+        [_pp(p, mu[2]), _zz(p), _zz(p)],
+    ]
+
+
+def _s121_nu(p, mu, l1, l3):
+    # the INT3 grid with top-left entry pi^(mu1 + 1)
+    return _s121_int3(p, mu, -mu[0] - 1, l3)
+
+
+def _s121_low(p, mu, l1, l3):
+    b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - mu[1]) - 1)
+    return [
+        [_pp(p, -l1), b, _pp(p, mu[0])],
+        [_pp(p, mu[1] + 1), _pp(p, mu[1]), _zz(p)],
+        [_pp(p, mu[2]), _zz(p), _zz(p)],
+    ]
+
+
+def _s121_high(p, mu, l1, l3):
+    d = _pp(p, mu[2] - 1) + _pp(p, ceil_q(l3 - mu[0]) - 1)
+    return [
+        [_pp(p, -l1), _pp(p, mu[0] + 1, coeff=-1), _pp(p, mu[0])],
+        [d, _pp(p, mu[1]), _zz(p)],
+        [_pp(p, mu[2]), _zz(p), _zz(p)],
+    ]
+
+
+def _s121_half_pair(p, mu, l1, l3):
+    # half-point pair at the bottom: the two monomial products in the
+    # upper-left minor cancel exactly, leaving the corner product of the
+    # exact entries as the middle vertex of the polygon
+    return [
+        [_pp(p, mu[0] + 1), _pp(p, mu[0] + 1), _pp(p, mu[0])],
+        [_pp(p, mu[1]), _pp(p, mu[1]), _zz(p)],
+        [_pp(p, mu[2]), _zz(p), _zz(p)],
+    ]
+
+
 def _base_grids(y: AffineWeylElt, lam: SlopeSeq, p: int) -> list:
     """Candidate entry grids for a base y: w = 1, or antidominant with mu2 >= 0.
 
-    The paper's formula for the stratum of lam comes first.  The INT3
-    shape of s1s2s1 has two templates; its other non-generic strata have a
-    formula only for the union shape, and otherwise the list is empty and
-    witness moves on to the next normalization.  Nothing here is checked:
-    _verified decides which grid, if any, is a witness.
+    The one grid the paper gives for the stratum of lam, chosen by w, by
+    the poset's shape and by whether lam is nu_x.  A non-generic s1s2s1
+    stratum outside the INT3 and union shapes has no formula: the list is
+    empty and witness moves on to the next normalization.
     """
     mu, w = y.mu, y.w_name
     if w == "1":
@@ -552,67 +641,25 @@ def _base_grids(y: AffineWeylElt, lam: SlopeSeq, p: int) -> list:
             [_zz(p), _pp(p, mu[1]), _zz(p)],
             [_zz(p), _zz(p), _pp(p, mu[2])],
         ]]
-    poset = poset_of(y)
-    l1, l3 = lam.lam1, lam.lam3
-    if w == "s12":
-        if mu[1] == mu[2] and lam == poset.nu_x:
-            top = [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])]
-        else:
-            top = [_pp(p, -l1), _pp(p, l3 - mu[1]), _pp(p, mu[0])]
-        return [[top, [_pp(p, mu[1]), _zz(p), _zz(p)], [_zz(p), _pp(p, mu[2]), _zz(p)]]]
-    if w == "s21":
+    if w == "s12" and mu[1] == mu[2] and lam == poset_of(y).nu_x:
         return [[
-            [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
-            [_pp(p, l3 - mu[0]), _zz(p), _pp(p, mu[1])],
-            [_pp(p, mu[2]), _zz(p), _zz(p)],
-        ]]
-    if w == "s1":
-        return [[
-            [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
+            [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])],
             [_pp(p, mu[1]), _zz(p), _zz(p)],
-            [_pp(p, mu[2] + 1), _zz(p), _pp(p, mu[2])],
-        ]]
-    if w == "s2":
-        b = _zz(p) if mu[1] + 1 == mu[2] else _pp(p, ceil_q(l3 - mu[1]) - 1)
-        return [[
-            [_pp(p, mu[0]), b, _zz(p)],
-            [_pp(p, mu[1] + 1), _zz(p), _pp(p, mu[1])],
             [_zz(p), _pp(p, mu[2]), _zz(p)],
         ]]
-    # s1s2s1
-    middle = [_zz(p), _pp(p, mu[1]), _zz(p)]
-    bottom = [_pp(p, mu[2]), _zz(p), _zz(p)]
-    if lam == poset.nu_x:
-        return [[[_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])], middle, bottom]]
-    if poset.shape == INT3:
-        # the corner product of the two exact entries pins the bottom
-        # slope; the (1,1) entry alone dials the top slope, and dropping
-        # it altogether leaves the half-point pair at the top
-        return [
-            [[_pp(p, -l1), _zz(p), _pp(p, mu[0])], middle, bottom],
-            [[_zz(p), _zz(p), _pp(p, mu[0])], middle, bottom],
-        ]
-    if poset.shape != UNION:
-        return []
-    if l3 <= -mu[1]:
-        b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - mu[1]) - 1)
-        return [[
-            [_pp(p, -l1), b, _pp(p, mu[0])],
-            [_pp(p, mu[1] + 1), _pp(p, mu[1]), _zz(p)],
-            bottom,
-        ]]
-    d = _pp(p, mu[2] - 1) + _pp(p, ceil_q(l3 - mu[0]) - 1)
-    return [[
-        [_pp(p, -l1), _pp(p, mu[0] + 1, coeff=-1), _pp(p, mu[0])],
-        [d, _pp(p, mu[1]), _zz(p)],
-        bottom,
-    ]]
-
-
-def _swap12(rows):
-    """Conjugate a 3x3 entry grid by the permutation exchanging rows 1, 2."""
-    s = (1, 0, 2)
-    return [[rows[s[i]][s[j]] for j in range(3)] for i in range(3)]
+    if w == "s121":
+        poset = poset_of(y)
+        if lam == poset.nu_x:
+            template = _s121_nu
+        elif poset.shape == INT3:
+            template = _s121_int3
+        elif poset.shape == UNION:
+            template = _s121_low if lam.lam3 <= -mu[1] else _s121_high
+        else:
+            return []
+    else:
+        template = {"s12": _s12, "s21": _s21, "s1": _s1, "s2": _s2}[w]
+    return [template(p, mu, lam.lam1, lam.lam3)]
 
 
 def _mirror_candidates(x: AffineWeylElt, lam: SlopeSeq, p: int):
@@ -620,113 +667,33 @@ def _mirror_candidates(x: AffineWeylElt, lam: SlopeSeq, p: int):
 
     Exchanging the first two basis vectors turns the coset of x into
     pi^m w' times a conjugated Iwahori, where m is mu sorted increasingly
-    and w' is the conjugated finite part.  The antidominant templates carry
-    over to that coset with a few entry bounds loosened or tightened, so we
-    emit the direct translations plus variants that move the slope-tuning
-    entry to a slot the conjugated lattice chain leaves open.  Every grid
-    is verified before use, so this only has to enumerate candidates.
+    and w' = s1 w s1.  So the candidates are antidominant templates of w'
+    at m, swapped back and tried in the listed order rather than selected
+    by the poset's shape; _s2_centre and _s121_half_pair have no base twin.
     """
-    mu = x.mu
-    m = sorted(mu)
-    w = x.w_name
-    l1, l3 = lam.lam1, lam.lam3
-    if w == "s21":
-        yield [
-            [_pp(p, -l1), _pp(p, l3 - m[1]), _pp(p, m[0])],
-            [_pp(p, m[1]), _zz(p), _zz(p)],
-            [_zz(p), _pp(p, m[2]), _zz(p)],
-        ]
-        yield [
-            [_pp(p, -l1), _zz(p), _pp(p, m[0])],
-            [_pp(p, m[1]), _pp(p, l3 + l1), _zz(p)],
-            [_zz(p), _pp(p, m[2]), _zz(p)],
-        ]
-    elif w == "s12":
-        yield [
-            [_pp(p, -l1), _pp(p, m[0]), _zz(p)],
-            [_pp(p, l3 - m[0]), _zz(p), _pp(p, m[1])],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-        yield [
-            [_pp(p, -l1), _pp(p, m[0]), _zz(p)],
-            [_zz(p), _pp(p, l3 + l1), _pp(p, m[1])],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-        yield [
-            [_pp(p, -l1), _pp(p, m[0]), _pp(p, l3 - m[2])],
-            [_zz(p), _zz(p), _pp(p, m[1])],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-    elif w == "s1":
-        yield [
-            [_pp(p, -l1), _pp(p, m[0]), _zz(p)],
-            [_pp(p, m[1]), _zz(p), _zz(p)],
-            [_pp(p, m[2] + 1), _zz(p), _pp(p, m[2])],
-        ]
-        yield [
-            [_pp(p, -l1), _pp(p, m[0]), _zz(p)],
-            [_pp(p, m[1]), _pp(p, l3 + l1), _zz(p)],
-            [_pp(p, m[2] + 1), _zz(p), _pp(p, m[2])],
-        ]
-    elif w == "s2":
-        yield [
-            [_pp(p, m[0] + 1), _zz(p), _pp(p, m[0])],
-            [_zz(p), _pp(p, m[1]), _zz(p)],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-        b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - m[1]) - 1)
-        yield [
-            [_pp(p, -l1), b, _pp(p, m[0])],
-            [_pp(p, m[1] + 1), _pp(p, m[1]), _zz(p)],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-        d = _pp(p, m[2] - 1) + _pp(p, ceil_q(l3 - m[0]) - 1)
-        yield [
-            [_pp(p, -l1), _pp(p, m[0] + 1, coeff=-1), _pp(p, m[0])],
-            [d, _pp(p, m[1]), _zz(p)],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-        yield [
-            [_pp(p, -l1), _zz(p), _pp(p, m[0])],
-            [_pp(p, m[1] + 1), _pp(p, m[1]), _zz(p)],
-            [_pp(p, m[2]), _pp(p, l3 - m[1]), _zz(p)],
-        ]
-        # half-point pair at the bottom: the two monomial products in the
-        # upper-left minor cancel exactly, leaving the corner product of the
-        # exact entries as the middle vertex of the polygon
-        yield [
-            [_pp(p, m[0] + 1), _pp(p, m[0] + 1), _pp(p, m[0])],
-            [_pp(p, m[1]), _pp(p, m[1]), _zz(p)],
-            [_pp(p, m[2]), _zz(p), _zz(p)],
-        ]
-    elif w == "s121":
-        b = _zz(p) if m[1] + 1 == m[2] else _pp(p, ceil_q(l3 - m[1]) - 1)
-        yield [
-            [_pp(p, m[0]), b, _zz(p)],
-            [_pp(p, m[1] + 1), _zz(p), _pp(p, m[1])],
-            [_zz(p), _pp(p, m[2]), _zz(p)],
-        ]
-        yield [
-            [_pp(p, m[0]), _zz(p), _zz(p)],
-            [_pp(p, m[1] + 1), _pp(p, l3 - m[0]), _pp(p, m[1])],
-            [_zz(p), _pp(p, m[2]), _zz(p)],
-        ]
-    else:
-        raise AssertionError(w)
+    templates = {
+        "s21": (_s12,),
+        "s12": (_s21,),
+        "s1": (_s1,),
+        "s2": (_s121_nu, _s121_low, _s121_high, _s121_half_pair),
+        "s121": (_s2, _s2_centre),
+    }[x.w_name]
+    m = sorted(x.mu)
+    for t in templates:
+        g = t(p, m, lam.lam1, lam.lam3)
+        yield [[g[i][j] for j in (1, 0, 2)] for i in (1, 0, 2)]
 
 
-def _verified(y: AffineWeylElt, lam: SlopeSeq, grids, swap: bool):
+def _verified(y: AffineWeylElt, lam: SlopeSeq, grids):
     """The first grid that is a witness for lam in the xI coset of y, or None.
 
-    swap conjugates each grid by the exchange of the first two basis
-    vectors before the check, as _mirror_candidates needs.  The check is
-    exact: the matrix must satisfy the valuation pattern of the coset and
-    have slope sequence lam; a grid whose slopes cannot be decided is
-    skipped.
+    The check is exact: the matrix must satisfy the valuation pattern of
+    the coset and have slope sequence lam; a grid whose slopes cannot be
+    decided is skipped.
     """
     pattern = coset_pattern(y, "xI")
     for rows in grids:
-        W = IsoMatrix(_swap12(rows) if swap else rows)
+        W = IsoMatrix(rows)
         try:
             if pattern.contains(W) and slope_sequence(W) == lam:
                 return W
@@ -791,7 +758,7 @@ def witness(x: AffineWeylElt, lam, p: int = 11) -> IsoMatrix:
     for recipe, y, reflected in _normalizations(x):
         lam0 = psi_slopes(lam) if recipe.count("psi") % 2 else lam
         grids = _mirror_candidates(y, lam0, p) if reflected else _base_grids(y, lam0, p)
-        W = _verified(y, lam0, grids, reflected)
+        W = _verified(y, lam0, grids)
         if W is not None:
             for g in recipe:
                 W = phi_matrix(W) if g == "phi" else psi_matrix(W)
