@@ -162,6 +162,8 @@ def compose(x: AffineWeylElt, y: AffineWeylElt) -> AffineWeylElt:
 # -- alcove geometry ----------------------------------------------------------
 
 P0 = (Fraction(-5, 12), Fraction(-1, 12), Fraction(1, 2))
+# 12 * p0, so that 12 * x(p0) = 12 * mu + w(12 * p0) has integer coordinates
+_P0_12 = (-5, -1, 6)
 _POS_ROOTS = ((1, -1, 0), (0, 1, -1), (1, 0, -1))
 
 
@@ -206,8 +208,8 @@ class Chamber:
 
 
 def chamber_of(x: AffineWeylElt) -> Chamber:
-    """The s with x(p0) in s(C0)."""
-    u = x.act_point(P0)
+    """The s with x(p0) in s(C0), compared in integers as 12 * x(p0)."""
+    u = tuple(12 * m + c for m, c in zip(x.mu, _papply(x.w, _P0_12)))
     for name in W_NAMES:
         s = WORD_TO_PERM[name]
         if u[s[0]] < u[s[1]] < u[s[2]]:

@@ -28,16 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import TruncatedSeries, _check_modulus
+from .series import TruncatedSeries, _check_modulus, ceil_q
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq, slope_sequence
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
+    _BRANCH_ON_D,
     _first_branch,
+    _predicate_tests,
     poset_of,
     predicate_case,
     predicate_poset,
-    stratum_predicate,
 )
 
 __all__ = [
@@ -220,27 +221,46 @@ def _onset(pattern) -> int:
     return min(e.k for row in pattern.entries for e in row if e.kind != "zero")
 
 
-def _pattern_blocks(pattern, p, seed, ids, L, slot_base=0):
+def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0):
     """Exponent-major coefficient blocks for all 9 entries.
 
-    blocks[3*i+j] = (arr, onset), arr of shape (L, len(ids)) whose row t
-    holds the coefficient of pi^(g + t), g = _onset(pattern).  Rows below
-    the structural onset are zero; a zero entry has onset L.
+    patterns is one ValuationPattern for every column, or a sequence with
+    one pattern per column.  blocks[3*i+j] = (arr, onset), arr of shape
+    (L, len(ids)) whose row t holds the coefficient of pi^(g + t), g the
+    least onset of any column's pattern.  Rows below a column's own onset
+    are zero; onset is the least row any column fills, L where none does.
     """
-    g = _onset(pattern)
+    if isinstance(patterns, ValuationPattern):
+        distinct, which = [patterns], None
+    else:
+        index = {}
+        which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
+        distinct = list({id(q): q for q in patterns}.values())
+    g = min(_onset(q) for q in distinct)
+    flat = [[e for row in q.entries for e in row] for q in distinct]
     trials = _as_u64(ids).reshape(1, -1)
-    pu = np.uint64(p)
+    pu, pm = np.uint64(p), np.uint64(p - 1)
     out = []
-    for slot, entry in enumerate(e for row in pattern.entries for e in row):
+    for slot in range(9):
+        entries = [q[slot] for q in flat]
+        # per distinct pattern, the row of the entry's onset (L for none)
+        rows = [min(e.k - g, L) if e.kind != "zero" else L for e in entries]
+        lo = min(rows)
         arr = np.zeros((L, len(ids)), dtype=np.int64)
-        onset = min(entry.k - g, L) if entry.kind != "zero" else L
-        if onset < L:
-            exps = _as_u64(np.arange(entry.k, g + L, dtype=np.int64)).reshape(-1, 1)
+        if lo < L:
+            exps = _as_u64(np.arange(g + lo, g + L, dtype=np.int64)).reshape(-1, 1)
             raw = _raw_hash(seed, slot_base + slot, trials, exps)
-            arr[onset:] = raw % pu
-            if entry.kind == "exact":
-                arr[onset] = 1 + raw[0] % np.uint64(p - 1)
-        out.append((arr, onset))
+            arr[lo:] = raw % pu
+            if which is None:
+                if entries[0].kind == "exact":
+                    arr[lo] = 1 + raw[0] % pm
+            else:
+                rows = np.array(rows)[which]
+                arr[np.arange(L).reshape(-1, 1) < rows] = 0
+                exact = np.array([e.kind == "exact" for e in entries])[which]
+                lead = np.flatnonzero(exact & (rows < L))
+                arr[rows[lead], lead] = 1 + raw[rows[lead] - lo, lead] % pm
+        out.append((arr, lo))
     return out
 
 
@@ -304,7 +324,8 @@ def _lead_val(block, base):
 
 
 def _slopes_block(entries, g, p):
-    """Doubled slope triples (2*lam) for one block of samples.
+    """Doubled slope triples (2*lam) for one block of samples, and the
+    products (ae, bd, cg) that the predicate quantities read.
 
     The polygon of the characteristic polynomial gives, with v1 = val(trace)
     and v2 = val(sum of principal 2x2 minors) and val(det) = 0 (the closed
@@ -322,21 +343,23 @@ def _slopes_block(entries, g, p):
     def mul(x, y):
         return _conv(x, y, p, x[0].shape[0])
 
+    # the determinant first, so that its cofactors are freed before the
+    # products the caller keeps are formed
     ei, fh = mul(e, i), mul(f, h)
-    trace = _combine(p, [a, e, i])
-    minors = _combine(p, [mul(a, e), mul(a, i), ei], [mul(b, d), mul(c, g_), fh])
     cof_a = _combine(p, [ei], [fh])
     cof_b = _combine(p, [mul(d, i)], [mul(f, g_)])
     cof_c = _combine(p, [mul(d, h)], [mul(e, g_)])
     det = _combine(p, [mul(a, cof_a), mul(c, cof_c)], [mul(b, cof_b)])
-
-    v_tr = _lead_val(trace, g)
-    v_mi = _lead_val(minors, 2 * g)
     if not bool(np.all(_lead_val(det, 3 * g) == 0)):
         raise ArithmeticError("sampled determinant is not a unit; kernel inconsistency")
+    del cof_a, cof_b, cof_c, det
+
+    ae, bd, cg = mul(a, e), mul(b, d), mul(c, g_)
+    v_tr = _lead_val(_combine(p, [a, e, i]), g)
+    v_mi = _lead_val(_combine(p, [ae, mul(a, i), ei], [bd, cg, fh]), 2 * g)
     two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
     two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
-    return two_l1, two_l3n - two_l1, -two_l3n
+    return (two_l1, two_l3n - two_l1, -two_l3n), (ae, bd, cg)
 
 
 def _encode(t1, t2, t3):
@@ -354,7 +377,8 @@ def _poset_range(x: AffineWeylElt, mode, p, seed, lo, hi):
     ids = np.arange(lo, hi, dtype=np.int64)
     for start in range(0, ids.size, BLOCK):
         entries, g = _sample_blocks(x, mode, p, seed, ids[start : start + BLOCK])
-        codes, n = np.unique(_encode(*_slopes_block(entries, g, p)), return_counts=True)
+        slopes, _ = _slopes_block(entries, g, p)
+        codes, n = np.unique(_encode(*slopes), return_counts=True)
         for code, cnt in zip(codes.tolist(), n.tolist()):
             counts[code] = counts.get(code, 0) + cnt
     return counts
@@ -706,22 +730,9 @@ class CampaignReport:
         }
 
 
-def predicate_campaign(
-    bound: int = 4,
-    trials_per_case: int = 1000,
-    p: int = 11,
-    seed: int = 0,
-    cases=None,
-) -> CampaignReport:
-    """Compare every covered closed-form stratum test with sampled truth.
-
-    For each grid element with a direct case, each slope in its described
-    poset, and each sampled matrix from the case pattern, asserts
-    stratum_predicate(x, lam, A) == slope_leq(slope_sequence(A), lam).
-    The first 20 mismatching matrices are reported verbatim.  Draws are at the
-    SampleConfig floor, where both sides are always decided; an
-    InsufficientPrecision would be a bug and propagates.
-    """
+def _campaign_groups(bound, p, seed, cases):
+    """tag -> [(x, lam, cfg)] over every covered pair of the grid, in grid
+    order; cfg samples x's case pattern."""
     groups = {}
     for x in enumerate_grid(bound):
         try:
@@ -736,40 +747,106 @@ def predicate_campaign(
             if case not in ("VIA", "IVA"):
                 tag += "-i" if _first_branch(case, x.mu, lam) else "-ii"
             groups.setdefault(tag, []).append((x, lam, cfg))
+    return groups
 
-    # each lam of an x sees the same draws: (x, rep) -> (A, slopes), drawn
-    # once per call
-    draws = {}
 
-    def draw(x, cfg, rep):
-        key = (x, rep)
-        if key not in draws:
-            A = sample_pattern(cfg, rep)
-            draws[key] = A, slope_sequence(A)
-        return draws[key]
+# the slot of d = A[1, 0], the entry IIIA at mu2 + 1 = mu3 branches on
+_D_SLOT = 3
 
+
+def _zero_to_precision(cfg, slot, ids):
+    """Per trial id, whether entry slot of that draw of cfg vanishes at every
+    exponent below cfg.prec, as is_zero_to_precision reads sample_pattern's
+    draw; the block window can be shorter or longer than that range."""
+    entry = cfg.pattern.entries[slot // 3][slot % 3]
+    if entry.kind != "min":
+        return np.full(len(ids), entry.kind == "zero")
+    exps = _as_u64(np.arange(entry.k, cfg.prec, dtype=np.int64)).reshape(-1, 1)
+    raw = _raw_hash(cfg.seed, slot, _as_u64(ids).reshape(1, -1), exps)
+    return ~(raw % np.uint64(cfg.p)).astype(bool).any(axis=0)
+
+
+def _campaign_verdicts(groups, trials_per_case, p, seed):
+    """Every campaign draw evaluated on one block of the bulk kernel.
+
+    The columns are the trial ids 0 .. n-1 of each x, n the most reps any
+    of its pairs needs, each column drawn from its own x's case pattern.
+    Yields (tag, x, lam, cfg, predicted, slopes) per pair in campaign
+    order: the verdicts of the closed-form tests and the doubled slope
+    triples of its reps 0 .. share-1.
+    """
+    shares = {tag: max(1, trials_per_case // len(pairs)) for tag, pairs in groups.items()}
+    reps, cfgs = {}, {}
+    for tag, pairs in groups.items():
+        for x, _, cfg in pairs:
+            reps[x], cfgs[x] = max(shares[tag], reps.get(x, 0)), cfg
+    start, ids, patterns = {}, [], []
+    for x, n in reps.items():
+        start[x] = len(patterns)
+        ids.append(np.arange(n, dtype=np.int64))
+        patterns += [cfgs[x].pattern] * n
+    g = min(_onset(cfg.pattern) for cfg in cfgs.values())
+    entries = _pattern_blocks(patterns, p, seed, np.concatenate(ids), 1 - 3 * g)
+    slopes, (ae, bd, cg) = _slopes_block(entries, g, p)
+    slopes = np.stack(slopes)
+    vals = {
+        "a": _lead_val(entries[0], g),
+        "ae-bd": _lead_val(_combine(p, [ae], [bd]), 2 * g),
+        "db+gc": _lead_val(_combine(p, [bd, cg]), 2 * g),
+    }
+
+    def valuations(q, x, cfg, n):
+        cut = slice(start[x], start[x] + n)
+        if q == _BRANCH_ON_D:
+            d_zero = _zero_to_precision(cfg, _D_SLOT, np.arange(n, dtype=np.int64))
+            return np.where(d_zero, vals["ae-bd"][cut], vals["db+gc"][cut])
+        return vals[q][cut]
+
+    for tag in sorted(groups):
+        n = shares[tag]
+        for x, lam, cfg in groups[tag]:
+            predicted = np.ones(n, dtype=bool)
+            for q, t in _predicate_tests(x, lam):
+                predicted &= valuations(q, x, cfg, n) >= ceil_q(t)
+            yield tag, x, lam, cfg, predicted, slopes[:, start[x] : start[x] + n]
+
+
+def predicate_campaign(
+    bound: int = 4,
+    trials_per_case: int = 1000,
+    p: int = 11,
+    seed: int = 0,
+    cases=None,
+) -> CampaignReport:
+    """Compare every covered closed-form stratum test with sampled truth.
+
+    For each grid element with a direct case, each slope in its described
+    poset, and each sampled matrix from the case pattern, asserts that the
+    closed-form tests of stratum_predicate(x, lam, A) agree with
+    slope_leq(slope_sequence(A), lam).  Every draw is evaluated on one block
+    of the bulk kernel, which reads the slopes and the valuations of a,
+    ae - bd and db + gc from the same products; the draws are those of
+    sample_pattern, trial id for trial id.  The first 20 mismatching
+    matrices are drawn again by sample_pattern and reported verbatim.
+    """
+    groups = _campaign_groups(bound, p, seed, cases)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()
-    for tag in sorted(groups):
-        pairs = groups[tag]
-        share = max(1, trials_per_case // len(pairs))
-        stats = {"pairs": len(pairs), "trials": len(pairs) * share, "mismatches": 0}
-        for x, lam, cfg in pairs:
-            for rep in range(share):
-                A, slopes = draw(x, cfg, rep)
-                predicted = stratum_predicate(x, lam, A)
-                actual = slope_leq(slopes, lam)
-                if predicted != actual:
-                    stats["mismatches"] += 1
-                    if len(report.mismatches) < _MAX_MISMATCHES:
-                        report.mismatches.append(
-                            {
-                                "x": str(x), "lam": str(lam), "index": rep,
-                                "predicate": predicted, "sampled": str(actual),
-                                "matrix": _matrix_text(A),
-                            }
-                        )
-        report.cases[tag] = stats
-        report.trials_total += stats["trials"]
+    for tag, x, lam, cfg, predicted, slopes in _campaign_verdicts(groups, trials_per_case, p, seed):
+        st = report.cases.setdefault(tag, {"pairs": len(groups[tag]), "trials": 0, "mismatches": 0})
+        st["trials"] += predicted.size
+        # slope_leq(slopes, lam) on doubled slopes: lam1 and lam1 + lam2 = -lam3 bound them
+        actual = (slopes[0] <= math.floor(2 * lam.lam1)) & (slopes[2] >= ceil_q(2 * lam.lam3))
+        wrong = np.flatnonzero(predicted != actual)
+        st["mismatches"] += wrong.size
+        for rep in wrong[: _MAX_MISMATCHES - len(report.mismatches)].tolist():
+            report.mismatches.append(
+                {
+                    "x": str(x), "lam": str(lam), "index": rep,
+                    "predicate": bool(predicted[rep]), "sampled": str(bool(actual[rep])),
+                    "matrix": _matrix_text(sample_pattern(cfg, rep)),
+                }
+            )
+    report.trials_total = sum(st["trials"] for st in report.cases.values())
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report

@@ -77,14 +77,24 @@ def _check_modulus(p: int) -> None:
 
 
 def _convolve_mod(a, b, p: int) -> np.ndarray:
-    """Full convolution of two residue arrays, reduced mod p, exact.
+    """Full convolution of two residue arrays, reduced mod p, exact in int64.
 
-    Stays in int64 while no sum of min(len) products of residues can
-    overflow, and falls back to Python integers (object dtype) otherwise.
+    One np.convolve while no sum of min(len) products of residues can
+    overflow.  Otherwise shift-and-add over the shorter operand, reducing
+    every ((1<<63) - p) // (p-1)**2 shifts, so no entry passes 2**63 - 1
+    whenever (p-1)**2 + p < 2**63 (as _check_modulus demands).
     """
     if min(a.size, b.size) * (p - 1) ** 2 < _INT64_BOUND:
         return np.convolve(a, b) % p
-    return (np.convolve(a.astype(object), b.astype(object)) % p).astype(np.int64)
+    if a.size < b.size:
+        a, b = b, a
+    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
+    step = (_INT64_BOUND - p) // (p - 1) ** 2
+    for k in range(b.size):
+        if k and k % step == 0:
+            out %= p
+        out[k : k + a.size] += b[k] * a
+    return out % p
 
 
 # the coefficient array of every series that is zero to its precision

@@ -445,7 +445,10 @@ def predicate_poset(x: AffineWeylElt) -> StrataPoset:
     strata of x'I' for x' = pi^(mu2,mu1,mu3) s1 s2, whose poset can differ
     from N(G)_x.
     """
-    case, _ = predicate_case(x)
+    return _described_poset(x, predicate_case(x)[0])
+
+
+def _described_poset(x: AffineWeylElt, case: str) -> StrataPoset:
     if case == "IIB":
         return poset_of(AffineWeylElt.from_parts((x.mu[1], x.mu[0], x.mu[2]), "s12"))
     return poset_of(x)
@@ -457,6 +460,18 @@ def _minor_ae_bd(A: IsoMatrix):
 
 def _db_plus_gc(A: IsoMatrix):
     return A[1, 0] * A[0, 1] + A[2, 0] * A[0, 2]
+
+
+# IIIA at mu2 + 1 = mu3 reads ae - bd where d = A[1, 0] vanishes to
+# precision and db + gc elsewhere
+_BRANCH_ON_D = "ae-bd if d=0 else db+gc"
+# the entry or combination each closed-form test reads off a matrix A
+_QUANTITIES = {
+    "a": lambda A: A[0, 0],
+    "ae-bd": _minor_ae_bd,
+    "db+gc": _db_plus_gc,
+    _BRANCH_ON_D: lambda A: (_minor_ae_bd if A[1, 0].is_zero_to_precision() else _db_plus_gc)(A),
+}
 
 
 def _first_branch(case: str, mu, lam: SlopeSeq) -> bool:
@@ -472,29 +487,38 @@ def _first_branch(case: str, mu, lam: SlopeSeq) -> bool:
     return lam.lam3 <= threshold
 
 
+def _predicate_tests(x: AffineWeylElt, lam: SlopeSeq):
+    """The closed-form description of the closed stratum of lam in x's case.
+
+    A tuple of (quantity, threshold) tests, quantity a key of _QUANTITIES:
+    A lies in the closed stratum exactly when every quantity is in
+    P^threshold, that is has valuation >= ceil(threshold).  The empty
+    tuple passes every A.
+    """
+    case, _ = predicate_case(x)
+    if lam not in _described_poset(x, case):
+        raise CaseNotApplicable(f"{lam} not in the poset described for x = {x}")
+    mu = x.mu
+    if case == "VIA":
+        return ()
+    a_test = ("a", -lam.lam1)
+    if case == "IVA":
+        return (a_test,)
+    first = _first_branch(case, mu, lam)
+    if case == "VA":
+        return () if first else (("ae-bd", lam.lam3),)
+    if case == "IIIA" and mu[1] + 1 == mu[2]:
+        return (a_test, (_BRANCH_ON_D, lam.lam3))
+    return (a_test, ("ae-bd" if first else "db+gc", lam.lam3))
+
+
 def stratum_predicate(x: AffineWeylElt, lam: SlopeSeq, A: IsoMatrix) -> bool:
     """Entrywise valuation test for membership in the closed stratum of lam.
 
     A must lie in the coset pattern named by predicate_case(x); equivalent to
     slope_sequence(A) <= lam there.
     """
-    case, _ = predicate_case(x)
-    if lam not in predicate_poset(x):
-        raise CaseNotApplicable(f"{lam} not in the poset described for x = {x}")
-    mu = x.mu
-    if case == "VIA":
-        return True
-    if case == "IVA":
-        return A[0, 0].in_P(-lam.lam1)
-    first = _first_branch(case, mu, lam)
-    if case == "VA":
-        return first or _minor_ae_bd(A).in_P(lam.lam3)
-    if case == "IIIA" and mu[1] + 1 == mu[2]:
-        second = _minor_ae_bd if A[1, 0].is_zero_to_precision() else _db_plus_gc
-        return A[0, 0].in_P(-lam.lam1) and second(A).in_P(lam.lam3)
-    if not A[0, 0].in_P(-lam.lam1):
-        return False
-    return (_minor_ae_bd if first else _db_plus_gc)(A).in_P(lam.lam3)
+    return all(_QUANTITIES[q](A).in_P(t) for q, t in _predicate_tests(x, lam))
 
 
 # -- affine Deligne-Lusztig non-emptiness --------------------------------------

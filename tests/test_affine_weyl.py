@@ -6,6 +6,9 @@ import pytest
 from newton_strata.series import INF, TruncatedSeries
 from newton_strata.isocrystal import SlopeSeq, slope_sequence
 from newton_strata.affine_weyl import (
+    P0,
+    W_NAMES,
+    WORD_TO_PERM,
     AffineWeylElt,
     PatternUndefined,
     chamber_of,
@@ -96,6 +99,18 @@ class TestChambers:
     def test_psi_transports_chambers(self):
         for x in enumerate_grid(2):
             assert chamber_of(psi(x)).name == chamber_of(x).apply_psi().name
+
+    def test_integer_chambers_match_the_rational_base_point(self):
+        # the definition: the s with x(p0) in s(C0), read off act_point(P0)
+        # in Fractions, where chamber_of compares 12 * x(p0) in integers
+        def by_fractions(x):
+            u = x.act_point(P0)
+            return next(s for s in W_NAMES if u[WORD_TO_PERM[s][0]] < u[WORD_TO_PERM[s][1]] < u[WORD_TO_PERM[s][2]])
+
+        grid = enumerate_grid(12)
+        assert len(grid) == 2814
+        for x in grid:
+            assert chamber_of(x).weyl_label == WORD_TO_PERM[by_fractions(x)], x
 
 
 class TestSymmetries:

@@ -220,10 +220,11 @@ class TestCampaignAndTables:
         from newton_strata import empirics
         from newton_strata.series import InsufficientPrecision
 
-        def undecided(A):
+        def undecided(*args):
             raise InsufficientPrecision("forced")
 
-        monkeypatch.setattr(empirics, "slope_sequence", undecided)
+        # the campaign reads every draw off the bulk slope kernel
+        monkeypatch.setattr(empirics, "_slopes_block", undecided)
         code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "5")
         assert code == 3 and "precision error" in err
 

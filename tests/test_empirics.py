@@ -6,11 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from newton_strata import empirics
+from newton_strata import empirics, strata
 from newton_strata.isocrystal import SlopeSeq, slope_leq, slope_sequence
 from newton_strata.series import InsufficientPrecision
 from newton_strata.affine_weyl import AffineWeylElt, coset_pattern, enumerate_grid
-from newton_strata.strata import poset_of
+from newton_strata.strata import poset_of, stratum_predicate
 from newton_strata.empirics import (
     _conv,
     _decode,
@@ -327,9 +327,12 @@ class TestEstimators:
     def test_undecided_draws_raise_instead_of_being_counted(self, monkeypatch):
         # every draw is decided at the SampleConfig floor, so an undecided
         # one is a bug: campaign and kappa check must not swallow it
-        def undecided(A):
+        def undecided(*args):
             raise InsufficientPrecision("forced")
 
+        # the campaign reads every draw off the bulk slope kernel, the kappa
+        # check off slope_sequence
+        monkeypatch.setattr(empirics, "_slopes_block", undecided)
         monkeypatch.setattr(empirics, "slope_sequence", undecided)
         with pytest.raises(InsufficientPrecision):
             predicate_campaign(bound=1, trials_per_case=5, seed=7)
@@ -342,3 +345,105 @@ class TestEstimators:
         assert set(rep.cases) == {"VIA"}
         assert not rep.mismatches
         json.dumps(rep.to_json())
+
+
+# the campaign of the block differential below: bound 3, 200 trials per case
+# tag, seed 0 (1961 trials); sha256 of its report JSON without elapsed_ms,
+# keys sorted, recorded when every draw still ran the scalar path
+CAMPAIGN_DIGESTS = {
+    2: "117b18ee18a1279fd23e4f499fbb3ad4b75e5d4c56fc76d2f10977b184e80b49",
+    11: "1c818dd3666bf92d1b408387ee75d96fe30b8e7ae85d3e7e4f272a694e7f6300",
+    2**31 - 1: "09e0b573d69aa7df1cf7c3f0256b8a378041fc14c4e8a2d39ec04b954c7331df",
+}
+
+
+class TestCampaignBlocks:
+    """The campaign's block verdicts against the scalar path, draw by draw:
+    the scalar path as a batch of one."""
+
+    @pytest.mark.parametrize("p", sorted(CAMPAIGN_DIGESTS))
+    def test_block_verdicts_and_slopes_equal_the_scalar_draws(self, p):
+        draws = {}
+        n = 0
+        groups = empirics._campaign_groups(3, p, 0, None)
+        for _, x, z, cfg, predicted, slopes in empirics._campaign_verdicts(groups, 200, p, 0):
+            for rep in range(predicted.size):
+                if (x, rep) not in draws:
+                    A = sample_pattern(cfg, rep)
+                    draws[x, rep] = A, slope_sequence(A)
+                A, nu = draws[x, rep]
+                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(x), str(z), rep)
+                assert tuple(slopes[:, rep].tolist()) == tuple(int(2 * v) for v in nu.as_tuple()), (str(x), rep)
+                n += 1
+        assert n == 1961
+
+    @pytest.mark.parametrize("p", sorted(CAMPAIGN_DIGESTS))
+    def test_reports_keep_their_recorded_digest(self, p):
+        doc = predicate_campaign(bound=3, trials_per_case=200, p=p, seed=0).to_json()
+        doc.pop("elapsed_ms")
+        assert doc["ok"] and doc["trials_total"] == 1961
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == CAMPAIGN_DIGESTS[p]
+
+    def test_iiia_branch_reads_d_to_the_draws_precision(self, monkeypatch):
+        # IIIA at mu2 + 1 = mu3 branches on d = A[1, 0] vanishing to the
+        # SampleConfig precision, a range that the campaign window neither
+        # matches nor covers.  At mu=-3,1,2;w=s121 d starts at pi^2 and the
+        # precision is 20, while v(db + gc) = -1 and v(ae - bd) >= -1, so a
+        # lone threshold 0 on the branch quantity passes exactly the draws
+        # with d zero to precision and v(ae) >= 0.  The IIIA block has base
+        # g = -3 and rows -3 .. 6, and at p = 2 about one draw in 32 has d
+        # zero there but not to precision: those must fail, as they do on
+        # the scalar draw
+        table = strata._predicate_tests
+
+        def branch_only(x, lam):
+            return tuple((q, 0) for q, _ in table(x, lam) if q == strata._BRANCH_ON_D)
+
+        monkeypatch.setattr(strata, "_predicate_tests", branch_only)
+        monkeypatch.setattr(empirics, "_predicate_tests", branch_only)
+        x = X("mu=-3,1,2;w=s121")
+        groups = empirics._campaign_groups(3, 2, 0, {"IIIA"})
+        window_only = 0
+        for _, y, z, cfg, predicted, _ in empirics._campaign_verdicts(groups, 4400, 2, 0):
+            if y != x:
+                continue
+            for rep in range(predicted.size):
+                A = sample_pattern(cfg, rep)
+                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(z), rep)
+                window_only += A[1, 0].val_lower_bound() in range(7, cfg.prec)
+        assert window_only > 0
+
+    @pytest.mark.parametrize("case, p, count", [("VA", 11, 14), ("IIB", 2, 45)])
+    def test_flipped_case_reports_every_mismatch_verbatim(self, monkeypatch, case, p, count):
+        # swap the two minors in one case's tests; the campaign must report
+        # the scalar draws of exactly the pairs and reps where the flipped
+        # tests and the slopes disagree, first 20 in campaign order
+        table = strata._predicate_tests
+        swap = {"ae-bd": "db+gc", "db+gc": "ae-bd"}
+
+        def flipped(x, lam):
+            return tuple((swap.get(q, q), t) for q, t in table(x, lam))
+
+        monkeypatch.setattr(strata, "_predicate_tests", flipped)
+        monkeypatch.setattr(empirics, "_predicate_tests", flipped)
+        report = predicate_campaign(bound=3, trials_per_case=200, p=p, seed=0, cases={case})
+
+        expected = []
+        groups = empirics._campaign_groups(3, p, 0, {case})
+        for tag in sorted(groups):
+            share = max(1, 200 // len(groups[tag]))
+            for x, z, cfg in groups[tag]:
+                for rep in range(share):
+                    A = sample_pattern(cfg, rep)
+                    predicted = stratum_predicate(x, z, A)
+                    actual = slope_leq(slope_sequence(A), z)
+                    if predicted != actual:
+                        expected.append({
+                            "x": str(x), "lam": str(z), "index": rep,
+                            "predicate": predicted, "sampled": str(actual),
+                            "matrix": empirics._matrix_text(A),
+                        })
+        assert len(expected) == count
+        assert sum(st["mismatches"] for st in report.cases.values()) == count
+        assert report.mismatches == expected[:20]
+        assert not report.ok

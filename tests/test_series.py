@@ -1,6 +1,7 @@
 """Truncated Laurent series over GF(p): arithmetic, valuations, precision."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from newton_strata.series import (
     INF,
     InsufficientPrecision,
     TruncatedSeries,
+    _convolve_mod,
     _is_prime,
     ceil_q,
 )
@@ -205,6 +207,21 @@ class TestLargePrimes:
                 for k in range(len(a) + len(b) - 1)
             }
             assert prod.terms() == [(k, c) for k, c in sorted(expect.items()) if c]
+
+    @pytest.mark.parametrize("p", [BIG, 3037000493])
+    def test_long_convolutions_match_python_integers(self, p, rng):
+        # past the single np.convolve range, shift-and-add reduces every
+        # ((1<<63) - p) // (p-1)**2 shifts: 2 at 2**31 - 1, 1 at 3037000493
+        for n, m in ((3, 3), (3, 8), (7, 4), (16, 16), (29, 5)):
+            for worst in (True, False):
+                a = [p - 1] * n if worst else [int(c) for c in rng.integers(0, p, size=n)]
+                b = [p - 1] * m if worst else [int(c) for c in rng.integers(0, p, size=m)]
+                expect = [
+                    sum(a[i] * b[k - i] for i in range(n) if 0 <= k - i < m) % p
+                    for k in range(n + m - 1)
+                ]
+                got = _convolve_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+                assert got.dtype == np.int64 and got.tolist() == expect, (n, m, worst)
 
     def test_rejects_primes_whose_residue_products_overflow(self):
         # int64 residue products (first) and sums (second) overflow here
