@@ -231,35 +231,34 @@ def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0):
     are zero; onset is the least row any column fills, L where none does.
     """
     if isinstance(patterns, ValuationPattern):
-        distinct, which = [patterns], None
+        distinct, which = [patterns], np.zeros(len(ids), dtype=np.intp)
     else:
         index = {}
         which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
         distinct = list({id(q): q for q in patterns}.values())
     g = min(_onset(q) for q in distinct)
+    # per slot and distinct pattern, the row of the entry's onset (L for a
+    # zero entry) and the same row where the entry is exact (L otherwise)
     flat = [[e for row in q.entries for e in row] for q in distinct]
+    rows = [[min(q[s].k - g, L) if q[s].kind != "zero" else L for q in flat] for s in range(9)]
+    leads = [[r if q[s].kind == "exact" else L for q, r in zip(flat, rows[s])] for s in range(9)]
     trials = _as_u64(ids).reshape(1, -1)
     pu, pm = np.uint64(p), np.uint64(p - 1)
     out = []
     for slot in range(9):
-        entries = [q[slot] for q in flat]
-        # per distinct pattern, the row of the entry's onset (L for none)
-        rows = [min(e.k - g, L) if e.kind != "zero" else L for e in entries]
-        lo = min(rows)
+        lo, hi = min(rows[slot]), max(rows[slot])
         arr = np.zeros((L, len(ids)), dtype=np.int64)
         if lo < L:
             exps = _as_u64(np.arange(g + lo, g + L, dtype=np.int64)).reshape(-1, 1)
             raw = _raw_hash(seed, slot_base + slot, trials, exps)
             arr[lo:] = raw % pu
-            if which is None:
-                if entries[0].kind == "exact":
-                    arr[lo] = 1 + raw[0] % pm
-            else:
-                rows = np.array(rows)[which]
-                arr[np.arange(L).reshape(-1, 1) < rows] = 0
-                exact = np.array([e.kind == "exact" for e in entries])[which]
-                lead = np.flatnonzero(exact & (rows < L))
-                arr[rows[lead], lead] = 1 + raw[rows[lead] - lo, lead] % pm
+            # rows below a column's own onset are zero, an exact lead a unit
+            if hi > lo:
+                below = np.arange(lo, hi).reshape(-1, 1) < np.array(rows[slot])[which]
+                arr[lo:hi][below] = 0
+            for r in set(leads[slot]) - {L}:
+                cols = (np.array(leads[slot]) == r)[which]
+                np.copyto(arr[r], 1 + raw[r - lo] % pm, where=cols)
         out.append((arr, lo))
     return out
 
@@ -780,6 +779,8 @@ def _campaign_verdicts(groups, trials_per_case, p, seed):
     for tag, pairs in groups.items():
         for x, _, cfg in pairs:
             reps[x], cfgs[x] = max(shares[tag], reps.get(x, 0)), cfg
+    if not reps:
+        return
     start, ids, patterns = {}, [], []
     for x, n in reps.items():
         start[x] = len(patterns)

@@ -216,6 +216,12 @@ class TestCampaignAndTables:
         doc = json.loads(out)
         assert doc["ok"] is True and not doc["mismatches"]
 
+    def test_campaign_with_no_matching_case_prints_an_empty_report(self, capsys):
+        # a case tag is not a case name; nothing matches, nothing fails
+        code, out, _ = run(capsys, "campaign", "--bound", "2", "--cases", "IIA-i")
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "total trials: 0   ok: True"
+
     def test_campaign_undecided_draw_exits_precision(self, capsys, monkeypatch):
         from newton_strata import empirics
         from newton_strata.series import InsufficientPrecision

@@ -346,6 +346,11 @@ class TestEstimators:
         assert not rep.mismatches
         json.dumps(rep.to_json())
 
+    def test_campaign_with_no_matching_case_is_empty(self):
+        rep = predicate_campaign(bound=1, trials_per_case=40, seed=7, cases={"nope"})
+        assert rep.ok and rep.trials_total == 0
+        assert rep.cases == {} and rep.mismatches == []
+
 
 # the campaign of the block differential below: bound 3, 200 trials per case
 # tag, seed 0 (1961 trials); sha256 of its report JSON without elapsed_ms,
