@@ -13,7 +13,9 @@ determinant come from exact truncated convolution mod p, reduced often
 enough that no int64 sum overflows for any prime with (p-1)**2 + p <
 2**63 (SampleConfig rejects larger ones).  As val(det) = 0, valuations
 above 0 cannot move the Newton polygon, so the window pi^g .. pi^(-2g)
-pins every slope sequence exactly, with no retry.
+pins every slope sequence exactly, with no retry.  Histograms, predicate
+campaigns and kappa_check all run on it; I * xI samples and kappa_check's
+conjugates are 3x3 products of blocks (_matmul_blocks).
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: the
@@ -21,16 +23,17 @@ scalar sample_pattern/sample_ixi draw the same matrices, and histograms
 do not depend on how trials are split across workers.
 """
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .series import TruncatedSeries, _check_modulus, ceil_q
-from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq, slope_sequence
-from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
+from .series import InsufficientPrecision, TruncatedSeries, _check_modulus, ceil_q
+from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq
+from .affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from .strata import (
     CaseNotApplicable,
     _BRANCH_ON_D,
@@ -292,6 +295,11 @@ def _combine(p, plus, minus=()):
     return acc % p, min(o for _, o in (*plus, *minus))
 
 
+def _matmul_blocks(X, Y, p, L):
+    """The 3x3 product X @ Y of two matrices of blocks, entries row by row."""
+    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, L) for k in range(3)]) for i in range(3) for j in range(3)]
+
+
 def _sample_blocks(x, mode, p, seed, ids):
     """Entry blocks of the sampled xI (or I * xI) matrices and their base g.
 
@@ -307,12 +315,7 @@ def _sample_blocks(x, mode, p, seed, ids):
     L = 1 - 3 * g
     U = _pattern_blocks(ipat, p, seed, ids, L, slot_base=0)
     M = _pattern_blocks(xpat, p, seed, ids, L, slot_base=9)
-    blocks = [
-        _combine(p, [_conv(U[3 * i + k], M[3 * k + j], p, L) for k in range(3)])
-        for i in range(3)
-        for j in range(3)
-    ]
-    return blocks, g
+    return _matmul_blocks(U, M, p, L), g
 
 
 def _lead_val(block, base):
@@ -549,25 +552,11 @@ def estimate_codim(
 def _unipotent_rows(x: AffineWeylElt, which: str):
     """Lower-unipotent sampling spec ("one" | "zero" | min-valuation k)."""
     m1, m2, m3 = x.mu
-    if which == "K1":
-        return (
-            ("one", "zero", "zero"),
-            (m2 - m1, "one", "zero"),
-            (m3 - m1, m3 - m2, "one"),
-        )
-    if which == "K2":
-        return (
-            ("one", "zero", "zero"),
-            (m2 - m1, "one", "zero"),
-            (m3 - m1 + 1, "zero", "one"),
-        )
-    if which == "K3":
-        return (
-            ("one", "zero", "zero"),
-            ("zero", "one", "zero"),
-            (m3 - m1 + 1, m3 - m2, "one"),
-        )
-    raise ValueError(f"no unipotent complement recorded for {which!r}")
+    below = {"K1": (m2 - m1, m3 - m1, m3 - m2), "K2": (m2 - m1, m3 - m1 + 1, "zero"), "K3": ("zero", m3 - m1 + 1, m3 - m2)}
+    if which not in below:
+        raise ValueError(f"no unipotent complement recorded for {which!r}")
+    d, g, h = below[which]
+    return (("one", "zero", "zero"), (d, "one", "zero"), (g, h, "one"))
 
 
 def _sample_unipotent(p, rows, prec, seed, index, slot_base) -> IsoMatrix:
@@ -577,6 +566,64 @@ def _sample_unipotent(p, rows, prec, seed, index, slot_base) -> IsoMatrix:
     drawn = iter(_draw(p, seed, index, prec, specs))
     flat = [fixed[spec] if isinstance(spec, str) else next(drawn) for spec in flat]
     return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
+
+
+def _unipotent_blocks(rows, p, seed, ids, L):
+    """Blocks of _sample_unipotent's draws (slot_base 9) with base 0: ones
+    at the row of pi^0, each min entry (k >= 0) hashed from row k on."""
+    out = []
+    for s, spec in enumerate(spec for row in rows for spec in row):
+        arr, lo = np.zeros((L, len(ids)), dtype=np.int64), L
+        if spec == "one":
+            arr[0], lo = 1, 0
+        elif spec != "zero" and spec < L:
+            exps = _as_u64(np.arange(spec, L, dtype=np.int64)).reshape(-1, 1)
+            arr[spec:], lo = _raw_hash(seed, 9 + s, _as_u64(ids).reshape(1, -1), exps) % np.uint64(p), spec
+        out.append((arr, lo))
+    return out
+
+
+def _passes(checks, n):
+    """Per column, whether block / pi^shift meets entry for every (entry,
+    block, base, shift) check, read as a short-circuit `and`: a column zero
+    in the window reads its horizon, and one that leaves the check open raises."""
+    ok = np.ones(n, dtype=bool)
+    for entry, block, base, shift in checks:
+        v, hidden = _lead_val(block, base) - shift, ~block[0].any(axis=0)
+        passed = {"zero": hidden, "min": v >= entry.k, "exact": v == entry.k}[entry.kind]
+        undecided = hidden & (v < entry.k + (entry.kind == "exact")) & (entry.kind != "zero")
+        if np.any(ok & undecided):
+            raise InsufficientPrecision("the block window does not decide a kappa test")
+        ok &= passed
+    return ok
+
+
+def _k1_inverse_passes(x, kpat, acfg, ids):
+    """Per trial id, whether the explicit K1 inverse of acfg's draw A passes.
+
+    With D = ce - bf, J = cD j and Jt = cD j^-1 are polynomial in A and
+    j A j^-1 = J A Jt / (cD)^2.  The window is the draw's range pi^g ..
+    pi^(prec-1), where c or D zero is undecided, as its inverse is."""
+    p, g, (m1, m2, m3) = acfg.p, _onset(acfg.pattern), x.mu
+    L = acfg.prec - g
+    A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, L)
+    _, b, c, _, e, f, _, h, i = A
+    mul = functools.partial(_conv, p=p, L=L)
+    D, bi_ch, ei_fh = (_combine(p, [mul(u, v)], [mul(y, z)]) for u, v, y, z in ((c, e, b, f), (b, i, c, h), (e, i, f, h)))
+    if not (c[0].any(axis=0).all() and D[0].any(axis=0).all()):
+        raise InsufficientPrecision("c or ce - bf is zero to precision; cannot invert")
+    zero = (np.zeros_like(c[0]), L)
+    # cD d' = -fD, cD h' = c(bi - ch) and cD g' = -c(ei - fh); cD (d'h' - g') = iD
+    cD, fD, iD, c_h, c_g = (mul(u, v) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
+    J = [cD, zero, zero, _combine(p, [zero], [fD]), cD, zero, _combine(p, [zero], [c_g]), c_h, cD]
+    Jt = [cD, zero, zero, fD, cD, zero, iD, _combine(p, [zero], [c_h]), cD]
+    N = _matmul_blocks(_matmul_blocks(J, A, p, L), Jt, p, L)
+    v_c, v_D = _lead_val(c, g), _lead_val(D, 2 * g)
+    # v(d') = v(f) - v(c), v(h') = v(bi - ch) - v(D), v(g') = v(ei - fh) - v(D)
+    checks = [(PatternEntry("min", m2 - m1), f, g, v_c), (PatternEntry("min", m3 - m2), bi_ch, 2 * g, v_D),
+              (PatternEntry("min", m3 - m1), ei_fh, 2 * g, v_D)]
+    checks += [(e, blk, 7 * g, 2 * (v_c + v_D)) for e, blk in zip((e for row in kpat.entries for e in row), N)]
+    return _passes(checks, len(ids))
 
 
 @dataclass
@@ -599,25 +646,11 @@ class KappaReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "which": self.which,
-            "trials": self.trials,
-            "passes": self.passes,
-            "identity_ok": self.identity_ok,
-            "inverse_passes": self.inverse_passes,
-            "inverse_trials": self.inverse_trials,
-            "failures": self.failures[:10],
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {**asdict(self), "failures": self.failures[:10], "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def _matrix_text(A: IsoMatrix):
     return [[A[i, j].to_text() for j in range(3)] for i in range(3)]
-
-
-def _same_matrix(A: IsoMatrix, B: IsoMatrix) -> bool:
-    return all(A[i, j] == B[i, j] for i in range(3) for j in range(3))
 
 
 def kappa_check(
@@ -631,13 +664,16 @@ def kappa_check(
 
     For j in the unipotent complement and k in the reduced pattern, the
     element j^-1 k sigma(j) = j^-1 k j (sigma is the identity on F) must
-    lie in the xI pattern with the same slope sequence as k.  For K1 the
-    explicit inverse (d' = -f/c, h' = (bi - ch)/(ce - bf),
-    g' = -((i + f h')/c)) is exercised as well: it must produce a
-    complement element j with j A j^-1 back in the reduced pattern.
-    Draws are at the SampleConfig floor of the k and j patterns, where
-    every test is decided; an InsufficientPrecision would be a bug and
-    propagates.
+    lie in the xI pattern with the same slope sequence as k (and the first
+    32 k must survive conjugation by 1).  For K1 the explicit inverse
+    d' = -f/c, h' = (bi - ch)/D, g' = -(i + f h')/c = -(ei - fh)/D with
+    D = ce - bf must give d', h', g' their valuations and j A j^-1 back in
+    the reduced pattern.  Each test runs on one block of trial ids 0 ..
+    trials-1, drawn as sample_pattern and _sample_unipotent draw them; the
+    forward window holds max(1 - 3g, top xI onset - g + 1) rows from the
+    onset g of k.  A test its window cannot decide raises
+    InsufficientPrecision.  The first 10 failing trials are drawn again one
+    matrix at a time and reported verbatim.
     """
     kpat = coset_pattern(x, which)
     xpat = coset_pattern(x, "xI")
@@ -645,50 +681,41 @@ def kappa_check(
     jmax = max(abs(s) for row in jrows for s in row if isinstance(s, int))
     prec = 4 * max(kpat.max_abs_k(), jmax) + 8
     kcfg = SampleConfig(pattern=kpat, p=p, prec=prec, trials=1, seed=seed)
-    ident = IsoMatrix.identity(p)
+    acfg = SampleConfig(pattern=xpat, p=p, prec=prec, trials=1, seed=seed ^ 0x5DEECE66D) if which == "K1" else None
     report = KappaReport(x=str(x), which=which, trials=trials)
     t0 = time.perf_counter()
+    ids = np.arange(trials, dtype=np.int64)
 
-    for t in range(trials):
-        k = sample_pattern(kcfg, t)
-        j = _sample_unipotent(p, jrows, prec, seed, t, slot_base=9)
-        kappa = j.inverse() @ k @ j
-        if xpat.contains(kappa) and slope_sequence(kappa) == slope_sequence(k):
-            report.passes += 1
-        elif len(report.failures) < 10:
-            report.failures.append(
-                {"kind": "forward", "index": t, "k": _matrix_text(k), "j": _matrix_text(j)}
-            )
-        if t < 32:
-            if _same_matrix(ident.inverse() @ k @ ident, k):
-                report.identity_ok += 1
-            elif len(report.failures) < 10:
-                report.failures.append({"kind": "identity", "index": t})
+    # kappa = j^-1 (k j), where j^-1 has rows (1), (-d, 1), (dh - g, -h, 1)
+    xentries = [e for row in xpat.entries for e in row]
+    g = _onset(kpat)
+    L = max(1 - 3 * g, max(e.k for e in xentries) - g + 1)
+    K = _pattern_blocks(kpat, p, seed, ids, L)
+    j = _unipotent_blocks(jrows, p, seed, ids, L)
+    one, zero, d, g_, h = j[0], j[1], j[3], j[6], j[7]
+    jinv = [one, zero, zero, _combine(p, [zero], [d]), one, zero,
+            _combine(p, [_conv(d, h, p, L)], [g_]), _combine(p, [zero], [h]), one]
+    kappa = _matmul_blocks(jinv, _matmul_blocks(K, j, p, L), p, L)
+    same = np.all(np.stack(_slopes_block(kappa, g, p)[0]) == np.stack(_slopes_block(K, g, p)[0]), axis=0)
+    forward = _passes([(e, blk, g, 0) for e, blk in zip(xentries, kappa)], trials) & same
 
-    if which == "K1":
-        acfg = SampleConfig(pattern=xpat, p=p, prec=prec, trials=1, seed=seed ^ 0x5DEECE66D)
-        one, zero = TruncatedSeries.one(p), TruncatedSeries.zero(p)
-        m1, m2, m3 = x.mu
-        report.inverse_trials = trials
-        for t in range(trials):
-            A = sample_pattern(acfg, t)
-            b, c, f = A[0, 1], A[0, 2], A[1, 2]
-            e, h, i = A[1, 1], A[2, 1], A[2, 2]
-            c_inv = c.inverse()
-            d_p = -(f * c_inv)
-            h_p = (b * i - c * h) * (c * e - b * f).inverse()
-            g_p = -((i + f * h_p) * c_inv)
-            j = IsoMatrix([[one, zero, zero], [d_p, one, zero], [g_p, h_p, one]])
-            if (
-                d_p.in_P(m2 - m1)
-                and h_p.in_P(m3 - m2)
-                and g_p.in_P(m3 - m1)
-                and kpat.contains(j @ A @ j.inverse())
-            ):
-                report.inverse_passes += 1
-            elif len(report.failures) < 10:
-                report.failures.append({"kind": "inverse", "index": t, "A": _matrix_text(A)})
+    n = min(trials, 32)
+    head, ident = ([(arr[:, :n], lo) for arr, lo in M] for M in (K, [one if s % 4 == 0 else zero for s in range(9)]))
+    again = _matmul_blocks(ident, _matmul_blocks(head, ident, p, L), p, L)
+    identity = np.all([(u == v).all(axis=0) for (u, _), (v, _) in zip(again, head)], axis=0)
 
+    inverse = _k1_inverse_passes(x, kpat, acfg, ids) if acfg else np.ones(0, dtype=bool)
+    report.passes, report.identity_ok = int(forward.sum()), int(identity.sum())
+    report.inverse_passes, report.inverse_trials = int(inverse.sum()), inverse.size
+    flagged = sorted([(t, "forward") for t in np.flatnonzero(~forward).tolist()]
+                     + [(t, "identity") for t in np.flatnonzero(~identity).tolist()])
+    for t, kind in (flagged + [(t, "inverse") for t in np.flatnonzero(~inverse).tolist()])[:10]:
+        doc = {"kind": kind, "index": t}
+        if kind == "forward":
+            doc.update(k=_matrix_text(sample_pattern(kcfg, t)), j=_matrix_text(_sample_unipotent(p, jrows, prec, seed, t, 9)))
+        elif kind == "inverse":
+            doc["A"] = _matrix_text(sample_pattern(acfg, t))
+        report.failures.append(doc)
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
 
@@ -729,22 +756,33 @@ class CampaignReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _campaign_grid(bound):
+    """(x, case, pattern name, ((lam, tag), ...)) per grid element with a
+    direct case, in grid order: the part of the groups no seed or p moves."""
+    out = []
+    for x in enumerate_grid(bound):
+        try:
+            case, name = predicate_case(x)
+        except CaseNotApplicable:
+            continue
+        tags = tuple(
+            (lam, case if case in ("VIA", "IVA") else case + ("-i" if _first_branch(case, x.mu, lam) else "-ii"))
+            for lam in predicate_poset(x).elements
+        )
+        out.append((x, case, name, tags))
+    return tuple(out)
+
+
 def _campaign_groups(bound, p, seed, cases):
     """tag -> [(x, lam, cfg)] over every covered pair of the grid, in grid
     order; cfg samples x's case pattern."""
     groups = {}
-    for x in enumerate_grid(bound):
-        try:
-            case, pattern_name = predicate_case(x)
-        except CaseNotApplicable:
-            continue
+    for x, case, name, tags in _campaign_grid(bound):
         if cases is not None and case not in cases:
             continue
-        cfg = SampleConfig(pattern=coset_pattern(x, pattern_name), p=p, trials=1, seed=seed)
-        for lam in predicate_poset(x).elements:
-            tag = case
-            if case not in ("VIA", "IVA"):
-                tag += "-i" if _first_branch(case, x.mu, lam) else "-ii"
+        cfg = SampleConfig(pattern=coset_pattern(x, name), p=p, trials=1, seed=seed)
+        for lam, tag in tags:
             groups.setdefault(tag, []).append((x, lam, cfg))
     return groups
 

@@ -31,7 +31,6 @@ __all__ = [
     "newton_polygon",
     "slope_sequence",
     "slope_leq",
-    "order_criterion",
 ]
 
 
@@ -358,12 +357,3 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
         raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
     return _polygon(_val_info(cp.alpha), _val_info(cp.beta))
 
-
-def order_criterion(cp: CharPoly3, lam: SlopeSeq) -> bool:
-    """nu <= lam iff alpha in P^(-lam1) and beta in P^(lam3) (val gamma = 0)."""
-    vg = cp.gamma.valuation()
-    if vg is None:
-        raise InsufficientPrecision("gamma is zero to precision")
-    if vg != 0:
-        raise ValueError("order criterion requires val(gamma) = 0")
-    return cp.alpha.in_P(-lam.lam1) and cp.beta.in_P(lam.lam3)

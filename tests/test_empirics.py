@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from newton_strata import empirics, strata
-from newton_strata.isocrystal import SlopeSeq, slope_leq, slope_sequence
-from newton_strata.series import InsufficientPrecision
-from newton_strata.affine_weyl import AffineWeylElt, coset_pattern, enumerate_grid
+from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_leq, slope_sequence
+from newton_strata.series import InsufficientPrecision, TruncatedSeries
+from newton_strata.affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of, stratum_predicate
 from newton_strata.empirics import (
     _conv,
@@ -330,10 +330,9 @@ class TestEstimators:
         def undecided(*args):
             raise InsufficientPrecision("forced")
 
-        # the campaign reads every draw off the bulk slope kernel, the kappa
-        # check off slope_sequence
+        # the campaign and the kappa check read every draw off the bulk
+        # slope kernel
         monkeypatch.setattr(empirics, "_slopes_block", undecided)
-        monkeypatch.setattr(empirics, "slope_sequence", undecided)
         with pytest.raises(InsufficientPrecision):
             predicate_campaign(bound=1, trials_per_case=5, seed=7)
         with pytest.raises(InsufficientPrecision):
@@ -452,3 +451,139 @@ class TestCampaignBlocks:
         assert sum(st["mismatches"] for st in report.cases.values()) == count
         assert report.mismatches == expected[:20]
         assert not report.ok
+
+
+def _scalar_kappa(x, which, trials, p, seed):
+    """kappa_check one matrix at a time in TruncatedSeries arithmetic: the
+    per-trial loops that the block path replaced, as a reference.  It reads
+    coset_pattern and _unipotent_rows off the empirics module, so that a
+    monkeypatch reaches both paths."""
+    kpat = empirics.coset_pattern(x, which)
+    xpat = empirics.coset_pattern(x, "xI")
+    jrows = empirics._unipotent_rows(x, which)
+    jmax = max(abs(s) for row in jrows for s in row if isinstance(s, int))
+    prec = 4 * max(kpat.max_abs_k(), jmax) + 8
+    kcfg = SampleConfig(pattern=kpat, p=p, prec=prec, trials=1, seed=seed)
+    ident = IsoMatrix.identity(p)
+    report = empirics.KappaReport(x=str(x), which=which, trials=trials)
+    text = empirics._matrix_text
+
+    for t in range(trials):
+        k = sample_pattern(kcfg, t)
+        j = _sample_unipotent(p, jrows, prec, seed, t, slot_base=9)
+        kappa = j.inverse() @ k @ j
+        if xpat.contains(kappa) and slope_sequence(kappa) == slope_sequence(k):
+            report.passes += 1
+        elif len(report.failures) < 10:
+            report.failures.append({"kind": "forward", "index": t, "k": text(k), "j": text(j)})
+        if t < 32:
+            if all((ident.inverse() @ k @ ident)[i, c] == k[i, c] for i in range(3) for c in range(3)):
+                report.identity_ok += 1
+            elif len(report.failures) < 10:
+                report.failures.append({"kind": "identity", "index": t})
+
+    if which == "K1":
+        acfg = SampleConfig(pattern=xpat, p=p, prec=prec, trials=1, seed=seed ^ 0x5DEECE66D)
+        one, zero = TruncatedSeries.one(p), TruncatedSeries.zero(p)
+        m1, m2, m3 = x.mu
+        report.inverse_trials = trials
+        for t in range(trials):
+            A = sample_pattern(acfg, t)
+            b, c, f = A[0, 1], A[0, 2], A[1, 2]
+            e, h, i = A[1, 1], A[2, 1], A[2, 2]
+            c_inv = c.inverse()
+            d_p = -(f * c_inv)
+            h_p = (b * i - c * h) * (c * e - b * f).inverse()
+            g_p = -((i + f * h_p) * c_inv)
+            j = IsoMatrix([[one, zero, zero], [d_p, one, zero], [g_p, h_p, one]])
+            if (
+                d_p.in_P(m2 - m1)
+                and h_p.in_P(m3 - m2)
+                and g_p.in_P(m3 - m1)
+                and kpat.contains(j @ A @ j.inverse())
+            ):
+                report.inverse_passes += 1
+            elif len(report.failures) < 10:
+                report.failures.append({"kind": "inverse", "index": t, "A": text(A)})
+    return report
+
+
+# the last case is one whose top xI onset, not 1 - 3g, sets the forward window
+KAPPA_CASES = [
+    ("mu=-2,0,2;w=s121", "K1"), ("mu=-3,1,2;w=s121", "K1"), ("mu=-3,1,2;w=s1", "K2"), ("mu=-2,0,2;w=s2", "K3"),
+    ("mu=-1,-1,2;w=s2", "K3"),
+]
+KAPPA_PRIMES = [2, 11, 2**31 - 1]
+
+
+def _kappa_docs(x, which, trials, p, seed):
+    block = kappa_check(x, which, trials=trials, p=p, seed=seed)
+    scalar = _scalar_kappa(x, which, trials, p, seed)
+    assert block.failures == scalar.failures  # all of them, not only the first 10 of to_json
+    docs = block.to_json(), scalar.to_json()
+    for doc in docs:
+        doc.pop("elapsed_ms")
+    return docs
+
+
+class TestKappaBlocks:
+    """kappa_check on blocks against the scalar loops, on identical trial ids."""
+
+    @pytest.mark.parametrize("p", KAPPA_PRIMES)
+    def test_block_reports_equal_the_scalar_loops(self, p):
+        for text, which in KAPPA_CASES:
+            block, scalar = _kappa_docs(X(text), which, 40, p, 3)
+            assert block == scalar, (text, which)
+            assert block["passes"] == 40 and block["identity_ok"] == 32 and not block["failures"]
+            assert block["inverse_passes"] == block["inverse_trials"] == (40 if which == "K1" else 0)
+
+    @pytest.mark.parametrize("p", KAPPA_PRIMES)
+    def test_a_lowered_complement_fails_alike(self, p, monkeypatch):
+        # every min entry of j one valuation lower: j^-1 k j can leave xI
+        rows = empirics._unipotent_rows
+
+        def lowered(x, which):
+            return tuple(tuple(s - 1 if isinstance(s, int) else s for s in row) for row in rows(x, which))
+
+        monkeypatch.setattr(empirics, "_unipotent_rows", lowered)
+        failing = 0
+        for text, which in KAPPA_CASES:
+            block, scalar = _kappa_docs(X(text), which, 30, p, 4)
+            assert block == scalar, (text, which)
+            failing += 30 - block["passes"]
+        assert failing > 0
+        if p == 2:
+            assert failing < 30 * len(KAPPA_CASES)
+
+    @pytest.mark.parametrize("p", KAPPA_PRIMES)
+    def test_a_raised_k1_entry_fails_the_inverse_alike(self, p, monkeypatch):
+        # the K1 pattern with its (0, 0) entry one valuation higher: j A j^-1
+        # there has the valuation of a, mostly the old onset
+        patterns = empirics.coset_pattern
+
+        def raised(x, which="xI"):
+            pat = patterns(x, which)
+            if which != "K1":
+                return pat
+            rows = [list(row) for row in pat.entries]
+            rows[0][0] = PatternEntry("min", rows[0][0].k + 1)
+            return ValuationPattern(tuple(tuple(row) for row in rows))
+
+        monkeypatch.setattr(empirics, "coset_pattern", raised)
+        for text, which in KAPPA_CASES[:2]:
+            block, scalar = _kappa_docs(X(text), which, 30, p, 5)
+            assert block == scalar, text
+            assert block["inverse_passes"] < block["inverse_trials"] == 30
+            assert {f["kind"] for f in block["failures"]} == {"inverse"}
+
+    @pytest.mark.parametrize("p", KAPPA_PRIMES)
+    def test_complement_block_columns_equal_the_scalar_draws(self, p):
+        for text, which in KAPPA_CASES:
+            rows = _unipotent_rows(X(text), which)
+            ids = np.array([0, 5, 31], dtype=np.int64)
+            blocks = empirics._unipotent_blocks(rows, p, 7, ids, 12)
+            for col, index in enumerate(ids.tolist()):
+                j = _sample_unipotent(p, rows, 16, 7, index, slot_base=9)
+                for slot, (arr, _) in enumerate(blocks):
+                    entry = j[slot // 3, slot % 3]
+                    assert arr[:, col].tolist() == [entry.coeff(e) for e in range(12)], (text, index, slot)

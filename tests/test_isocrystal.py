@@ -11,7 +11,6 @@ from newton_strata.isocrystal import (
     charpoly3,
     dominant_rep,
     newton_polygon,
-    order_criterion,
     polygon_vertices,
     slope_leq,
     slope_sequence,
@@ -421,17 +420,3 @@ class TestSlopeSequence:
                     slope_sequence(A.truncate(q))
             else:
                 assert slope_sequence(A.truncate(q)) == SlopeSeq.parse(slopes), q
-
-    def test_order_criterion_matches_slope_comparison(self, rng):
-        targets = [
-            SlopeSeq(0, 0, 0),
-            SlopeSeq(1, 0, -1),
-            SlopeSeq(Fraction(1, 2), Fraction(1, 2), -1),
-            SlopeSeq(2, -1, -1),
-        ]
-        for k in range(50):
-            A = rand_iwahori(rng, index=3000 + k)
-            cp = charpoly3(A)
-            lam0 = slope_sequence(A)
-            for lam in targets:
-                assert order_criterion(cp, lam) == slope_leq(lam0, lam)
