@@ -260,15 +260,24 @@ def eta_matrix(p: int) -> IsoMatrix:
 
 
 def phi_matrix(A: IsoMatrix) -> IsoMatrix:
-    """Conjugation by tau (sigma fixes tau, so this is a sigma-conjugation)."""
-    t = tau_matrix(A.p)
-    return t @ A @ t.inverse()
+    """Conjugation by tau (sigma fixes tau, so this is a sigma-conjugation).
+
+    tau sends e_j to pi^(d_j) e_(j+1) with d = (0, 0, -1), so tau A tau^-1
+    moves entry (i, j) to (i+1, j+1), indices mod 3, and multiplies it by
+    pi^(d_i - d_j): an entry permutation with pi-shifts, no series product.
+    """
+    d, e = (0, 0, -1), A.entries
+    return IsoMatrix([[e[i - 1][j - 1].shift(d[i - 1] - d[j - 1]) for j in range(3)] for i in range(3)])
 
 
 def psi_matrix(A: IsoMatrix) -> IsoMatrix:
-    """psi(A) = eta (A^t)^-1 eta^-1; sends slopes to their psi-images."""
-    e = eta_matrix(A.p)
-    return e @ A.inverse().transpose() @ e.inverse()
+    """psi(A) = eta (A^t)^-1 eta^-1; sends slopes to their psi-images.
+
+    eta is the antidiagonal permutation, so psi(A) is a permuted inverse:
+    entry (i, j) is entry (2-j, 2-i) of A^-1, and no other product is formed.
+    """
+    inv = A.inverse().entries
+    return IsoMatrix([[inv[2 - j][2 - i] for j in range(3)] for i in range(3)])
 
 
 def two_rho_pairing(lam: SlopeSeq) -> Fraction:

@@ -583,6 +583,14 @@ def _unipotent_blocks(rows, p, seed, ids, L):
     return out
 
 
+def _unipotent_inverse(j, p, L):
+    """Blocks of j^-1 for the lower-unipotent j of _unipotent_blocks: rows
+    (1), (-d, 1), (dh - g, -h, 1)."""
+    one, zero, d, g, h = j[0], j[1], j[3], j[6], j[7]
+    return [one, zero, zero, _combine(p, [zero], [d]), one, zero,
+            _combine(p, [_conv(d, h, p, L)], [g]), _combine(p, [zero], [h]), one]
+
+
 def _passes(checks, n):
     """Per column, whether block / pi^shift meets entry for every (entry,
     block, base, shift) check, read as a short-circuit `and`: a column zero
@@ -686,16 +694,14 @@ def kappa_check(
     t0 = time.perf_counter()
     ids = np.arange(trials, dtype=np.int64)
 
-    # kappa = j^-1 (k j), where j^-1 has rows (1), (-d, 1), (dh - g, -h, 1)
+    # kappa = j^-1 (k j)
     xentries = [e for row in xpat.entries for e in row]
     g = _onset(kpat)
     L = max(1 - 3 * g, max(e.k for e in xentries) - g + 1)
     K = _pattern_blocks(kpat, p, seed, ids, L)
     j = _unipotent_blocks(jrows, p, seed, ids, L)
-    one, zero, d, g_, h = j[0], j[1], j[3], j[6], j[7]
-    jinv = [one, zero, zero, _combine(p, [zero], [d]), one, zero,
-            _combine(p, [_conv(d, h, p, L)], [g_]), _combine(p, [zero], [h]), one]
-    kappa = _matmul_blocks(jinv, _matmul_blocks(K, j, p, L), p, L)
+    one, zero = j[0], j[1]
+    kappa = _matmul_blocks(_unipotent_inverse(j, p, L), _matmul_blocks(K, j, p, L), p, L)
     same = np.all(np.stack(_slopes_block(kappa, g, p)[0]) == np.stack(_slopes_block(K, g, p)[0]), axis=0)
     forward = _passes([(e, blk, g, 0) for e, blk in zip(xentries, kappa)], trials) & same
 

@@ -771,7 +771,9 @@ def witness(x: AffineWeylElt, lam, p: int = 11) -> IsoMatrix:
     transpose-inverse involution) applied to a base y.  The base formulas
     give candidate grids for y and the transported slopes, _verified keeps
     the first that is exactly a witness there, and the automorphisms, which
-    carry coset patterns and slopes along, take it to x.  Raises
+    carry coset patterns and slopes along, take it to x: phi_matrix is an
+    entry permutation with pi-shifts and psi_matrix a permuted inverse, so
+    the transport multiplies no series outside that inverse.  Raises
     ElementsNotInPoset when lam does not occur in IxI, and NoWitnessFormula
     when no candidate of any normalization verifies: at p = 2 the s1s2s1
     union templates whose two pi^-1 terms cancel (-2 = 0) do not.

@@ -26,7 +26,8 @@ from newton_strata.affine_weyl import (
     tau_matrix,
     two_rho_pairing,
 )
-from newton_strata.empirics import SampleConfig, sample_pattern
+from newton_strata.empirics import SampleConfig, make_config, sample_pattern
+from newton_strata.strata import NoWitnessFormula, poset_of, witness
 
 from conftest import P, rand_iwahori
 
@@ -159,6 +160,102 @@ class TestSymmetries:
     def test_two_rho_pairing(self):
         assert two_rho_pairing(SlopeSeq(1, 0, -1)) == 4
         assert two_rho_pairing(SlopeSeq(0, 0, 0)) == 0
+
+
+TRANSPORT_PRIMES = [2, 11, 2**31 - 1]
+
+
+def _phi_by_products(A):
+    """The product definition tau A tau^-1 that phi_matrix replaced."""
+    t = tau_matrix(A.p)
+    return t @ A @ t.inverse()
+
+
+def _psi_by_products(A):
+    """The product definition eta (A^t)^-1 eta^-1 that psi_matrix replaced."""
+    e = eta_matrix(A.p)
+    return e @ A.inverse().transpose() @ e.inverse()
+
+
+def _layout(A):
+    """Every entry as (p, prec, off, coeffs): byte-level identity, not value."""
+    return [[(ts.p, ts.prec, ts.off, ts.coeffs.tolist()) for ts in row] for row in A.entries]
+
+
+def _grid_witnesses(p):
+    out = []
+    for x in enumerate_grid(2):
+        for lam in poset_of(x):
+            try:
+                out.append(witness(x, lam, p))
+            except NoWitnessFormula:
+                pass
+    return out
+
+
+def _grid_samples(p):
+    """A draw of every defined xI and K pattern of the bound-2 grid; the K
+    patterns hold entries that are zero to precision."""
+    out = []
+    for x in enumerate_grid(2):
+        for which in ("xI", "K1", "K2", "K3"):
+            try:
+                cfg = make_config(x, which, p=p, trials=1, seed=13)
+            except PatternUndefined:
+                continue
+            out.append(sample_pattern(cfg, len(out)))
+    return out
+
+
+class TestTransports:
+    """phi_matrix and psi_matrix against their product definitions."""
+
+    @pytest.mark.parametrize("p", TRANSPORT_PRIMES)
+    def test_transports_equal_the_products_on_witnesses(self, p):
+        witnesses = _grid_witnesses(p)
+        assert len(witnesses) == 280
+        for W in witnesses:
+            assert _layout(phi_matrix(W)) == _layout(_phi_by_products(W))
+            assert _layout(psi_matrix(W)) == _layout(_psi_by_products(W))
+
+    @pytest.mark.parametrize("p", TRANSPORT_PRIMES)
+    def test_transports_equal_the_products_on_truncated_samples(self, p):
+        zeros = 0
+        for A in _grid_samples(p):
+            zeros += sum(ts.is_zero_to_precision() and not ts.is_exact() for row in A.entries for ts in row)
+            # the phi image mixes precisions across entries
+            for B in (A, _phi_by_products(A)):
+                assert _layout(phi_matrix(B)) == _layout(_phi_by_products(B))
+                assert _layout(psi_matrix(B)) == _layout(_psi_by_products(B))
+        assert zeros > 0
+
+    @pytest.mark.parametrize("p", TRANSPORT_PRIMES)
+    def test_phi_has_order_three_and_psi_is_an_involution_on_matrices(self, p):
+        # tau^3 = pi^-1 I is central, so three phi steps give A back exactly
+        for A in _grid_samples(p)[::7]:
+            assert _layout(phi_matrix(phi_matrix(phi_matrix(A)))) == _layout(A)
+        for W in _grid_witnesses(p):
+            assert _layout(phi_matrix(phi_matrix(phi_matrix(W)))) == _layout(W)
+            assert _layout(psi_matrix(psi_matrix(W))) == _layout(W)
+
+    def test_phi_multiplies_no_series_and_psi_only_inverts(self, monkeypatch):
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+        for A in _grid_samples(P)[::5]:
+            del calls[:]
+            phi_matrix(A)
+            assert not calls
+            A.inverse()
+            inverse_calls = len(calls)
+            del calls[:]
+            psi_matrix(A)
+            assert len(calls) == inverse_calls > 0
 
 
 class TestPatterns:

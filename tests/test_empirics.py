@@ -577,6 +577,20 @@ class TestKappaBlocks:
             assert {f["kind"] for f in block["failures"]} == {"inverse"}
 
     @pytest.mark.parametrize("p", KAPPA_PRIMES)
+    def test_complement_inverse_times_complement_is_the_identity(self, p):
+        # j^-1 j = 1 on every row of the window; the forward test alone cannot
+        # see an error in j^-1 of valuation above what xI and the slopes read
+        L, ids = 24, np.arange(64, dtype=np.int64)
+        for text, which in KAPPA_CASES:
+            j = empirics._unipotent_blocks(_unipotent_rows(X(text), which), p, 7, ids, L)
+            assert j[6][0].any(), (text, which)
+            product = empirics._matmul_blocks(empirics._unipotent_inverse(j, p, L), j, p, L)
+            for slot, (arr, _) in enumerate(product):
+                identity = np.zeros((L, ids.size), dtype=np.int64)
+                identity[0] = slot % 4 == 0
+                assert np.array_equal(arr, identity), (text, which, slot)
+
+    @pytest.mark.parametrize("p", KAPPA_PRIMES)
     def test_complement_block_columns_equal_the_scalar_draws(self, p):
         for text, which in KAPPA_CASES:
             rows = _unipotent_rows(X(text), which)
