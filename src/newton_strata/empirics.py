@@ -6,16 +6,16 @@ compares the resulting histograms, frequencies, and stratum memberships
 against the closed-form predictions.
 
 The bulk kernel works on blocks of samples at once.  Every entry is an
-exponent-major (L, B) int64 block, row t holding the coefficient of
-pi^(g + t) for B samples; rows below an entry's structural onset are
-zero and never multiplied.  Trace, principal 2x2 minor sum and
-determinant come from exact truncated convolution mod p, reduced often
-enough that no int64 sum overflows for any prime with (p-1)**2 + p <
-2**63 (SampleConfig rejects larger ones).  As val(det) = 0, valuations
-above 0 cannot move the Newton polygon, so the window pi^g .. pi^(-2g)
-pins every slope sequence exactly, with no retry.  Histograms, predicate
-campaigns and kappa_check all run on it; I * xI samples and kappa_check's
-conjugates are 3x3 products of blocks (_matmul_blocks).
+exponent-major int64 block, row t holding the coefficient of pi^(g + t)
+for B samples; rows below an entry's structural onset are zero and never
+multiplied.  Trace, principal 2x2 minor sum and determinant come from
+exact truncated convolution mod p, reduced often enough that no int64
+sum overflows for any prime with (p-1)**2 + p < 2**63 (SampleConfig
+rejects larger ones).  As val(det) = 0, valuations above 0 cannot move
+the Newton polygon, so each entry is drawn only through its horizon
+(_horizons), which pins every slope sequence exactly, with no retry.
+Histograms, predicate campaigns and kappa_check all run on it; I * xI
+samples and kappa_check's conjugates are 3x3 products of blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: the
@@ -84,12 +84,13 @@ class ZeroCount(ArithmeticError):
 
 
 def _mix64(z):
-    """splitmix64 finalizer on uint64 arrays."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer on a fresh uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _raw_hash(seed: int, slot, trials, exps):
@@ -224,14 +225,36 @@ def _onset(pattern) -> int:
     return min(e.k for row in pattern.entries for e in row if e.kind != "zero")
 
 
-def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0):
+# the monomials of tr, e2 and det, as tuples of entry slots 3*i + j
+_MONOMIALS = ((0,), (4,), (8,), (0, 4), (0, 8), (4, 8), (1, 3), (2, 6), (5, 7),
+              (0, 4, 8), (0, 5, 7), (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6))
+# per slot, the other slots of each monomial that contains it
+_OTHERS = [[tuple(t for t in m if t != s) for m in _MONOMIALS if s in m] for s in range(9)]
+
+
+def _horizons(onsets):
+    """Per slot, the highest exponent that tr, e2 or det read through pi^0
+    take from that entry: over the monomials containing it, the max of
+    -(sum of the other onsets), inf marking a zero entry."""
+    at = onsets.__getitem__
+    return [max([-sum(map(at, others)) for others in _OTHERS[s]]) for s in range(9)]
+
+
+def _least_onsets(patterns):
+    """Slot-wise least onset over the patterns, inf where all are zero."""
+    return [min(math.inf if e.kind == "zero" else e.k for e in es) for es in zip(*(sum(q.entries, ()) for q in patterns))]
+
+
+def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0, tops=None):
     """Exponent-major coefficient blocks for all 9 entries.
 
     patterns is one ValuationPattern for every column, or a sequence with
-    one pattern per column.  blocks[3*i+j] = (arr, onset), arr of shape
-    (L, len(ids)) whose row t holds the coefficient of pi^(g + t), g the
-    least onset of any column's pattern.  Rows below a column's own onset
-    are zero; onset is the least row any column fills, L where none does.
+    one pattern per column.  blocks[3*i+j] = (arr, onset), row t of arr
+    holding the coefficient of pi^(g + t), g the least onset of any column's
+    pattern.  Rows below a column's own onset are zero; onset is the least
+    row any column fills, L where none does.  arr has L rows, or with tops
+    (exponents, see _horizons) only those through pi^tops[slot]: a slot is
+    hashed from its onset to its horizon.
     """
     if isinstance(patterns, ValuationPattern):
         distinct, which = [patterns], np.zeros(len(ids), dtype=np.intp)
@@ -249,80 +272,109 @@ def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0):
     pu, pm = np.uint64(p), np.uint64(p - 1)
     out = []
     for slot in range(9):
-        lo, hi = min(rows[slot]), max(rows[slot])
-        arr = np.zeros((L, len(ids)), dtype=np.int64)
-        if lo < L:
-            exps = _as_u64(np.arange(g + lo, g + L, dtype=np.int64)).reshape(-1, 1)
+        n = L if tops is None else min(L, max(0, tops[slot] - g + 1))
+        lo, hi = min(rows[slot]), min(max(rows[slot]), n)
+        arr = np.zeros((n, len(ids)), dtype=np.int64)
+        if lo < n:
+            exps = _as_u64(np.arange(g + lo, g + n, dtype=np.int64)).reshape(-1, 1)
             raw = _raw_hash(seed, slot_base + slot, trials, exps)
-            arr[lo:] = raw % pu
+            arr[lo:] = raw - raw // pu * pu
             # rows below a column's own onset are zero, an exact lead a unit
             if hi > lo:
                 below = np.arange(lo, hi).reshape(-1, 1) < np.array(rows[slot])[which]
                 arr[lo:hi][below] = 0
-            for r in set(leads[slot]) - {L}:
+            for r in {r for r in leads[slot] if r < n}:
                 cols = (np.array(leads[slot]) == r)[which]
                 np.copyto(arr[r], 1 + raw[r - lo] % pm, where=cols)
         out.append((arr, lo))
     return out
 
 
-def _conv(x, y, p, L):
-    """Rows [0, L) of the product of two blocks of residues, reduced mod p.
+def _reduce(arr, p):
+    """arr mod p in place; floor division beats % from about 1000 entries."""
+    if arr.size < 1024:
+        arr %= p
+    else:
+        arr -= arr // p * p
 
-    Each shift k adds a[k] * b[ob : L-k] into rows k+ob onward; the sum is
-    reduced every ((1<<63) - p) // (p-1)**2 shifts, so no int64 entry
-    overflows whenever (p-1)**2 + p < 2**63.
+
+def _zeros(n, width):
+    """A read-only (n, width) block of zeros that holds a single row."""
+    return np.ndarray((n, width), np.int64, bytes(8 * width), 0, (0, 8))
+
+
+def _conv(x, y, p, L):
+    """The product of two blocks of residues mod p, with onset oa + ob.
+
+    A block is known through its last row, so the product holds n = min(L,
+    len(a) + ob, len(b) + oa) rows: it stops at row L - 1, or where either
+    factor runs out.  Each shift k adds a[k] * b[ob : n-k] into rows k+ob
+    onward; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
+    no int64 entry overflows whenever (p-1)**2 + p < 2**63.
     """
     (a, oa), (b, ob) = x, y
-    onset = min(oa + ob, L)
-    out = np.zeros((L, a.shape[1]), dtype=np.int64)
+    n, onset = max(0, min(L, len(a) + ob, len(b) + oa)), oa + ob
+    if onset >= n:
+        return _zeros(n, a.shape[1]), onset
+    out = np.zeros((n, a.shape[1]), dtype=np.int64)
     step = ((1 << 63) - p) // (p - 1) ** 2
-    for n, k in enumerate(range(oa, L - ob)):
-        if n and n % step == 0:
-            out[onset:] %= p
-        out[k + ob :] += a[k] * b[ob : L - k]
-    out[onset:] %= p
+    for m, k in enumerate(range(oa, n - ob)):
+        if m and m % step == 0:
+            _reduce(out[onset:], p)
+        out[k + ob :] += a[k] * b[ob : n - k]
+    _reduce(out[onset:], p)
     return out, onset
 
 
 def _combine(p, plus, minus=()):
-    """(sum of plus - sum of minus) mod p, with the least onset."""
-    acc = np.zeros_like(plus[0][0])
+    """(sum of plus - sum of minus) mod p with the least onset o, cut to its
+    shortest term (a sum is known only that far); rows below o are zero."""
+    terms = (*plus, *minus)
+    n, o = min(len(arr) for arr, _ in terms), min(o for _, o in terms)
+    if o >= n:
+        return _zeros(n, terms[0][0].shape[1]), o
+    acc = np.zeros((n, terms[0][0].shape[1]), dtype=np.int64)
     for arr, _ in plus:
-        acc += arr
+        acc[o:] += arr[o:n]
     for arr, _ in minus:
-        acc -= arr
-    return acc % p, min(o for _, o in (*plus, *minus))
+        acc[o:] -= arr[o:n]
+    _reduce(acc[o:], p)
+    return acc, o
 
 
 def _matmul_blocks(X, Y, p, L):
-    """The 3x3 product X @ Y of two matrices of blocks, entries row by row."""
-    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, L) for k in range(3)]) for i in range(3) for j in range(3)]
+    """The 3x3 product X @ Y of two matrices of blocks, entries row by row,
+    entry s through L rows at most, or L[s] where L is a list."""
+    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, L[3 * i + j] if isinstance(L, list) else L) for k in range(3)])
+            for i in range(3) for j in range(3)]
 
 
 def _sample_blocks(x, mode, p, seed, ids):
     """Entry blocks of the sampled xI (or I * xI) matrices and their base g.
 
-    The window holds the 1 - 3g rows from pi^g through pi^(-2g): exactly
-    what the slopes need (see _slopes_block).
+    Each entry is drawn (for I * xI, formed from U @ M) only through its
+    horizon, never past pi^(-2g), and U and M only as far as those read.
     """
     xpat = coset_pattern(x, "xI")
     if mode == "xI":
         g = _onset(xpat)
-        return _pattern_blocks(xpat, p, seed, ids, 1 - 3 * g), g
+        return _pattern_blocks(xpat, p, seed, ids, 1 - 3 * g, tops=_horizons(_least_onsets([xpat]))), g
     ipat = _identity_pattern()
-    g = _onset(ipat) + _onset(xpat)
-    L = 1 - 3 * g
-    U = _pattern_blocks(ipat, p, seed, ids, L, slot_base=0)
-    M = _pattern_blocks(xpat, p, seed, ids, L, slot_base=9)
-    return _matmul_blocks(U, M, p, L), g
+    g, L = _onset(ipat) + _onset(xpat), 1 - 3 * (_onset(ipat) + _onset(xpat))
+    ou, om = _least_onsets([ipat]), _least_onsets([xpat])
+    # the horizons of the entries of U @ M, and what those read of U and M
+    top = _horizons([min(ou[3 * i + k] + om[3 * k + j] for k in range(3)) for i in range(3) for j in range(3)])
+    tu = [max(top[3 * i + j] - om[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
+    tm = [max(top[3 * i + j] - ou[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
+    U, M = _pattern_blocks(ipat, p, seed, ids, L, 0, tu), _pattern_blocks(xpat, p, seed, ids, L, 9, tm)
+    return _matmul_blocks(U, M, p, [min(L, max(0, t - g + 1)) for t in top]), g
 
 
 def _lead_val(block, base):
-    """Valuation per column; a zero column reads the window's horizon."""
-    nz = block[0] != 0
-    idx = np.where(nz.any(axis=0), nz.argmax(axis=0), nz.shape[0])
-    return base + idx.astype(np.int64)
+    """Valuation per column, read from the onset; a zero column reads the horizon."""
+    o = min(block[1], len(block[0]))
+    nz = block[0][o:] != 0
+    return base + o + np.where(nz.any(axis=0), nz.argmax(axis=0), nz.shape[0]).astype(np.int64)
 
 
 def _slopes_block(entries, g, p):
@@ -334,31 +386,34 @@ def _slopes_block(entries, g, p):
     form of isocrystal.newton_polygon):
         2*lam1    = max(-2*v1, -v2, 0)
         2*(-lam3) = max(-2*v2, -v1, 0)
-    A valuation above 0 moves neither formula, so every coefficient is
-    needed only through pi^0.  On the 1 - 3g rows of the entry window, det
-    (base 3g) reaches exactly pi^0, as far as the unit check needs, and the
-    trace and minors reach beyond it; a column with no nonzero row reads a
-    horizon above 0, which gives the same slopes as its true valuation.
+    A valuation above 0 moves neither formula, so tr, the minor sum and det
+    (bases g, 2g, 3g) are formed through pi^0, the cofactor of each a, b, c
+    only through pi^(-its onset).  Should tr, e2 or det fall short of pi^0,
+    this raises; a column zero through pi^0 gives the same slopes as its
+    true valuation.
     """
     a, b, c, d, e, f, g_, h, i = entries
+    n1, n2, n3 = 1 - g, 1 - 2 * g, 1 - 3 * g
 
-    def mul(x, y):
-        return _conv(x, y, p, x[0].shape[0])
+    def mul(x, y, n=n2):
+        return _conv(x, y, p, n)
 
     # the determinant first, so that its cofactors are freed before the
     # products the caller keeps are formed
-    ei, fh = mul(e, i), mul(f, h)
+    ei, fh = mul(e, i, max(n2, n3 - a[1])), mul(f, h, max(n2, n3 - a[1]))
     cof_a = _combine(p, [ei], [fh])
-    cof_b = _combine(p, [mul(d, i)], [mul(f, g_)])
-    cof_c = _combine(p, [mul(d, h)], [mul(e, g_)])
-    det = _combine(p, [mul(a, cof_a), mul(c, cof_c)], [mul(b, cof_b)])
-    if not bool(np.all(_lead_val(det, 3 * g) == 0)):
-        raise ArithmeticError("sampled determinant is not a unit; kernel inconsistency")
+    cof_b = _combine(p, [mul(d, i, n3 - b[1])], [mul(f, g_, n3 - b[1])])
+    cof_c = _combine(p, [mul(d, h, n3 - c[1])], [mul(e, g_, n3 - c[1])])
+    det = _combine(p, [mul(a, cof_a, n3), mul(c, cof_c, n3)], [mul(b, cof_b, n3)])
+    if len(det[0]) < n3 or not bool(np.all(_lead_val(det, 3 * g) == 0)):
+        raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
     del cof_a, cof_b, cof_c, det
 
     ae, bd, cg = mul(a, e), mul(b, d), mul(c, g_)
-    v_tr = _lead_val(_combine(p, [a, e, i]), g)
-    v_mi = _lead_val(_combine(p, [ae, mul(a, i), ei], [bd, cg, fh]), 2 * g)
+    tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, mul(a, i), ei], [bd, cg, fh])
+    if len(tr[0]) < n1 or len(mi[0]) < n2:
+        raise ArithmeticError("tr or e2 not known through pi^0; kernel inconsistency")
+    v_tr, v_mi = _lead_val(tr, g), _lead_val(mi, 2 * g)
     two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
     two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
     return (two_l1, two_l3n - two_l1, -two_l3n), (ae, bd, cg)
@@ -831,7 +886,8 @@ def _campaign_verdicts(groups, trials_per_case, p, seed):
         ids.append(np.arange(n, dtype=np.int64))
         patterns += [cfgs[x].pattern] * n
     g = min(_onset(cfg.pattern) for cfg in cfgs.values())
-    entries = _pattern_blocks(patterns, p, seed, np.concatenate(ids), 1 - 3 * g)
+    tops = _horizons(_least_onsets([cfg.pattern for cfg in cfgs.values()]))
+    entries = _pattern_blocks(patterns, p, seed, np.concatenate(ids), 1 - 3 * g, tops=tops)
     slopes, (ae, bd, cg) = _slopes_block(entries, g, p)
     slopes = np.stack(slopes)
     vals = {

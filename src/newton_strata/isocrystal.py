@@ -162,6 +162,12 @@ class IsoMatrix:
         i, j = ij
         return self.entries[i][j]
 
+    def __eq__(self, other):
+        return isinstance(other, IsoMatrix) and self.p == other.p and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.p, self.entries))
+
     def named(self, name: str) -> TruncatedSeries:
         k = _ENTRY_NAMES_3.index(name)
         return self.entries[k // 3][k % 3]
@@ -200,8 +206,10 @@ class IsoMatrix:
         return IsoMatrix([[cof[j][i] for j in range(3)] for i in range(3)])
 
     def inverse(self) -> "IsoMatrix":
-        dinv = self.det().inverse()
-        return self.adjugate().scale(dinv)
+        adj = self.adjugate()
+        # det along the first row, from the cofactors in adj's first column
+        det = _sum_series([self.entries[0][k] * adj.entries[k][0] for k in range(3)])
+        return adj.scale(det.inverse())
 
     def truncate(self, new_prec) -> "IsoMatrix":
         return IsoMatrix([[ts.truncate(new_prec) for ts in row] for row in self.entries])

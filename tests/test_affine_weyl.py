@@ -238,6 +238,15 @@ class TestTransports:
             assert _layout(phi_matrix(phi_matrix(phi_matrix(W)))) == _layout(W)
             assert _layout(psi_matrix(psi_matrix(W))) == _layout(W)
 
+    @pytest.mark.parametrize("p", TRANSPORT_PRIMES)
+    def test_psi_is_an_involution_under_matrix_equality(self, p):
+        # IsoMatrix compares entry by entry, so == reads the same as _layout
+        for W in _grid_witnesses(p):
+            twice = psi_matrix(psi_matrix(W))
+            assert twice is not W and twice == W and not twice != W
+            assert hash(twice) == hash(W)
+            assert psi_matrix(W) != W or _layout(psi_matrix(W)) == _layout(W)
+
     def test_phi_multiplies_no_series_and_psi_only_inverts(self, monkeypatch):
         calls = []
         mul = TruncatedSeries.__mul__

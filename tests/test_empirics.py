@@ -166,13 +166,14 @@ class TestGoldenDraws:
                 assert arr[:, col].tolist() == [entry.coeff(e) for e in range(g, cfg.prec)], (index, slot)
 
 
-def _python_conv(x, y, p, L):
-    """Reference for _conv with Python integers, column by column."""
+def _python_conv(x, y, p, n):
+    """Reference for _conv with Python integers, column by column: rows
+    [0, n), reading only rows that both arrays hold."""
     (a, _), (b, _) = x, y
-    out = np.zeros((L, a.shape[1]), dtype=np.int64)
+    out = np.zeros((n, a.shape[1]), dtype=np.int64)
     for col in range(a.shape[1]):
-        for t in range(L):
-            out[t, col] = sum(int(a[i, col]) * int(b[t - i, col]) for i in range(t + 1)) % p
+        for t in range(n):
+            out[t, col] = sum(int(a[i, col]) * int(b[t - i, col]) for i in range(t + 1) if i < len(a) and t - i < len(b)) % p
     return out
 
 
@@ -182,18 +183,116 @@ def _block(rng, p, L, onset, worst=False):
     return arr, onset
 
 
+def _full_window_conv(x, y, p, L):
+    """The kernel's convolution before per-entry horizons: both factors and
+    the product over the same L rows, reduced after every shift."""
+    (a, oa), (b, ob) = x, y
+    out = np.zeros((L, a.shape[1]), dtype=np.int64)
+    for k in range(oa, L - ob):
+        out[k + ob :] += a[k] * b[ob : L - k]
+        out %= p
+    return out, min(oa + ob, L)
+
+
+def _full_window_sum(p, plus, minus=()):
+    acc = sum(arr for arr, _ in plus) - sum((arr for arr, _ in minus), np.zeros_like(plus[0][0]))
+    return acc % p, min(o for _, o in (*plus, *minus))
+
+
+def _full_window_val(block, base):
+    nz = block[0] != 0
+    return base + np.where(nz.any(axis=0), nz.argmax(axis=0), nz.shape[0])
+
+
+def _full_window_slopes(xs, mode, p, seed, n):
+    """Doubled slopes of trial ids 0 .. n-1 of each x, as the kernel read
+    them before per-entry horizons, as a reference: every entry (for IxI
+    every factor, and every entry of U @ M) over the 1 - 3g rows pi^g ..
+    pi^(-2g), and the slopes from the full-window tr, minor sum and det.
+    All xs share one block, g the least onset among them, columns x by x."""
+    ids = np.tile(np.arange(n, dtype=np.int64), len(xs))
+    xpats = [coset_pattern(x, "xI") for x in xs for _ in range(n)]
+    g = min(_onset(q) for q in xpats[::n])
+    L = 1 - 3 * g
+    if mode == "xI":
+        entries = _pattern_blocks(xpats, p, seed, ids, L)
+    else:
+        U = _pattern_blocks(coset_pattern(AffineWeylElt.identity(), "I"), p, seed, ids, L)
+        M = _pattern_blocks(xpats, p, seed, ids, L, slot_base=9)
+        entries = [_full_window_sum(p, [_full_window_conv(U[3 * i + k], M[3 * k + j], p, L) for k in range(3)])
+                   for i in range(3) for j in range(3)]
+    a, b, c, d, e, f, g_, h, i = entries
+
+    def mul(u, v):
+        return _full_window_conv(u, v, p, L)
+
+    ei, fh = mul(e, i), mul(f, h)
+    det = _full_window_sum(p, [mul(a, _full_window_sum(p, [ei], [fh])), mul(c, _full_window_sum(p, [mul(d, h)], [mul(e, g_)]))],
+                           [mul(b, _full_window_sum(p, [mul(d, i)], [mul(f, g_)]))])
+    assert np.all(_full_window_val(det, 3 * g) == 0)
+    v_tr = _full_window_val(_full_window_sum(p, [a, e, i]), g)
+    v_mi = _full_window_val(_full_window_sum(p, [mul(a, e), mul(a, i), ei], [mul(b, d), mul(c, g_), fh]), 2 * g)
+    two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
+    two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
+    return np.stack((two_l1, two_l3n - two_l1, -two_l3n))
+
+
+def _horizon_slopes(xs, mode, p, seed, n):
+    """The same slopes from the kernel, one block per x."""
+    ids = np.arange(n, dtype=np.int64)
+    return np.concatenate([np.stack(empirics._slopes_block(*empirics._sample_blocks(x, mode, p, seed, ids), p)[0])
+                           for x in xs], axis=1)
+
+
+# the |mu_i| <= 4 grid in one reference block, and an element at +-40 in another
+HORIZON_BLOCKS = [list(enumerate_grid(4)), [X("mu=-40,0,40;w=s121")]]
+
+
 class TestBulkKernel:
     @pytest.mark.parametrize("p", [2**31 - 1, P_MAX, 1753413037, 2, 11])
     def test_conv_matches_python_integers(self, p, rng):
         # reductions fall every ((1<<63) - p) // (p-1)**2 shifts: 2, 1 and 3
-        # for the three large primes; all-(p-1) blocks are the worst case
+        # for the three large primes; all-(p-1) blocks are the worst case.
+        # A factor known through fewer rows cuts the product where its rows
+        # run out, and the onset is the plain sum
         for L in range(1, 9):
             for oa, ob in ((0, 0), (1, 0), (0, 2), (2, 3)):
-                for worst in (True, False):
-                    x, y = _block(rng, p, L, oa, worst), _block(rng, p, L, ob, worst)
-                    out, onset = _conv(x, y, p, L)
-                    assert onset == min(oa + ob, L)
-                    assert np.array_equal(out, _python_conv(x, y, p, L)), (p, L, oa, ob, worst)
+                for la, lb in ((L, L), (L, max(L - 3, 0)), (max(L - 2, 0), L + 1)):
+                    for worst in (True, False):
+                        x, y = _block(rng, p, la, oa, worst), _block(rng, p, lb, ob, worst)
+                        out, onset = _conv(x, y, p, L)
+                        n = max(0, min(L, la + ob, lb + oa))
+                        assert onset == oa + ob and out.shape == (n, 4)
+                        assert np.array_equal(out, _python_conv(x, y, p, n)), (p, L, la, lb, oa, ob, worst)
+
+    @pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
+    def test_horizon_windows_read_the_full_window_slopes(self, p):
+        # every element of the |mu_i| <= 4 grid and one at +-40, both modes:
+        # entries cut to their horizons give the slopes of the full window
+        for xs in HORIZON_BLOCKS:
+            for mode in ("xI", "IxI"):
+                expected, got = (f(xs, mode, p, 9, 16) for f in (_full_window_slopes, _horizon_slopes))
+                wrong = sorted({str(xs[col // 16]) for col in np.flatnonzero((got != expected).any(axis=0))})
+                assert not wrong, (mode, wrong)
+
+    @pytest.mark.parametrize("mode", ["xI", "IxI"])
+    def test_a_horizon_one_row_short_raises(self, mode, monkeypatch):
+        # with any one horizon one row lower, tr, e2 or det is no longer
+        # known through pi^0, and the kernel must raise rather than read it;
+        # a horizon below the base g holds no row to lose
+        horizons = empirics._horizons
+        for text in ("mu=-2,0,2;w=s121", "mu=-40,0,40;w=s121", "mu=1,-3,2;w=s2", "mu=0,0,0", "mu=3,-1,-2;w=s1"):
+            x, seen = X(text), []
+            monkeypatch.setattr(empirics, "_horizons", lambda onsets: seen.append(horizons(onsets)) or seen[-1])
+            assert np.array_equal(_horizon_slopes([x], mode, 11, 3, 16), _full_window_slopes([x], mode, 11, 3, 16))
+            # the base in both modes: the Iwahori factor's least onset is 0
+            g = _onset(coset_pattern(x, "xI"))
+            held = [slot for slot in range(9) if seen[0][slot] >= g]
+            assert len(held) >= 3, text
+            for slot in held:
+                monkeypatch.setattr(empirics, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
+                with pytest.raises(ArithmeticError, match="through pi\\^0"):
+                    _horizon_slopes([x], mode, 11, 3, 16)
 
     def test_slope_codes_roundtrip_at_the_field_ends(self):
         lo, hi = -(2**20), 2**20 - 1
@@ -395,9 +494,9 @@ class TestCampaignBlocks:
         # precision is 20, while v(db + gc) = -1 and v(ae - bd) >= -1, so a
         # lone threshold 0 on the branch quantity passes exactly the draws
         # with d zero to precision and v(ae) >= 0.  The IIIA block has base
-        # g = -3 and rows -3 .. 6, and at p = 2 about one draw in 32 has d
-        # zero there but not to precision: those must fail, as they do on
-        # the scalar draw
+        # g = -3 and draws d only through its horizon pi^2, and at p = 2
+        # about one draw in 32 has d zero even through pi^6 but not to
+        # precision: those must fail, as they do on the scalar draw
         table = strata._predicate_tests
 
         def branch_only(x, lam):

@@ -97,6 +97,30 @@ class TestIsoMatrix:
             for j in range(3):
                 assert AB[i, j].truncate(q) == I3[i, j].truncate(q)
 
+    def test_matrices_compare_and_hash_by_value(self, rng):
+        A = rand_matrix(rng)
+        B = IsoMatrix([[A[i, j].truncate(A[i, j].prec) for j in range(3)] for i in range(3)])
+        assert B is not A and B == A and not B != A and hash(B) == hash(A)
+        C = IsoMatrix([[A[i, j] if (i, j) != (2, 1) else A[i, j] + TruncatedSeries.one(P) for j in range(3)] for i in range(3)])
+        assert C != A and not C == A
+        assert A != A.entries and IsoMatrix.identity(2) != IsoMatrix.identity(3)
+        assert len({A, B, C}) == 2
+
+    def test_inverse_forms_each_minor_once(self, rng, monkeypatch):
+        # 18 products for the cofactors, 3 for det along the first row and
+        # 9 to scale by 1/det
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        A = rand_matrix(rng)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+        A.inverse()
+        assert len(calls) == 30
+
     def test_det_of_triangular(self):
         A = IsoMatrix(
             [
