@@ -26,7 +26,7 @@ from .strata import (
     poset_of,
     witness,
 )
-from .empirics import empirical_poset, make_config, predicate_campaign
+from .empirics import _matrix_text, empirical_poset, make_config, predicate_campaign
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -47,8 +47,6 @@ def _parsed(fn, *fargs):
     """Run a parser, converting failures into the parse exit code."""
     try:
         return fn(*fargs)
-    except InsufficientPrecision:
-        raise
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -84,10 +82,6 @@ def parse_matrix(text: str, p: int, prec=INF) -> IsoMatrix:
             raise ValueError(f"expected three ,-separated entries in row {row!r}")
         entries.append([TruncatedSeries.from_text(p, s, prec) for s in cells])
     return IsoMatrix(entries)
-
-
-def _matrix_rows(A: IsoMatrix):
-    return [[A[i, j].to_text() for j in range(3)] for i in range(3)]
 
 
 # -- commands -----------------------------------------------------------------
@@ -176,7 +170,7 @@ def cmd_witness(args) -> int:
     if got != lam or not in_pattern:
         print(f"witness verification failed: slopes {got}, pattern {in_pattern}", file=sys.stderr)
         return EXIT_DOMAIN
-    rows = _matrix_rows(W)
+    rows = _matrix_text(W)
     _emit(
         args,
         {"x": str(x), "lam": str(lam), "matrix": rows, "verified": True},

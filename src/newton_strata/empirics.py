@@ -6,16 +6,18 @@ compares the resulting histograms, frequencies, and stratum memberships
 against the closed-form predictions.
 
 The bulk kernel works on blocks of samples at once.  Every entry is an
-exponent-major int64 block, row t holding the coefficient of pi^(g + t)
-for B samples; rows below an entry's structural onset are zero and never
-multiplied.  Trace, principal 2x2 minor sum and determinant come from
-exact truncated convolution mod p, reduced often enough that no int64
-sum overflows for any prime with (p-1)**2 + p < 2**63 (SampleConfig
-rejects larger ones).  As val(det) = 0, valuations above 0 cannot move
-the Newton polygon, so each entry is drawn only through its horizon
-(_horizons), which pins every slope sequence exactly, with no retry.
-Histograms, predicate campaigns and kappa_check all run on it; I * xI
-samples and kappa_check's conjugates are 3x3 products of blocks.
+exponent-major int64 block (arr, v) for B samples: row t of arr holds the
+coefficient of pi^(v + t), v is the least onset over the samples, and the
+block is known through pi^(v + len(arr) - 1).  No row below v is stored,
+and every window is the exponent it reaches.  Trace, principal 2x2 minor
+sum and determinant come from exact truncated convolution mod p, reduced
+often enough that no int64 sum overflows for any prime with (p-1)**2 + p
+< 2**63 (SampleConfig rejects larger ones).  As val(det) = 0, valuations
+above 0 cannot move the Newton polygon, so each entry is drawn only
+through its horizon (_horizons), which pins every slope sequence exactly,
+with no retry.  Histograms, predicate campaigns and kappa_check all run
+on it; I * xI samples and kappa_check's conjugates are 3x3 products of
+blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: the
@@ -245,16 +247,16 @@ def _least_onsets(patterns):
     return [min(math.inf if e.kind == "zero" else e.k for e in es) for es in zip(*(sum(q.entries, ()) for q in patterns))]
 
 
-def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0, tops=None):
-    """Exponent-major coefficient blocks for all 9 entries.
+def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
+    """Exponent-major coefficient blocks for all 9 entries, slot s drawn
+    through pi^tops[s].
 
     patterns is one ValuationPattern for every column, or a sequence with
-    one pattern per column.  blocks[3*i+j] = (arr, onset), row t of arr
-    holding the coefficient of pi^(g + t), g the least onset of any column's
-    pattern.  Rows below a column's own onset are zero; onset is the least
-    row any column fills, L where none does.  arr has L rows, or with tops
-    (exponents, see _horizons) only those through pi^tops[slot]: a slot is
-    hashed from its onset to its horizon.
+    one pattern per column.  blocks[3*i+j] = (arr, v): row t of arr holds
+    the coefficient of pi^(v + t), v the least onset over the columns, and
+    rows below a column's own onset are zero.  A slot zero in every column
+    has no rows and v one past its top; a slot whose top lies below its
+    onset has no rows and v at its onset.
     """
     if isinstance(patterns, ValuationPattern):
         distinct, which = [patterns], np.zeros(len(ids), dtype=np.intp)
@@ -262,31 +264,28 @@ def _pattern_blocks(patterns, p, seed, ids, L, slot_base=0, tops=None):
         index = {}
         which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
         distinct = list({id(q): q for q in patterns}.values())
-    g = min(_onset(q) for q in distinct)
-    # per slot and distinct pattern, the row of the entry's onset (L for a
-    # zero entry) and the same row where the entry is exact (L otherwise)
-    flat = [[e for row in q.entries for e in row] for q in distinct]
-    rows = [[min(q[s].k - g, L) if q[s].kind != "zero" else L for q in flat] for s in range(9)]
-    leads = [[r if q[s].kind == "exact" else L for q, r in zip(flat, rows[s])] for s in range(9)]
+    flat = [sum(q.entries, ()) for q in distinct]
     trials = _as_u64(ids).reshape(1, -1)
     pu, pm = np.uint64(p), np.uint64(p - 1)
     out = []
-    for slot in range(9):
-        n = L if tops is None else min(L, max(0, tops[slot] - g + 1))
-        lo, hi = min(rows[slot]), min(max(rows[slot]), n)
-        arr = np.zeros((n, len(ids)), dtype=np.int64)
-        if lo < n:
-            exps = _as_u64(np.arange(g + lo, g + n, dtype=np.int64)).reshape(-1, 1)
-            raw = _raw_hash(seed, slot_base + slot, trials, exps)
-            arr[lo:] = raw - raw // pu * pu
-            # rows below a column's own onset are zero, an exact lead a unit
-            if hi > lo:
-                below = np.arange(lo, hi).reshape(-1, 1) < np.array(rows[slot])[which]
-                arr[lo:hi][below] = 0
-            for r in {r for r in leads[slot] if r < n}:
-                cols = (np.array(leads[slot]) == r)[which]
-                np.copyto(arr[r], 1 + raw[r - lo] % pm, where=cols)
-        out.append((arr, lo))
+    for slot, top in enumerate(tops):
+        # per distinct pattern, the entry's onset (inf for a zero entry)
+        ks = [math.inf if q[slot].kind == "zero" else q[slot].k for q in flat]
+        v = min(ks) if min(ks) < math.inf else top + 1
+        n = max(0, top - v + 1)
+        if not n:
+            out.append((np.zeros((0, len(ids)), dtype=np.int64), v))
+            continue
+        raw = _raw_hash(seed, slot_base + slot, trials, _as_u64(np.arange(v, v + n, dtype=np.int64)).reshape(-1, 1))
+        arr = (raw - raw // pu * pu).view(np.int64)
+        hi = min(max(ks), v + n)
+        if hi > v:
+            arr[: hi - v][np.arange(v, hi).reshape(-1, 1) < np.array(ks)[which]] = 0
+        # an exact lead is a unit
+        for k in {q[slot].k for q in flat if q[slot].kind == "exact" and q[slot].k < v + n}:
+            cols = np.array([q[slot].kind == "exact" and q[slot].k == k for q in flat])[which]
+            np.copyto(arr[k - v], 1 + raw[k - v] % pm, where=cols)
+        out.append((arr, v))
     return out
 
 
@@ -298,86 +297,80 @@ def _reduce(arr, p):
         arr -= arr // p * p
 
 
-def _zeros(n, width):
-    """A read-only (n, width) block of zeros that holds a single row."""
-    return np.ndarray((n, width), np.int64, bytes(8 * width), 0, (0, 8))
+def _conv(x, y, p, top):
+    """The product of two blocks of residues mod p, with onset va + vb, through
+    pi^top at most.
 
-
-def _conv(x, y, p, L):
-    """The product of two blocks of residues mod p, with onset oa + ob.
-
-    A block is known through its last row, so the product holds n = min(L,
-    len(a) + ob, len(b) + oa) rows: it stops at row L - 1, or where either
-    factor runs out.  Each shift k adds a[k] * b[ob : n-k] into rows k+ob
+    A block is known through pi^(v + len - 1), so the product holds n =
+    min(top - va - vb + 1, len(a), len(b)) rows: it stops at pi^top, or where
+    either factor runs out.  Shift k adds a[k] * b[: n-k] into rows k
     onward; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
     no int64 entry overflows whenever (p-1)**2 + p < 2**63.
     """
-    (a, oa), (b, ob) = x, y
-    n, onset = max(0, min(L, len(a) + ob, len(b) + oa)), oa + ob
-    if onset >= n:
-        return _zeros(n, a.shape[1]), onset
+    (a, va), (b, vb) = x, y
+    n = max(0, min(top - va - vb + 1, len(a), len(b)))
     out = np.zeros((n, a.shape[1]), dtype=np.int64)
     step = ((1 << 63) - p) // (p - 1) ** 2
-    for m, k in enumerate(range(oa, n - ob)):
-        if m and m % step == 0:
-            _reduce(out[onset:], p)
-        out[k + ob :] += a[k] * b[ob : n - k]
-    _reduce(out[onset:], p)
-    return out, onset
+    for k in range(n):
+        if k and k % step == 0:
+            _reduce(out, p)
+        out[k:] += a[k] * b[: n - k]
+    _reduce(out, p)
+    return out, va + vb
 
 
 def _combine(p, plus, minus=()):
-    """(sum of plus - sum of minus) mod p with the least onset o, cut to its
-    shortest term (a sum is known only that far); rows below o are zero."""
+    """(sum of plus - sum of minus) mod p: a block from the least onset v,
+    known as far as every term is, so through the least v_t + len_t - 1.
+    Each term adds into the rows from its own onset; one whose onset lies
+    past that range adds nothing."""
     terms = (*plus, *minus)
-    n, o = min(len(arr) for arr, _ in terms), min(o for _, o in terms)
-    if o >= n:
-        return _zeros(n, terms[0][0].shape[1]), o
+    v = min(u for _, u in terms)
+    n = min(u + len(arr) for arr, u in terms) - v
     acc = np.zeros((n, terms[0][0].shape[1]), dtype=np.int64)
-    for arr, _ in plus:
-        acc[o:] += arr[o:n]
-    for arr, _ in minus:
-        acc[o:] -= arr[o:n]
-    _reduce(acc[o:], p)
-    return acc, o
+    for arr, u in plus:
+        acc[u - v :] += arr[: max(0, n - u + v)]
+    for arr, u in minus:
+        acc[u - v :] -= arr[: max(0, n - u + v)]
+    _reduce(acc, p)
+    return acc, v
 
 
-def _matmul_blocks(X, Y, p, L):
+def _matmul_blocks(X, Y, p, tops):
     """The 3x3 product X @ Y of two matrices of blocks, entries row by row,
-    entry s through L rows at most, or L[s] where L is a list."""
-    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, L[3 * i + j] if isinstance(L, list) else L) for k in range(3)])
+    entry s through pi^tops[s] at most."""
+    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, tops[3 * i + j]) for k in range(3)])
             for i in range(3) for j in range(3)]
 
 
 def _sample_blocks(x, mode, p, seed, ids):
-    """Entry blocks of the sampled xI (or I * xI) matrices and their base g.
+    """Entry blocks of the sampled xI (or I * xI) matrices.
 
     Each entry is drawn (for I * xI, formed from U @ M) only through its
-    horizon, never past pi^(-2g), and U and M only as far as those read.
+    horizon, and U and M only as far as those entries read.
     """
     xpat = coset_pattern(x, "xI")
     if mode == "xI":
-        g = _onset(xpat)
-        return _pattern_blocks(xpat, p, seed, ids, 1 - 3 * g, tops=_horizons(_least_onsets([xpat]))), g
+        return _pattern_blocks(xpat, p, seed, ids, _horizons(_least_onsets([xpat])))
     ipat = _identity_pattern()
-    g, L = _onset(ipat) + _onset(xpat), 1 - 3 * (_onset(ipat) + _onset(xpat))
     ou, om = _least_onsets([ipat]), _least_onsets([xpat])
     # the horizons of the entries of U @ M, and what those read of U and M
     top = _horizons([min(ou[3 * i + k] + om[3 * k + j] for k in range(3)) for i in range(3) for j in range(3)])
     tu = [max(top[3 * i + j] - om[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
     tm = [max(top[3 * i + j] - ou[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
-    U, M = _pattern_blocks(ipat, p, seed, ids, L, 0, tu), _pattern_blocks(xpat, p, seed, ids, L, 9, tm)
-    return _matmul_blocks(U, M, p, [min(L, max(0, t - g + 1)) for t in top]), g
+    U, M = _pattern_blocks(ipat, p, seed, ids, tu), _pattern_blocks(xpat, p, seed, ids, tm, 9)
+    return _matmul_blocks(U, M, p, top)
 
 
-def _lead_val(block, base):
-    """Valuation per column, read from the onset; a zero column reads the horizon."""
-    o = min(block[1], len(block[0]))
-    nz = block[0][o:] != 0
-    return base + o + np.where(nz.any(axis=0), nz.argmax(axis=0), nz.shape[0]).astype(np.int64)
+def _lead_val(block):
+    """Valuation per column; a column zero as far as the block is known
+    reads one past that, pi^(v + len)."""
+    arr, v = block
+    nz = arr != 0
+    return v + np.where(nz.any(axis=0), nz.argmax(axis=0) if len(arr) else 0, len(arr))
 
 
-def _slopes_block(entries, g, p):
+def _slopes_block(entries, p):
     """Doubled slope triples (2*lam) for one block of samples, and the
     products (ae, bd, cg) that the predicate quantities read.
 
@@ -387,33 +380,31 @@ def _slopes_block(entries, g, p):
         2*lam1    = max(-2*v1, -v2, 0)
         2*(-lam3) = max(-2*v2, -v1, 0)
     A valuation above 0 moves neither formula, so tr, the minor sum and det
-    (bases g, 2g, 3g) are formed through pi^0, the cofactor of each a, b, c
-    only through pi^(-its onset).  Should tr, e2 or det fall short of pi^0,
-    this raises; a column zero through pi^0 gives the same slopes as its
-    true valuation.
+    are formed through pi^0, the cofactor of each a, b, c only through
+    pi^(-its onset).  Should tr, e2 or det fall short of pi^0, this raises;
+    a column zero through pi^0 gives the same slopes as its true valuation.
     """
-    a, b, c, d, e, f, g_, h, i = entries
-    n1, n2, n3 = 1 - g, 1 - 2 * g, 1 - 3 * g
+    a, b, c, d, e, f, g, h, i = entries
 
-    def mul(x, y, n=n2):
-        return _conv(x, y, p, n)
+    def mul(x, y, top=0):
+        return _conv(x, y, p, top)
 
     # the determinant first, so that its cofactors are freed before the
     # products the caller keeps are formed
-    ei, fh = mul(e, i, max(n2, n3 - a[1])), mul(f, h, max(n2, n3 - a[1]))
+    ei, fh = mul(e, i, max(0, -a[1])), mul(f, h, max(0, -a[1]))
     cof_a = _combine(p, [ei], [fh])
-    cof_b = _combine(p, [mul(d, i, n3 - b[1])], [mul(f, g_, n3 - b[1])])
-    cof_c = _combine(p, [mul(d, h, n3 - c[1])], [mul(e, g_, n3 - c[1])])
-    det = _combine(p, [mul(a, cof_a, n3), mul(c, cof_c, n3)], [mul(b, cof_b, n3)])
-    if len(det[0]) < n3 or not bool(np.all(_lead_val(det, 3 * g) == 0)):
+    cof_b = _combine(p, [mul(d, i, -b[1])], [mul(f, g, -b[1])])
+    cof_c = _combine(p, [mul(d, h, -c[1])], [mul(e, g, -c[1])])
+    det = _combine(p, [mul(a, cof_a), mul(c, cof_c)], [mul(b, cof_b)])
+    if det[1] + len(det[0]) < 1 or not bool(np.all(_lead_val(det) == 0)):
         raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
     del cof_a, cof_b, cof_c, det
 
-    ae, bd, cg = mul(a, e), mul(b, d), mul(c, g_)
+    ae, bd, cg = mul(a, e), mul(b, d), mul(c, g)
     tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, mul(a, i), ei], [bd, cg, fh])
-    if len(tr[0]) < n1 or len(mi[0]) < n2:
+    if tr[1] + len(tr[0]) < 1 or mi[1] + len(mi[0]) < 1:
         raise ArithmeticError("tr or e2 not known through pi^0; kernel inconsistency")
-    v_tr, v_mi = _lead_val(tr, g), _lead_val(mi, 2 * g)
+    v_tr, v_mi = _lead_val(tr), _lead_val(mi)
     two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
     two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
     return (two_l1, two_l3n - two_l1, -two_l3n), (ae, bd, cg)
@@ -433,8 +424,7 @@ def _poset_range(x: AffineWeylElt, mode, p, seed, lo, hi):
     counts = {}
     ids = np.arange(lo, hi, dtype=np.int64)
     for start in range(0, ids.size, BLOCK):
-        entries, g = _sample_blocks(x, mode, p, seed, ids[start : start + BLOCK])
-        slopes, _ = _slopes_block(entries, g, p)
+        slopes, _ = _slopes_block(_sample_blocks(x, mode, p, seed, ids[start : start + BLOCK]), p)
         codes, n = np.unique(_encode(*slopes), return_counts=True)
         for code, cnt in zip(codes.tolist(), n.tolist()):
             counts[code] = counts.get(code, 0) + cnt
@@ -623,36 +613,40 @@ def _sample_unipotent(p, rows, prec, seed, index, slot_base) -> IsoMatrix:
     return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
 
 
-def _unipotent_blocks(rows, p, seed, ids, L):
-    """Blocks of _sample_unipotent's draws (slot_base 9) with base 0: ones
-    at the row of pi^0, each min entry (k >= 0) hashed from row k on."""
-    out = []
+def _unipotent_blocks(rows, p, seed, ids, top):
+    """Blocks of _sample_unipotent's draws (slot_base 9) through pi^top: a
+    one is 1 at pi^0 and zeros above, a zero has no rows, and a min entry
+    is hashed from pi^k on."""
+    out, trials = [], _as_u64(ids).reshape(1, -1)
     for s, spec in enumerate(spec for row in rows for spec in row):
-        arr, lo = np.zeros((L, len(ids)), dtype=np.int64), L
         if spec == "one":
-            arr[0], lo = 1, 0
-        elif spec != "zero" and spec < L:
-            exps = _as_u64(np.arange(spec, L, dtype=np.int64)).reshape(-1, 1)
-            arr[spec:], lo = _raw_hash(seed, 9 + s, _as_u64(ids).reshape(1, -1), exps) % np.uint64(p), spec
-        out.append((arr, lo))
+            arr, v = np.zeros((top + 1, len(ids)), dtype=np.int64), 0
+            arr[0] = 1
+        elif spec == "zero":
+            arr, v = np.zeros((0, len(ids)), dtype=np.int64), top + 1
+        else:
+            exps = _as_u64(np.arange(spec, top + 1, dtype=np.int64)).reshape(-1, 1)
+            arr, v = (_raw_hash(seed, 9 + s, trials, exps) % np.uint64(p)).view(np.int64), spec
+        out.append((arr, v))
     return out
 
 
-def _unipotent_inverse(j, p, L):
-    """Blocks of j^-1 for the lower-unipotent j of _unipotent_blocks: rows
-    (1), (-d, 1), (dh - g, -h, 1)."""
+def _unipotent_inverse(j, p, top):
+    """Blocks of j^-1 through pi^top for the lower-unipotent j of
+    _unipotent_blocks: rows (1), (-d, 1), (dh - g, -h, 1)."""
     one, zero, d, g, h = j[0], j[1], j[3], j[6], j[7]
     return [one, zero, zero, _combine(p, [zero], [d]), one, zero,
-            _combine(p, [_conv(d, h, p, L)], [g]), _combine(p, [zero], [h]), one]
+            _combine(p, [_conv(d, h, p, top)], [g]), _combine(p, [zero], [h]), one]
 
 
 def _passes(checks, n):
     """Per column, whether block / pi^shift meets entry for every (entry,
-    block, base, shift) check, read as a short-circuit `and`: a column zero
-    in the window reads its horizon, and one that leaves the check open raises."""
+    block, shift) check, read as a short-circuit `and`: a column zero as
+    far as the block is known reads one past that, and one that leaves the
+    check open raises."""
     ok = np.ones(n, dtype=bool)
-    for entry, block, base, shift in checks:
-        v, hidden = _lead_val(block, base) - shift, ~block[0].any(axis=0)
+    for entry, block, shift in checks:
+        v, hidden = _lead_val(block) - shift, ~block[0].any(axis=0)
         passed = {"zero": hidden, "min": v >= entry.k, "exact": v == entry.k}[entry.kind]
         undecided = hidden & (v < entry.k + (entry.kind == "exact")) & (entry.kind != "zero")
         if np.any(ok & undecided):
@@ -665,27 +659,30 @@ def _k1_inverse_passes(x, kpat, acfg, ids):
     """Per trial id, whether the explicit K1 inverse of acfg's draw A passes.
 
     With D = ce - bf, J = cD j and Jt = cD j^-1 are polynomial in A and
-    j A j^-1 = J A Jt / (cD)^2.  The window is the draw's range pi^g ..
-    pi^(prec-1), where c or D zero is undecided, as its inverse is."""
+    j A j^-1 = J A Jt / (cD)^2.  A is drawn through pi^(prec-1), as far as
+    its scalar draw reaches, and a product of m entries of A through
+    pi^(prec - 1 + (m-1) g), g the least onset of A: prec - g exponents from
+    its least onset m g, as A holds from g.  Where c or D is zero that far
+    the test is undecided, as the inverse is."""
     p, g, (m1, m2, m3) = acfg.p, _onset(acfg.pattern), x.mu
-    L = acfg.prec - g
-    A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, L)
+    top = acfg.prec - 1
+    A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, [top] * 9)
     _, b, c, _, e, f, _, h, i = A
-    mul = functools.partial(_conv, p=p, L=L)
-    D, bi_ch, ei_fh = (_combine(p, [mul(u, v)], [mul(y, z)]) for u, v, y, z in ((c, e, b, f), (b, i, c, h), (e, i, f, h)))
+    D, bi_ch, ei_fh = (_combine(p, [_conv(u, v, p, top + g)], [_conv(y, z, p, top + g)])
+                       for u, v, y, z in ((c, e, b, f), (b, i, c, h), (e, i, f, h)))
     if not (c[0].any(axis=0).all() and D[0].any(axis=0).all()):
         raise InsufficientPrecision("c or ce - bf is zero to precision; cannot invert")
-    zero = (np.zeros_like(c[0]), L)
     # cD d' = -fD, cD h' = c(bi - ch) and cD g' = -c(ei - fh); cD (d'h' - g') = iD
-    cD, fD, iD, c_h, c_g = (mul(u, v) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
+    cD, fD, iD, c_h, c_g = (_conv(u, v, p, top + 2 * g) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
+    zero = (c[0][:0], top + 2 * g + 1)
     J = [cD, zero, zero, _combine(p, [zero], [fD]), cD, zero, _combine(p, [zero], [c_g]), c_h, cD]
     Jt = [cD, zero, zero, fD, cD, zero, iD, _combine(p, [zero], [c_h]), cD]
-    N = _matmul_blocks(_matmul_blocks(J, A, p, L), Jt, p, L)
-    v_c, v_D = _lead_val(c, g), _lead_val(D, 2 * g)
+    N = _matmul_blocks(_matmul_blocks(J, A, p, [top + 3 * g] * 9), Jt, p, [top + 6 * g] * 9)
+    v_c, v_D = _lead_val(c), _lead_val(D)
     # v(d') = v(f) - v(c), v(h') = v(bi - ch) - v(D), v(g') = v(ei - fh) - v(D)
-    checks = [(PatternEntry("min", m2 - m1), f, g, v_c), (PatternEntry("min", m3 - m2), bi_ch, 2 * g, v_D),
-              (PatternEntry("min", m3 - m1), ei_fh, 2 * g, v_D)]
-    checks += [(e, blk, 7 * g, 2 * (v_c + v_D)) for e, blk in zip((e for row in kpat.entries for e in row), N)]
+    checks = [(PatternEntry("min", m2 - m1), f, v_c), (PatternEntry("min", m3 - m2), bi_ch, v_D),
+              (PatternEntry("min", m3 - m1), ei_fh, v_D)]
+    checks += [(e, blk, 2 * (v_c + v_D)) for e, blk in zip((e for row in kpat.entries for e in row), N)]
     return _passes(checks, len(ids))
 
 
@@ -733,11 +730,14 @@ def kappa_check(
     D = ce - bf must give d', h', g' their valuations and j A j^-1 back in
     the reduced pattern.  Each test runs on one block of trial ids 0 ..
     trials-1, drawn as sample_pattern and _sample_unipotent draw them; the
-    forward window holds max(1 - 3g, top xI onset - g + 1) rows from the
-    onset g of k.  A test its window cannot decide raises
+    forward test draws k through pi^T, T = max(-2g, top xI onset) with g
+    the least onset of k, and j through pi^(T - g).  A test its window
+    cannot decide raises
     InsufficientPrecision.  The first 10 failing trials are drawn again one
     matrix at a time and reported verbatim.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     kpat = coset_pattern(x, which)
     xpat = coset_pattern(x, "xI")
     jrows = _unipotent_rows(x, which)
@@ -752,17 +752,18 @@ def kappa_check(
     # kappa = j^-1 (k j)
     xentries = [e for row in xpat.entries for e in row]
     g = _onset(kpat)
-    L = max(1 - 3 * g, max(e.k for e in xentries) - g + 1)
-    K = _pattern_blocks(kpat, p, seed, ids, L)
-    j = _unipotent_blocks(jrows, p, seed, ids, L)
+    top = max(-2 * g, max(e.k for e in xentries))
+    tops = [top] * 9
+    K = _pattern_blocks(kpat, p, seed, ids, tops)
+    j = _unipotent_blocks(jrows, p, seed, ids, top - g)
     one, zero = j[0], j[1]
-    kappa = _matmul_blocks(_unipotent_inverse(j, p, L), _matmul_blocks(K, j, p, L), p, L)
-    same = np.all(np.stack(_slopes_block(kappa, g, p)[0]) == np.stack(_slopes_block(K, g, p)[0]), axis=0)
-    forward = _passes([(e, blk, g, 0) for e, blk in zip(xentries, kappa)], trials) & same
+    kappa = _matmul_blocks(_unipotent_inverse(j, p, top - g), _matmul_blocks(K, j, p, tops), p, tops)
+    same = np.all(np.stack(_slopes_block(kappa, p)[0]) == np.stack(_slopes_block(K, p)[0]), axis=0)
+    forward = _passes([(e, blk, 0) for e, blk in zip(xentries, kappa)], trials) & same
 
     n = min(trials, 32)
-    head, ident = ([(arr[:, :n], lo) for arr, lo in M] for M in (K, [one if s % 4 == 0 else zero for s in range(9)]))
-    again = _matmul_blocks(ident, _matmul_blocks(head, ident, p, L), p, L)
+    head, ident = ([(arr[:, :n], v) for arr, v in M] for M in (K, [one if s % 4 == 0 else zero for s in range(9)]))
+    again = _matmul_blocks(ident, _matmul_blocks(head, ident, p, tops), p, tops)
     identity = np.all([(u == v).all(axis=0) for (u, _), (v, _) in zip(again, head)], axis=0)
 
     inverse = _k1_inverse_passes(x, kpat, acfg, ids) if acfg else np.ones(0, dtype=bool)
@@ -885,15 +886,14 @@ def _campaign_verdicts(groups, trials_per_case, p, seed):
         start[x] = len(patterns)
         ids.append(np.arange(n, dtype=np.int64))
         patterns += [cfgs[x].pattern] * n
-    g = min(_onset(cfg.pattern) for cfg in cfgs.values())
     tops = _horizons(_least_onsets([cfg.pattern for cfg in cfgs.values()]))
-    entries = _pattern_blocks(patterns, p, seed, np.concatenate(ids), 1 - 3 * g, tops=tops)
-    slopes, (ae, bd, cg) = _slopes_block(entries, g, p)
+    entries = _pattern_blocks(patterns, p, seed, np.concatenate(ids), tops)
+    slopes, (ae, bd, cg) = _slopes_block(entries, p)
     slopes = np.stack(slopes)
     vals = {
-        "a": _lead_val(entries[0], g),
-        "ae-bd": _lead_val(_combine(p, [ae], [bd]), 2 * g),
-        "db+gc": _lead_val(_combine(p, [bd, cg]), 2 * g),
+        "a": _lead_val(entries[0]),
+        "ae-bd": _lead_val(_combine(p, [ae], [bd])),
+        "db+gc": _lead_val(_combine(p, [bd, cg])),
     }
 
     def valuations(q, x, cfg, n):
@@ -930,6 +930,8 @@ def predicate_campaign(
     sample_pattern, trial id for trial id.  The first 20 mismatching
     matrices are drawn again by sample_pattern and reported verbatim.
     """
+    if trials_per_case < 0:
+        raise ValueError("trials must be nonnegative")
     groups = _campaign_groups(bound, p, seed, cases)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()

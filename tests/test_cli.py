@@ -222,6 +222,10 @@ class TestCampaignAndTables:
         assert code == 0
         assert out.strip().splitlines()[-1] == "total trials: 0   ok: True"
 
+    def test_campaign_negative_trials_is_a_domain_error(self, capsys):
+        code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "-5")
+        assert code == 4 and "trials must be nonnegative" in err
+
     def test_campaign_undecided_draw_exits_precision(self, capsys, monkeypatch):
         from newton_strata import empirics
         from newton_strata.series import InsufficientPrecision

@@ -12,6 +12,7 @@ from newton_strata.series import InsufficientPrecision, TruncatedSeries
 from newton_strata.affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of, stratum_predicate
 from newton_strata.empirics import (
+    _combine,
     _conv,
     _decode,
     _encode,
@@ -158,7 +159,7 @@ class TestGoldenDraws:
         cfg = SampleConfig(pattern=coset_pattern(GOLDEN_X, "K2"), p=p, seed=5)
         g = _onset(cfg.pattern)
         ids = np.array([2, 7, 40], dtype=np.int64)
-        blocks = _pattern_blocks(cfg.pattern, p, cfg.seed, ids, cfg.prec - g, slot_base=9)
+        blocks = _padded(_pattern_blocks(cfg.pattern, p, cfg.seed, ids, [cfg.prec - 1] * 9, slot_base=9), g, cfg.prec - g)
         for col, index in enumerate(ids.tolist()):
             A = sample_pattern(cfg, index, slot_base=9)
             for slot, (arr, _) in enumerate(blocks):
@@ -166,9 +167,20 @@ class TestGoldenDraws:
                 assert arr[:, col].tolist() == [entry.coeff(e) for e in range(g, cfg.prec)], (index, slot)
 
 
+def _padded(blocks, base, n):
+    """Blocks in the layout of rows from a common base: n rows from pi^base,
+    and the row of the block's onset (n for a block with no row there)."""
+    out = []
+    for arr, v in blocks:
+        full = np.zeros((n, arr.shape[1]), dtype=np.int64)
+        full[v - base : v - base + len(arr)] = arr
+        out.append((full, min(v - base, n)))
+    return out
+
+
 def _python_conv(x, y, p, n):
     """Reference for _conv with Python integers, column by column: rows
-    [0, n), reading only rows that both arrays hold."""
+    [0, n) from the product's onset, reading only rows that both arrays hold."""
     (a, _), (b, _) = x, y
     out = np.zeros((n, a.shape[1]), dtype=np.int64)
     for col in range(a.shape[1]):
@@ -177,9 +189,9 @@ def _python_conv(x, y, p, n):
     return out
 
 
-def _block(rng, p, L, onset, worst=False):
-    arr = np.full((L, 4), p - 1, dtype=np.int64) if worst else rng.integers(0, p, size=(L, 4))
-    arr[:onset] = 0
+def _block(rng, p, n, onset, worst=False):
+    """A block of n rows from pi^onset, all p - 1 in the worst case."""
+    arr = np.full((n, 4), p - 1, dtype=np.int64) if worst else rng.integers(0, p, size=(n, 4))
     return arr, onset
 
 
@@ -215,10 +227,10 @@ def _full_window_slopes(xs, mode, p, seed, n):
     g = min(_onset(q) for q in xpats[::n])
     L = 1 - 3 * g
     if mode == "xI":
-        entries = _pattern_blocks(xpats, p, seed, ids, L)
+        entries = _padded(_pattern_blocks(xpats, p, seed, ids, [-2 * g] * 9), g, L)
     else:
-        U = _pattern_blocks(coset_pattern(AffineWeylElt.identity(), "I"), p, seed, ids, L)
-        M = _pattern_blocks(xpats, p, seed, ids, L, slot_base=9)
+        U = _padded(_pattern_blocks(coset_pattern(AffineWeylElt.identity(), "I"), p, seed, ids, [-3 * g] * 9), 0, L)
+        M = _padded(_pattern_blocks(xpats, p, seed, ids, [-2 * g] * 9, slot_base=9), g, L)
         entries = [_full_window_sum(p, [_full_window_conv(U[3 * i + k], M[3 * k + j], p, L) for k in range(3)])
                    for i in range(3) for j in range(3)]
     a, b, c, d, e, f, g_, h, i = entries
@@ -240,7 +252,7 @@ def _full_window_slopes(xs, mode, p, seed, n):
 def _horizon_slopes(xs, mode, p, seed, n):
     """The same slopes from the kernel, one block per x."""
     ids = np.arange(n, dtype=np.int64)
-    return np.concatenate([np.stack(empirics._slopes_block(*empirics._sample_blocks(x, mode, p, seed, ids), p)[0])
+    return np.concatenate([np.stack(empirics._slopes_block(empirics._sample_blocks(x, mode, p, seed, ids), p)[0])
                            for x in xs], axis=1)
 
 
@@ -253,17 +265,45 @@ class TestBulkKernel:
     def test_conv_matches_python_integers(self, p, rng):
         # reductions fall every ((1<<63) - p) // (p-1)**2 shifts: 2, 1 and 3
         # for the three large primes; all-(p-1) blocks are the worst case.
-        # A factor known through fewer rows cuts the product where its rows
-        # run out, and the onset is the plain sum
-        for L in range(1, 9):
-            for oa, ob in ((0, 0), (1, 0), (0, 2), (2, 3)):
-                for la, lb in ((L, L), (L, max(L - 3, 0)), (max(L - 2, 0), L + 1)):
+        # The product stops at pi^top, or where a factor's rows run out, and
+        # its onset is the plain sum
+        for top in range(-3, 9):
+            for oa, ob in ((0, 0), (1, 0), (0, 2), (2, 3), (-2, 1)):
+                for la, lb in ((8, 8), (8, 3), (2, 9), (0, 5)):
                     for worst in (True, False):
                         x, y = _block(rng, p, la, oa, worst), _block(rng, p, lb, ob, worst)
-                        out, onset = _conv(x, y, p, L)
-                        n = max(0, min(L, la + ob, lb + oa))
+                        out, onset = _conv(x, y, p, top)
+                        n = max(0, min(top - oa - ob + 1, la, lb))
                         assert onset == oa + ob and out.shape == (n, 4)
-                        assert np.array_equal(out, _python_conv(x, y, p, n)), (p, L, la, lb, oa, ob, worst)
+                        assert np.array_equal(out, _python_conv(x, y, p, n)), (p, top, la, lb, oa, ob, worst)
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1, P_MAX])
+    def test_combine_matches_python_integers(self, p, rng):
+        # (onset, rows) of the plus and the minus terms: unequal onsets and
+        # lengths, empty terms (zero entries), terms whose onset lies past
+        # the sum's known range, and only empty terms.  The sum starts at
+        # the least onset and is known as far as every term is
+        cases = [
+            ([(0, 5), (2, 4)], []),
+            ([(1, 3)], [(-1, 6), (3, 0)]),
+            ([(4, 0), (0, 2)], [(7, 3)]),
+            ([(2, 0)], [(5, 0)]),
+            ([(-3, 8), (0, 8), (3, 8)], [(1, 2), (2, 9)]),
+        ]
+        for plus, minus in cases:
+            for worst in (True, False):
+                terms = [_block(rng, p, n, o, worst) for o, n in plus + minus]
+                acc, v = _combine(p, terms[: len(plus)], terms[len(plus) :])
+                lo, hi = min(o for o, _ in plus + minus), min(o + n for o, n in plus + minus)
+                assert v == lo and acc.shape == (hi - lo, 4), (plus, minus)
+
+                def coeff(arr, o, e, col):
+                    return int(arr[e - o, col]) if 0 <= e - o < len(arr) else 0
+
+                for col in range(4):
+                    for e in range(lo, hi):
+                        signed = [coeff(arr, o, e, col) * (1 if t < len(plus) else -1) for t, (arr, o) in enumerate(terms)]
+                        assert acc[e - lo, col] == sum(signed) % p, (plus, minus, worst, e)
 
     @pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
     def test_horizon_windows_read_the_full_window_slopes(self, p):
@@ -278,16 +318,17 @@ class TestBulkKernel:
     @pytest.mark.parametrize("mode", ["xI", "IxI"])
     def test_a_horizon_one_row_short_raises(self, mode, monkeypatch):
         # with any one horizon one row lower, tr, e2 or det is no longer
-        # known through pi^0, and the kernel must raise rather than read it;
-        # a horizon below the base g holds no row to lose
+        # known through pi^0, and the kernel must raise rather than read it.
+        # A horizon below its slot's onset hashes no row: the zeros there
+        # are known without a draw, and lowering it changes nothing
         horizons = empirics._horizons
         for text in ("mu=-2,0,2;w=s121", "mu=-40,0,40;w=s121", "mu=1,-3,2;w=s2", "mu=0,0,0", "mu=3,-1,-2;w=s1"):
             x, seen = X(text), []
-            monkeypatch.setattr(empirics, "_horizons", lambda onsets: seen.append(horizons(onsets)) or seen[-1])
+            monkeypatch.setattr(empirics, "_horizons", lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
             assert np.array_equal(_horizon_slopes([x], mode, 11, 3, 16), _full_window_slopes([x], mode, 11, 3, 16))
-            # the base in both modes: the Iwahori factor's least onset is 0
-            g = _onset(coset_pattern(x, "xI"))
-            held = [slot for slot in range(9) if seen[0][slot] >= g]
+            # the onsets are those of the xI entries, or in IxI of U @ M
+            onsets, tops = seen[0]
+            held = [slot for slot in range(9) if tops[slot] >= onsets[slot]]
             assert len(held) >= 3, text
             for slot in held:
                 monkeypatch.setattr(empirics, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
@@ -436,6 +477,14 @@ class TestEstimators:
             predicate_campaign(bound=1, trials_per_case=5, seed=7)
         with pytest.raises(InsufficientPrecision):
             kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=5, seed=4)
+
+    def test_kappa_check_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="trials must be nonnegative"):
+            kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=-3)
+
+    def test_campaign_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="trials must be nonnegative"):
+            predicate_campaign(bound=1, trials_per_case=-5)
 
     def test_campaign_on_translation_case_only(self):
         rep = predicate_campaign(bound=1, trials_per_case=40, seed=7, cases={"VIA"})
@@ -677,15 +726,17 @@ class TestKappaBlocks:
 
     @pytest.mark.parametrize("p", KAPPA_PRIMES)
     def test_complement_inverse_times_complement_is_the_identity(self, p):
-        # j^-1 j = 1 on every row of the window; the forward test alone cannot
-        # see an error in j^-1 of valuation above what xI and the slopes read
-        L, ids = 24, np.arange(64, dtype=np.int64)
+        # j^-1 j = 1 on every row of the window pi^0 .. pi^23; the forward
+        # test alone cannot see an error in j^-1 of valuation above what xI
+        # and the slopes read
+        top, ids = 23, np.arange(64, dtype=np.int64)
         for text, which in KAPPA_CASES:
-            j = empirics._unipotent_blocks(_unipotent_rows(X(text), which), p, 7, ids, L)
+            j = empirics._unipotent_blocks(_unipotent_rows(X(text), which), p, 7, ids, top)
             assert j[6][0].any(), (text, which)
-            product = empirics._matmul_blocks(empirics._unipotent_inverse(j, p, L), j, p, L)
-            for slot, (arr, _) in enumerate(product):
-                identity = np.zeros((L, ids.size), dtype=np.int64)
+            product = empirics._matmul_blocks(empirics._unipotent_inverse(j, p, top), j, p, [top] * 9)
+            assert all(v + len(arr) > top for arr, v in product), (text, which)
+            for slot, (arr, _) in enumerate(_padded(product, 0, top + 1)):
+                identity = np.zeros((top + 1, ids.size), dtype=np.int64)
                 identity[0] = slot % 4 == 0
                 assert np.array_equal(arr, identity), (text, which, slot)
 
@@ -694,7 +745,7 @@ class TestKappaBlocks:
         for text, which in KAPPA_CASES:
             rows = _unipotent_rows(X(text), which)
             ids = np.array([0, 5, 31], dtype=np.int64)
-            blocks = empirics._unipotent_blocks(rows, p, 7, ids, 12)
+            blocks = _padded(empirics._unipotent_blocks(rows, p, 7, ids, 11), 0, 12)
             for col, index in enumerate(ids.tolist()):
                 j = _sample_unipotent(p, rows, 16, 7, index, slot_base=9)
                 for slot, (arr, _) in enumerate(blocks):
