@@ -6,6 +6,7 @@ Series I/O uses "t" as the uniformizer symbol.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,11 +36,13 @@ EXIT_PRECISION = 3
 EXIT_DOMAIN = 4
 
 
-def _emit(args, obj, text_lines):
+def _emit(args, to_json, text_lines):
+    """Print to_json() under --json, else the lines text_lines() yields:
+    each form is built only when it is the one printed."""
     if getattr(args, "json", False):
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(to_json(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -94,8 +97,8 @@ def cmd_slopes(args) -> int:
     verts = _vertices(lam)
     _emit(
         args,
-        {"slopes": str(lam), "polygon": [[i, str(h)] for i, h in verts]},
-        [f"slopes: {lam}", "polygon: " + " ".join(f"({i},{h})" for i, h in verts)],
+        lambda: {"slopes": str(lam), "polygon": [[i, str(h)] for i, h in verts]},
+        lambda: [f"slopes: {lam}", "polygon: " + " ".join(f"({i},{h})" for i, h in verts)],
     )
     return EXIT_OK
 
@@ -106,15 +109,16 @@ def cmd_poset(args) -> int:
     if args.dot:
         print(poset.to_dot())
         return EXIT_OK
-    lines = [
-        f"x: {x}",
-        f"nu_x: {poset.nu_x}",
-        f"shape: {poset.shape}",
-        f"elements ({len(poset)}): " + "; ".join(str(z) for z in poset.elements),
-    ]
-    for i, j in poset.hasse:
-        lines.append(f"cover: {poset.elements[i]} -> {poset.elements[j]}")
-    _emit(args, poset.to_json(), lines)
+
+    def lines():
+        yield f"x: {x}"
+        yield f"nu_x: {poset.nu_x}"
+        yield f"shape: {poset.shape}"
+        yield f"elements ({len(poset)}): " + "; ".join(str(z) for z in poset.elements)
+        for i, j in poset.hasse:
+            yield f"cover: {poset.elements[i]} -> {poset.elements[j]}"
+
+    _emit(args, poset.to_json, lines)
     return EXIT_OK
 
 
@@ -122,20 +126,27 @@ def cmd_codim(args) -> int:
     x = _parsed(AffineWeylElt.parse, args.x)
     lam = _parsed(SlopeSeq.parse, args.lam)
     value = codim(x, lam)
-    obj = {"x": str(x), "lam": str(lam), "codim": value}
-    lines = [f"codim: {value}"]
     if args.both:
         try:
             root = codim_roottheoretic(x, lam)
-            obj["roottheoretic"] = root
-            lines.append(f"roottheoretic: {root}")
         except ExceptionBranchAtGeneric:
-            obj["roottheoretic"] = None
-            lines.append("roottheoretic: undefined at the generic slope")
+            root = None  # undefined at the generic slope
         exc = is_exceptional(x)
-        obj["exceptional"] = exc
-        lines.append(f"exceptional: {'yes' if exc else 'no'}")
-    _emit(args, obj, lines)
+
+    def to_json():
+        obj = {"x": str(x), "lam": str(lam), "codim": value}
+        if args.both:
+            obj["roottheoretic"] = root
+            obj["exceptional"] = exc
+        return obj
+
+    def lines():
+        yield f"codim: {value}"
+        if args.both:
+            yield f"roottheoretic: {'undefined at the generic slope' if root is None else root}"
+            yield f"exceptional: {'yes' if exc else 'no'}"
+
+    _emit(args, to_json, lines)
     return EXIT_OK
 
 
@@ -151,8 +162,8 @@ def cmd_adlv(args) -> int:
     nonempty = adlv_nonempty(x, slopes)
     _emit(
         args,
-        {"x": str(x), "b_slopes": str(slopes), "nonempty": nonempty},
-        [f"b slopes: {slopes}", "nonempty" if nonempty else "empty"],
+        lambda: {"x": str(x), "b_slopes": str(slopes), "nonempty": nonempty},
+        lambda: [f"b slopes: {slopes}", "nonempty" if nonempty else "empty"],
     )
     return EXIT_OK if nonempty else EXIT_EMPTY
 
@@ -173,8 +184,8 @@ def cmd_witness(args) -> int:
     rows = _matrix_text(W)
     _emit(
         args,
-        {"x": str(x), "lam": str(lam), "matrix": rows, "verified": True},
-        [f"witness for lam = {lam} (verified, slopes and xI pattern):"]
+        lambda: {"x": str(x), "lam": str(lam), "matrix": rows, "verified": True},
+        lambda: [f"witness for lam = {lam} (verified, slopes and xI pattern):"]
         + ["  [" + ", ".join(row) + "]" for row in rows],
     )
     return EXIT_OK
@@ -187,12 +198,15 @@ def cmd_sample(args) -> int:
     if args.csv:
         print(hist.to_csv(), end="")
         return EXIT_OK
-    lines = [f"x: {x}   p={hist.p} trials={hist.trials} mode={args.mode}"]
-    for s in hist.support():
-        n = hist.counts[s]
-        lines.append(f"  {str(s):16s} {n:10d}  {n / max(hist.trials, 1):.6f}")
-    lines.append(f"elapsed: {hist.elapsed_ms:.0f} ms")
-    _emit(args, hist.to_json(), lines)
+
+    def lines():
+        yield f"x: {x}   p={hist.p} trials={hist.trials} mode={args.mode}"
+        for s in hist.support():
+            n = hist.counts[s]
+            yield f"  {str(s):16s} {n:10d}  {n / max(hist.trials, 1):.6f}"
+        yield f"elapsed: {hist.elapsed_ms:.0f} ms"
+
+    _emit(args, hist.to_json, lines)
     return EXIT_OK
 
 
@@ -204,17 +218,16 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         cases=args.cases.split(",") if args.cases else None,
     )
-    lines = []
-    for tag in sorted(report.cases):
-        st = report.cases[tag]
-        lines.append(
-            f"{tag:9s} pairs={st['pairs']:4d} trials={st['trials']:6d} "
-            f"mismatches={st['mismatches']}"
-        )
-    for mm in report.mismatches:
-        lines.append(f"MISMATCH x={mm['x']} lam={mm['lam']} sample={mm['index']}: {mm['matrix']}")
-    lines.append(f"total trials: {report.trials_total}   ok: {report.ok}")
-    _emit(args, report.to_json(), lines)
+
+    def lines():
+        for tag in sorted(report.cases):
+            st = report.cases[tag]
+            yield f"{tag:9s} pairs={st['pairs']:4d} trials={st['trials']:6d} mismatches={st['mismatches']}"
+        for mm in report.mismatches:
+            yield f"MISMATCH x={mm['x']} lam={mm['lam']} sample={mm['index']}: {mm['matrix']}"
+        yield f"total trials: {report.trials_total}   ok: {report.ok}"
+
+    _emit(args, report.to_json, lines)
     return EXIT_OK if report.ok else EXIT_EMPTY
 
 
@@ -241,32 +254,32 @@ def cmd_tables(args) -> int:
             row["verify"] = "ok" if ok else "MISMATCH"
             discrepancies += 0 if ok else 1
         rows.append(row)
-    width = max((len(r["x"]) for r in rows), default=8)
-    lines = [
-        f"{r['x']:{width}s}  {r['chamber']:8s}  nu_x={r['nu_x']:12s} "
-        f"{r['shape']:22s} |N(G)_x|={r['size']}" + (f"  {r['verify']}" if args.verify else "")
-        for r in rows
-    ]
-    _emit(args, rows, lines)
+
+    def lines():
+        width = max((len(r["x"]) for r in rows), default=8)
+        for r in rows:
+            yield (
+                f"{r['x']:{width}s}  {r['chamber']:8s}  nu_x={r['nu_x']:12s} "
+                f"{r['shape']:22s} |N(G)_x|={r['size']}" + (f"  {r['verify']}" if args.verify else "")
+            )
+
+    _emit(args, lambda: rows, lines)
     return EXIT_OK if discrepancies == 0 else EXIT_EMPTY
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_common(sub, *, p=True, prec=False, sampling=False):
+def _add_common(sub, *, p=True, prec=False, sampling=False, workers=False):
     if p:
         sub.add_argument("--p", type=int, default=11, help="sampling/witness prime")
     if prec:
         sub.add_argument("--prec", type=int, default=None, help="series precision bound")
     if sampling:
         sub.add_argument("--trials", type=int, default=10_000)
-        sub.add_argument(
-            "--seed",
-            type=int,
-            default=int(os.environ.get("NEWTON_STRATA_SEED", "0")),
-            help="sampling seed (default from NEWTON_STRATA_SEED)",
-        )
+        # None: main reads NEWTON_STRATA_SEED on each call
+        sub.add_argument("--seed", type=int, default=None, help="sampling seed (default from NEWTON_STRATA_SEED)")
+    if workers:
         sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -314,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("x")
     s.add_argument("--mode", choices=("xI", "IxI"), default="xI")
     s.add_argument("--csv", action="store_true", help="emit the histogram as CSV")
-    _add_common(s, sampling=True)
+    _add_common(s, sampling=True, workers=True)
     s.set_defaults(func=cmd_sample)
 
     s = subs.add_parser("campaign", help="closed-form predicate vs sampled slopes")
@@ -327,14 +340,32 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--w", choices=W_NAMES + ("all",), default="all")
     s.add_argument("--bound", type=int, default=2)
     s.add_argument("--verify", action="store_true", help="check that the sampled support lies in N(G)_x and contains nu_x")
-    _add_common(s, sampling=True)
+    _add_common(s, sampling=True, workers=True)
     s.set_defaults(func=cmd_tables)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main reuses, built on its first call; parsing leaves no
+    state behind in it."""
+    return build_parser()
+
+
+def _env_seed() -> int:
+    text = os.environ.get("NEWTON_STRATA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"NEWTON_STRATA_SEED must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # a sampling command given no --seed
+    if getattr(args, "seed", 0) is None:
+        args.seed = _parsed(_env_seed)
     try:
         # a bad modulus is a domain error before any input is parsed with it
         if getattr(args, "p", None) is not None:

@@ -865,6 +865,14 @@ def _zero_to_precision(cfg, slot, ids):
     return ~(raw % np.uint64(cfg.p)).astype(bool).any(axis=0)
 
 
+def _pair_reps(trials_per_case, n_pairs):
+    """Draws of each of a tag's pairs: an equal share of trials_per_case,
+    or, with fewer trials than pairs, one draw on each of trials_per_case
+    pairs spread evenly over the tag; never more than trials_per_case."""
+    share = trials_per_case // n_pairs
+    return [share or (i + 1) * trials_per_case // n_pairs - i * trials_per_case // n_pairs for i in range(n_pairs)]
+
+
 def _campaign_verdicts(groups, trials_per_case, p, seed):
     """Every campaign draw evaluated on one block of the bulk kernel.
 
@@ -872,13 +880,14 @@ def _campaign_verdicts(groups, trials_per_case, p, seed):
     of its pairs needs, each column drawn from its own x's case pattern.
     Yields (tag, x, lam, cfg, predicted, slopes) per pair in campaign
     order: the verdicts of the closed-form tests and the doubled slope
-    triples of its reps 0 .. share-1.
+    triples of its reps 0 .. n-1, n its count from _pair_reps.
     """
-    shares = {tag: max(1, trials_per_case // len(pairs)) for tag, pairs in groups.items()}
+    pair_reps = {tag: _pair_reps(trials_per_case, len(pairs)) for tag, pairs in groups.items()}
     reps, cfgs = {}, {}
     for tag, pairs in groups.items():
-        for x, _, cfg in pairs:
-            reps[x], cfgs[x] = max(shares[tag], reps.get(x, 0)), cfg
+        for (x, _, cfg), n in zip(pairs, pair_reps[tag]):
+            if n:
+                reps[x], cfgs[x] = max(n, reps.get(x, 0)), cfg
     if not reps:
         return
     start, ids, patterns = {}, [], []
@@ -904,8 +913,9 @@ def _campaign_verdicts(groups, trials_per_case, p, seed):
         return vals[q][cut]
 
     for tag in sorted(groups):
-        n = shares[tag]
-        for x, lam, cfg in groups[tag]:
+        for (x, lam, cfg), n in zip(groups[tag], pair_reps[tag]):
+            if not n:
+                continue
             predicted = np.ones(n, dtype=bool)
             for q, t in _predicate_tests(x, lam):
                 predicted &= valuations(q, x, cfg, n) >= ceil_q(t)

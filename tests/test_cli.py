@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, and plumbing."""
 import json
+import re
 
 import pytest
 
+from newton_strata import cli
 from newton_strata.cli import main, parse_matrix
 from newton_strata.isocrystal import SlopeSeq, slope_sequence
 from newton_strata.affine_weyl import AffineWeylElt, coset_pattern
@@ -200,6 +202,37 @@ class TestSample:
         _, explicit, _ = run(capsys, *argv, "--seed", "5")
         assert json.loads(from_env)["histogram"] == json.loads(explicit)["histogram"]
 
+    def test_seed_env_is_read_on_each_call(self, capsys, monkeypatch):
+        argv = ("sample", "mu=-2,0,2;w=s121", "--trials", "400", "--json")
+        monkeypatch.setenv("NEWTON_STRATA_SEED", "5")
+        _, first, _ = run(capsys, *argv)
+        monkeypatch.setenv("NEWTON_STRATA_SEED", "6")
+        _, second, _ = run(capsys, *argv)
+        _, explicit, _ = run(capsys, *argv, "--seed", "6")
+        assert json.loads(second)["histogram"] == json.loads(explicit)["histogram"]
+        assert json.loads(second)["histogram"] != json.loads(first)["histogram"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "mu=-2,0,2;w=s121", "--trials", "10"),
+            ("campaign", "--bound", "1", "--trials", "5"),
+            ("tables", "--w", "s121", "--bound", "1", "--verify", "--trials", "10"),
+        ],
+    )
+    def test_malformed_seed_env_is_a_parse_error_for_sampling_commands(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("NEWTON_STRATA_SEED", "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "parse error: NEWTON_STRATA_SEED must be an integer, got 'abc'\n"
+        # an explicit seed never reads the variable
+        assert run(capsys, *argv, "--seed", "1")[0] == 0
+
+    def test_malformed_seed_env_is_ignored_without_sampling(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEWTON_STRATA_SEED", "abc")
+        code, out, _ = run(capsys, "poset", "mu=-2,0,2;w=s121")
+        assert code == 0 and out.startswith("x: mu=-2,0,2;w=s121\n")
+
     def test_ixi_mode_runs(self, capsys):
         code, out, _ = run(
             capsys, "sample", "mu=-2,0,2;w=s121", "--mode", "IxI", "--trials", "100", "--json"
@@ -221,6 +254,17 @@ class TestCampaignAndTables:
         code, out, _ = run(capsys, "campaign", "--bound", "2", "--cases", "IIA-i")
         assert code == 0
         assert out.strip().splitlines()[-1] == "total trials: 0   ok: True"
+
+    def test_campaign_has_no_workers_option(self, capsys):
+        code, out, err = run(capsys, "campaign", "--bound", "1", "--trials", "10", "--workers", "3")
+        assert code == 2 and out == "" and "unrecognized arguments: --workers 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sample", "mu=-2,0,2;w=s121", "--trials", "10"), ("tables", "--w", "s1", "--bound", "1")],
+    )
+    def test_sample_and_tables_keep_workers(self, capsys, argv):
+        assert run(capsys, *argv, "--workers", "2")[0] == 0
 
     def test_campaign_negative_trials_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "-5")
@@ -266,6 +310,72 @@ class TestCampaignAndTables:
         )
         assert code == 0
         assert "MISMATCH" not in out and out.count("  ok") == 19
+
+
+# every subcommand in text and --json, with usage errors, --help and the
+# adlv --b/--lam exclusion between them
+REUSE_CALLS = [
+    ("slopes", "diag(t^-1, 1, t^1)"),
+    ("slopes", "1,t,0;0,1,0;0,0,1", "--json", "--prec", "6"),
+    ("poset", "mu=-2,0,2;w=s121", "--json"),
+    ("poset", "mu=-2,0,2;w=s121"),
+    ("poset", "mu=-2,0,2;w=s121", "--dot"),
+    ("codim", "mu=-2,0,2;w=s121", "0,0,0", "--both"),
+    ("codim", "--bogus"),
+    ("codim", "mu=-2,0,2;w=s121", "0,0,0", "--json"),
+    ("adlv", "mu=-1,0,1;w=s1", "--b", "diag(1,1,1)"),
+    ("adlv", "mu=-1,0,1;w=s1", "--b", "diag(1,1,1)", "--lam", "0,0,0"),
+    ("adlv", "mu=-1,0,1;w=s1", "--lam", "0,0,0", "--json"),
+    ("adlv", "mu=-1,0,1;w=s1"),
+    ("--help",),
+    ("witness", "mu=-2,0,2;w=s121", "0,0,0", "--json"),
+    ("witness", "mu=-2,0,2;w=s121", "0,0,0", "--p", "13"),
+    ("sample", "--help"),
+    ("sample", "mu=-2,0,2;w=s121", "--trials", "200", "--seed", "3", "--mode", "IxI"),
+    ("sample", "mu=-2,0,2;w=s121", "--trials", "200", "--json"),
+    ("sample", "mu=-2,0,2;w=s121", "--trials", "200", "--csv"),
+    (),
+    ("campaign", "--bound", "1", "--trials", "10", "--cases", "VIA", "--seed", "2"),
+    ("campaign", "--bound", "1", "--trials", "10", "--json"),
+    ("tables", "--w", "s12", "--bound", "1", "--verify", "--trials", "50", "--json"),
+    ("tables", "--w", "s12", "--bound", "1"),
+    ("poset", "not an element"),
+    ("adlv", "mu=-1,0,1;w=s1", "--json"),
+]
+
+
+def _timeless(text):
+    return re.sub(r'("elapsed_ms": )[0-9.e+-]+|(elapsed: )[0-9]+ ms', lambda m: (m[1] or m[2]) + "X", text)
+
+
+class TestParserReuse:
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        shared = [run(capsys, *argv) for argv in REUSE_CALLS]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [run(capsys, *argv) for argv in REUSE_CALLS]
+        assert {code for code, _, _ in fresh} == {0, 1, 2}
+        for argv, a, b in zip(REUSE_CALLS, shared, fresh):
+            assert (a[0], _timeless(a[1]), a[2]) == (b[0], _timeless(b[1]), b[2]), argv
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        argvs = [("poset", "mu=-3,0,3;w=s121"), ("codim", "mu=-2,0,2;w=s121", "0,0,0", "--json")] * 10
+        try:
+            codes = [run(capsys, *argv)[0] for argv in argvs]
+        finally:
+            cli._shared_parser.cache_clear()
+        assert codes == [0] * 20 and len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestParseMatrix:

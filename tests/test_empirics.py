@@ -536,6 +536,48 @@ class TestCampaignBlocks:
         assert doc["ok"] and doc["trials_total"] == 1961
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == CAMPAIGN_DIGESTS[p]
 
+    def test_zero_trials_draw_nothing(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a campaign of 0 trials drew a block")
+
+        monkeypatch.setattr(empirics, "_pattern_blocks", no_block)
+        report = predicate_campaign(bound=1, trials_per_case=0)
+        assert report.trials_total == 0 and report.ok
+        assert all(st["trials"] == 0 for st in report.cases.values())
+
+    @pytest.mark.parametrize("trials", [1, 5, 20, 36])
+    def test_no_tag_draws_more_than_trials_per_case(self, trials):
+        # bound 3 has tags of 2 to 37 pairs; with fewer trials than pairs a
+        # tag draws once on each of `trials` pairs, still the scalar draws
+        groups = empirics._campaign_groups(3, P, 0, None)
+        drawn = Counter()
+        for tag, x, z, cfg, predicted, slopes in empirics._campaign_verdicts(groups, trials, P, 0):
+            drawn[tag] += predicted.size
+            for rep in range(predicted.size):
+                A = sample_pattern(cfg, rep)
+                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(x), str(z), rep)
+                assert tuple(slopes[:, rep].tolist()) == tuple(int(2 * v) for v in slope_sequence(A).as_tuple())
+        assert set(drawn) == set(groups)
+        for tag, pairs in groups.items():
+            expected = trials if len(pairs) >= trials else trials // len(pairs) * len(pairs)
+            assert drawn[tag] == expected <= trials, tag
+
+    @pytest.mark.parametrize(
+        "bound, trials, digest",
+        [
+            (3, 60, "33d65f0f7c6bb7629015c9aea7010f1fa9eeb837d8b0d0507a4ed6ab8c188c6c"),
+            (1, 10, "1ec92a0adcbdf265f1850aadc0e8ccec7aee22a5fbee3794b5874087d1745dfc"),
+        ],
+    )
+    def test_tags_with_at_most_trials_pairs_keep_their_reports(self, bound, trials, digest):
+        # every tag has at most `trials` pairs (37 in VIA at bound 3, 7 at
+        # bound 1), so each pair draws trials // pairs, as it always has
+        doc = predicate_campaign(bound=bound, trials_per_case=trials, p=P, seed=0).to_json()
+        doc.pop("elapsed_ms")
+        assert all(st["pairs"] <= trials and st["trials"] == trials // st["pairs"] * st["pairs"]
+                   for st in doc["cases"].values())
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
     def test_iiia_branch_reads_d_to_the_draws_precision(self, monkeypatch):
         # IIIA at mu2 + 1 = mu3 branches on d = A[1, 0] vanishing to the
         # SampleConfig precision, a range that the campaign window neither
