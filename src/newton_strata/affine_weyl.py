@@ -395,10 +395,10 @@ _K_CASES = {
 def coset_pattern(x: AffineWeylElt, which: str = "xI") -> ValuationPattern:
     """The entrywise valuation pattern of xI, K_i, x'I', or the Iwahori I.
 
-    which = "I" (the left factor used when sampling IxI as a product of an
-    I-sample and an xI-sample), "xI", "K1", "K2", "K3", or "xpIp" (the
-    pattern of x'I' = s1^-1 x I s1 as a coset of I' = s1^-1 I s1, whose
-    translation part is (mu2, mu1, mu3)).
+    which = "I" (the factor U of an IxI sample U @ M with M from "xI";
+    the bulk kernel forms M @ U, in xI * I = xI, with the same charpoly),
+    "xI", "K1", "K2", "K3", or "xpIp" (x'I' = s1^-1 x I s1 as a coset of
+    I' = s1^-1 I s1, whose translation part is (mu2, mu1, mu3)).
     """
     if which == "I":
         return ValuationPattern(_I_ROWS)

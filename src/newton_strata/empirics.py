@@ -15,9 +15,9 @@ often enough that no int64 sum overflows for any prime with (p-1)**2 + p
 < 2**63 (SampleConfig rejects larger ones).  As val(det) = 0, valuations
 above 0 cannot move the Newton polygon, so each entry is drawn only
 through its horizon (_horizons), which pins every slope sequence exactly,
-with no retry.  Histograms, predicate campaigns and kappa_check all run
-on it; I * xI samples and kappa_check's conjugates are 3x3 products of
-blocks.
+with no retry; histograms, campaigns and kappa_check run on it.  For
+I * xI, chi(UM) = chi(MU) and M @ U lies in xI, so M @ U is read through
+xI's horizons; it and kappa_check's conjugates are products of blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: the
@@ -344,22 +344,22 @@ def _matmul_blocks(X, Y, p, tops):
 
 
 def _sample_blocks(x, mode, p, seed, ids):
-    """Entry blocks of the sampled xI (or I * xI) matrices.
-
-    Each entry is drawn (for I * xI, formed from U @ M) only through its
-    horizon, and U and M only as far as those entries read.
+    """Entry blocks of the sampled xI (or I * xI) matrices, each drawn only
+    through its horizon.  For I * xI, chi(UM) = chi(MU) and M @ U lies in
+    xI * I = xI, so M @ U is formed instead, read through xI's own horizons,
+    and M and U are drawn only as far as those entries read.
     """
     xpat = coset_pattern(x, "xI")
+    om = _least_onsets([xpat])
+    top = _horizons(om)
     if mode == "xI":
-        return _pattern_blocks(xpat, p, seed, ids, _horizons(_least_onsets([xpat])))
+        return _pattern_blocks(xpat, p, seed, ids, top)
     ipat = _identity_pattern()
-    ou, om = _least_onsets([ipat]), _least_onsets([xpat])
-    # the horizons of the entries of U @ M, and what those read of U and M
-    top = _horizons([min(ou[3 * i + k] + om[3 * k + j] for k in range(3)) for i in range(3) for j in range(3)])
-    tu = [max(top[3 * i + j] - om[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
-    tm = [max(top[3 * i + j] - ou[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
+    ou = _least_onsets([ipat])
+    tm = [max(top[3 * i + j] - ou[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
+    tu = [max(top[3 * i + j] - om[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
     U, M = _pattern_blocks(ipat, p, seed, ids, tu), _pattern_blocks(xpat, p, seed, ids, tm, 9)
-    return _matmul_blocks(U, M, p, top)
+    return _matmul_blocks(M, U, p, top)
 
 
 def _lead_val(block):

@@ -326,8 +326,10 @@ class TestBulkKernel:
             x, seen = X(text), []
             monkeypatch.setattr(empirics, "_horizons", lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
             assert np.array_equal(_horizon_slopes([x], mode, 11, 3, 16), _full_window_slopes([x], mode, 11, 3, 16))
-            # the onsets are those of the xI entries, or in IxI of U @ M
+            # the onsets are those of the xI entries in both modes: in IxI
+            # the kernel forms M @ U, which lies in xI
             onsets, tops = seen[0]
+            assert onsets == empirics._least_onsets([coset_pattern(x, "xI")]), (mode, text)
             held = [slot for slot in range(9) if tops[slot] >= onsets[slot]]
             assert len(held) >= 3, text
             for slot in held:
@@ -377,6 +379,28 @@ def test_bulk_and_scalar_histograms_agree_on_identical_draws(p):
             hist = empirical_poset(x, cfg, mode=mode)
             assert hist.counts == _scalar_histogram(x, cfg, mode), (text, mode)
             assert set(hist.counts) <= set(poset_of(x).elements), (text, mode)
+
+
+@pytest.mark.parametrize("p", [2, 11])
+def test_ixi_samples_conjugate_into_xi(p):
+    """chi(UM) = chi(MU) for square matrices, and M @ U lies in xI * I = xI:
+    the identity the bulk kernel's IxI path rests on, on scalar draws."""
+    for text in DIFFERENTIAL_XS:
+        x = X(text)
+        cfg, xpat = make_config(x, p=p, seed=5), coset_pattern(x, "xI")
+        for t in range(16):
+            u, m, um = sample_ixi(cfg, t)
+            assert xpat.contains(m @ u), (text, t)
+            assert slope_sequence(m @ u) == slope_sequence(um), (text, t)
+
+
+def test_ixi_blocks_keep_the_xi_windows():
+    """Every IxI entry block starts at the xI block's onset and holds as many
+    rows: the product is read through xI's horizons, not its own."""
+    ids = np.arange(4, dtype=np.int64)
+    for x in (x for xs in HORIZON_BLOCKS for x in xs):
+        shapes = [[(v, len(arr)) for arr, v in empirics._sample_blocks(x, mode, 11, 3, ids)] for mode in ("IxI", "xI")]
+        assert shapes[0] == shapes[1], str(x)
 
 
 class TestHistograms:
