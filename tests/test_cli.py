@@ -271,14 +271,14 @@ class TestCampaignAndTables:
         assert code == 4 and "trials must be nonnegative" in err
 
     def test_campaign_undecided_draw_exits_precision(self, capsys, monkeypatch):
-        from newton_strata import empirics
+        from newton_strata import kernel
         from newton_strata.series import InsufficientPrecision
 
         def undecided(*args):
             raise InsufficientPrecision("forced")
 
         # the campaign reads every draw off the bulk slope kernel
-        monkeypatch.setattr(empirics, "_slopes_block", undecided)
+        monkeypatch.setattr(kernel, "_slopes_block", undecided)
         code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "5")
         assert code == 3 and "precision error" in err
 

@@ -6,18 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from newton_strata import empirics, strata
+from newton_strata import empirics, kernel, strata
 from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_leq, slope_sequence
 from newton_strata.series import InsufficientPrecision, TruncatedSeries
 from newton_strata.affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of, stratum_predicate
+from newton_strata.kernel import _combine, _conv, _decode, _encode, _least_onsets, _pattern_blocks
 from newton_strata.empirics import (
-    _combine,
-    _conv,
-    _decode,
-    _encode,
-    _onset,
-    _pattern_blocks,
     _sample_unipotent,
     _unipotent_rows,
     CodimEstimate,
@@ -157,7 +152,7 @@ class TestGoldenDraws:
     @pytest.mark.parametrize("p", [11, 2**31 - 1])
     def test_scalar_entries_equal_the_bulk_block_columns(self, p):
         cfg = SampleConfig(pattern=coset_pattern(GOLDEN_X, "K2"), p=p, seed=5)
-        g = _onset(cfg.pattern)
+        g = min(_least_onsets([cfg.pattern]))
         ids = np.array([2, 7, 40], dtype=np.int64)
         blocks = _padded(_pattern_blocks(cfg.pattern, p, cfg.seed, ids, [cfg.prec - 1] * 9, slot_base=9), g, cfg.prec - g)
         for col, index in enumerate(ids.tolist()):
@@ -224,7 +219,7 @@ def _full_window_slopes(xs, mode, p, seed, n):
     All xs share one block, g the least onset among them, columns x by x."""
     ids = np.tile(np.arange(n, dtype=np.int64), len(xs))
     xpats = [coset_pattern(x, "xI") for x in xs for _ in range(n)]
-    g = min(_onset(q) for q in xpats[::n])
+    g = min(_least_onsets(xpats[::n]))
     L = 1 - 3 * g
     if mode == "xI":
         entries = _padded(_pattern_blocks(xpats, p, seed, ids, [-2 * g] * 9), g, L)
@@ -252,7 +247,7 @@ def _full_window_slopes(xs, mode, p, seed, n):
 def _horizon_slopes(xs, mode, p, seed, n):
     """The same slopes from the kernel, one block per x."""
     ids = np.arange(n, dtype=np.int64)
-    return np.concatenate([np.stack(empirics._slopes_block(empirics._sample_blocks(x, mode, p, seed, ids), p)[0])
+    return np.concatenate([np.stack(kernel._slopes_block(kernel._sample_blocks(x, mode, p, seed, ids), p)[0])
                            for x in xs], axis=1)
 
 
@@ -321,19 +316,19 @@ class TestBulkKernel:
         # known through pi^0, and the kernel must raise rather than read it.
         # A horizon below its slot's onset hashes no row: the zeros there
         # are known without a draw, and lowering it changes nothing
-        horizons = empirics._horizons
+        horizons = kernel._horizons
         for text in ("mu=-2,0,2;w=s121", "mu=-40,0,40;w=s121", "mu=1,-3,2;w=s2", "mu=0,0,0", "mu=3,-1,-2;w=s1"):
             x, seen = X(text), []
-            monkeypatch.setattr(empirics, "_horizons", lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
+            monkeypatch.setattr(kernel, "_horizons", lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
             assert np.array_equal(_horizon_slopes([x], mode, 11, 3, 16), _full_window_slopes([x], mode, 11, 3, 16))
             # the onsets are those of the xI entries in both modes: in IxI
             # the kernel forms M @ U, which lies in xI
             onsets, tops = seen[0]
-            assert onsets == empirics._least_onsets([coset_pattern(x, "xI")]), (mode, text)
+            assert onsets == kernel._least_onsets([coset_pattern(x, "xI")]), (mode, text)
             held = [slot for slot in range(9) if tops[slot] >= onsets[slot]]
             assert len(held) >= 3, text
             for slot in held:
-                monkeypatch.setattr(empirics, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
+                monkeypatch.setattr(kernel, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
                 with pytest.raises(ArithmeticError, match="through pi\\^0"):
                     _horizon_slopes([x], mode, 11, 3, 16)
 
@@ -399,7 +394,7 @@ def test_ixi_blocks_keep_the_xi_windows():
     rows: the product is read through xI's horizons, not its own."""
     ids = np.arange(4, dtype=np.int64)
     for x in (x for xs in HORIZON_BLOCKS for x in xs):
-        shapes = [[(v, len(arr)) for arr, v in empirics._sample_blocks(x, mode, 11, 3, ids)] for mode in ("IxI", "xI")]
+        shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(x, mode, 11, 3, ids)] for mode in ("IxI", "xI")]
         assert shapes[0] == shapes[1], str(x)
 
 
@@ -478,6 +473,14 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_codim(HEADLINE, lam("2,0,-2"), trials=100)
 
+    def test_codim_estimate_rejects_one_prime_twice_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before rejecting p1 == p2")
+
+        monkeypatch.setattr(empirics, "empirical_poset", no_sampling)
+        with pytest.raises(ValueError, match="two different primes"):
+            estimate_codim(HEADLINE, lam("0,0,0"), p1=11, p2=11, trials=100)
+
     def test_kappa_parametrization_k1(self):
         rep = kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=40, seed=4)
         assert rep.ok
@@ -496,7 +499,7 @@ class TestEstimators:
 
         # the campaign and the kappa check read every draw off the bulk
         # slope kernel
-        monkeypatch.setattr(empirics, "_slopes_block", undecided)
+        monkeypatch.setattr(kernel, "_slopes_block", undecided)
         with pytest.raises(InsufficientPrecision):
             predicate_campaign(bound=1, trials_per_case=5, seed=7)
         with pytest.raises(InsufficientPrecision):
@@ -564,7 +567,7 @@ class TestCampaignBlocks:
         def no_block(*args, **kwargs):
             raise AssertionError("a campaign of 0 trials drew a block")
 
-        monkeypatch.setattr(empirics, "_pattern_blocks", no_block)
+        monkeypatch.setattr(kernel, "_pattern_blocks", no_block)
         report = predicate_campaign(bound=1, trials_per_case=0)
         assert report.trials_total == 0 and report.ok
         assert all(st["trials"] == 0 for st in report.cases.values())
@@ -797,9 +800,9 @@ class TestKappaBlocks:
         # and the slopes read
         top, ids = 23, np.arange(64, dtype=np.int64)
         for text, which in KAPPA_CASES:
-            j = empirics._unipotent_blocks(_unipotent_rows(X(text), which), p, 7, ids, top)
+            j = kernel._unipotent_blocks(_unipotent_rows(X(text), which), p, 7, ids, top)
             assert j[6][0].any(), (text, which)
-            product = empirics._matmul_blocks(empirics._unipotent_inverse(j, p, top), j, p, [top] * 9)
+            product = kernel._matmul_blocks(kernel._unipotent_inverse(j, p, top), j, p, [top] * 9)
             assert all(v + len(arr) > top for arr, v in product), (text, which)
             for slot, (arr, _) in enumerate(_padded(product, 0, top + 1)):
                 identity = np.zeros((top + 1, ids.size), dtype=np.int64)
@@ -811,9 +814,43 @@ class TestKappaBlocks:
         for text, which in KAPPA_CASES:
             rows = _unipotent_rows(X(text), which)
             ids = np.array([0, 5, 31], dtype=np.int64)
-            blocks = _padded(empirics._unipotent_blocks(rows, p, 7, ids, 11), 0, 12)
+            blocks = _padded(kernel._unipotent_blocks(rows, p, 7, ids, 11), 0, 12)
             for col, index in enumerate(ids.tolist()):
                 j = _sample_unipotent(p, rows, 16, 7, index, slot_base=9)
                 for slot, (arr, _) in enumerate(blocks):
                     entry = j[slot // 3, slot % 3]
                     assert arr[:, col].tolist() == [entry.coeff(e) for e in range(12)], (text, index, slot)
+
+
+def _chunked_reports(p):
+    """kappa_check on KAPPA_CASES, alone and with every min entry of j one
+    lower (so that some trials fail), and a bound-2 campaign, as JSON."""
+    docs = [kappa_check(X(text), which, trials=40, p=p, seed=3).to_json() for text, which in KAPPA_CASES]
+    rows = empirics._unipotent_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(empirics, "_unipotent_rows", lambda x, which: tuple(
+            tuple(s - 1 if isinstance(s, int) else s for s in row) for row in rows(x, which)))
+        docs += [kappa_check(X(text), which, trials=40, p=p, seed=3).to_json() for text, which in KAPPA_CASES]
+    docs.append(predicate_campaign(bound=2, trials_per_case=60, p=p, seed=0).to_json())
+    for doc in docs:
+        doc.pop("elapsed_ms")
+    return docs
+
+
+@pytest.mark.parametrize("p", [2, 11])
+def test_reports_do_not_depend_on_the_block_width(p, monkeypatch):
+    """kappa_check and the campaign draw blocks of at most kernel.BLOCK
+    columns, so their memory does not grow with the trials, and their
+    reports, failures in order included, do not depend on the split."""
+    whole = _chunked_reports(p)
+    assert any(doc.get("failures") for doc in whole)
+    widths, draw = [], kernel._pattern_blocks
+
+    def counted(patterns, p, seed, ids, *args, **kwargs):
+        widths.append(len(ids))
+        return draw(patterns, p, seed, ids, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_pattern_blocks", counted)
+    monkeypatch.setattr(kernel, "BLOCK", 7)
+    assert _chunked_reports(p) == whole
+    assert max(widths) == 7

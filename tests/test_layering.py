@@ -1,0 +1,64 @@
+"""Module layering, read from the source: only kernel.py builds, multiplies
+or reads a block, and the kernel imports no module built on it."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "newton_strata"
+# the names that build, multiply or read a block
+BLOCK_NAMES = {"_conv", "_combine", "_matmul_blocks", "_pattern_blocks", "_lead_val", "_slopes_block", "_raw_hash"}
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
+
+
+def _tree(name):
+    path = SRC / name
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(tree):
+    """Every module-level name a module defines, reads or imports, and every
+    attribute it reads off the kernel module (a method of the same name, as
+    TruncatedSeries._combine, is another thing)."""
+    yield from (node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).split(".")[-1]
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kernel":
+            yield node.attr
+
+
+def _imported_modules(tree):
+    """The last dotted part of every module imported, including `from .
+    import m` and `from newton_strata import m`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "newton_strata"):
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[-1]
+
+
+def test_kernel_imports_nothing_built_on_it():
+    assert "kernel.py" in MODULES
+    assert not set(_imported_modules(_tree("kernel.py"))) & {"strata", "empirics", "cli"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "kernel.py"])
+def test_only_the_kernel_names_block_helpers(name):
+    assert not set(_names(_tree(name))) & BLOCK_NAMES, name
+
+
+def test_the_hash_slot_layout_is_written_once():
+    # _raw_hash is called only by the scalar draw and the block draw
+    callers = []
+    for fn in ast.walk(_tree("kernel.py")):
+        if isinstance(fn, ast.FunctionDef):
+            callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name) and node.func.id == "_raw_hash"]
+    assert sorted(callers) == ["_draw", "_pattern_blocks"]
