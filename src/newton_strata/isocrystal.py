@@ -255,6 +255,18 @@ class CharPoly3:
     gamma: TruncatedSeries
 
 
+def _alternating(*pairs) -> TruncatedSeries:
+    """x0*y0 - x1*y1 + x2*y2 - ... over the pairs, leaving out every product
+    with an exact-zero factor: it is an exact zero and changes no precision.
+    With all of them left out, the first pair's product is the exact zero."""
+    total = None
+    for k, (x, y) in enumerate(pairs):
+        if not (x.is_exact_zero() or y.is_exact_zero()):
+            xy = x * y
+            total = (-xy if k % 2 else xy) if total is None else (total - xy if k % 2 else total + xy)
+    return pairs[0][0] * pairs[0][1] if total is None else total
+
+
 def charpoly3(A: IsoMatrix) -> CharPoly3:
     """The ordinary characteristic polynomial of A (sigma is the identity).
 
@@ -262,9 +274,9 @@ def charpoly3(A: IsoMatrix) -> CharPoly3:
     determinant expands along the first row and reuses the minor ei - fh.
     """
     (a, b, c), (d, e, f), (g, h, i) = A.entries
-    ei_fh = e * i - f * h
-    det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
-    beta = (a * e - b * d) + (a * i - c * g) + ei_fh
+    ei_fh = _alternating((e, i), (f, h))
+    det = _alternating((a, ei_fh), (b, _alternating((d, i), (f, g))), (c, _alternating((d, h), (e, g))))
+    beta = _alternating((a, e), (b, d), (a, i), (c, g)) + ei_fh
     return CharPoly3(-(a + e + i), beta, -det)
 
 

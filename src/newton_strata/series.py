@@ -266,6 +266,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
+        for z in (self, other):  # an exact zero times anything is that exact zero
+            if z.prec is INF and not z.coeffs.size:
+                return z
         # prec = min(a.prec + val(b), b.prec + val(a)), valuations replaced
         # by their lower bounds when undetermined
         prec = min(self.prec + other.val_lower_bound(), other.prec + self.val_lower_bound())

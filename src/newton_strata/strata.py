@@ -13,7 +13,7 @@ independent check of these tables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import INF, InsufficientPrecision, TruncatedSeries, ceil_q
@@ -222,16 +222,32 @@ def _table_row(x: AffineWeylElt):
 
 @dataclass(frozen=True)
 class StrataPoset:
-    """The finite set of slope sequences occurring in IxI, ordered by <=."""
+    """The finite set of slope sequences occurring in IxI, ordered by <=.
+
+    Construction indexes the elements once, outside eq, hash and repr:
+    _index maps the doubled coordinates (2 lam1, 2 lam3) of each to its
+    position in elements and its height (see segment), for lookups in
+    place of scans by membership, segment and both codimension formulas.
+    """
 
     x: AffineWeylElt
     elements: tuple  # SlopeSeq, sorted from nu_x downward
     nu_x: SlopeSeq
     shape: str
     hasse: tuple  # (i, j) index pairs: elements[i] covered by elements[j]
+    _index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # nu_x is elements[0]: in the union shape its height is one step short
+        object.__setattr__(self, "_index", {
+            _doubled(z): (k, _rank(z) - (k == 0 and self.shape == UNION)) for k, z in enumerate(self.elements)})
+
+    def _lookup(self, lam):
+        """(position, height) of lam, or None when lam is not an element."""
+        return self._index.get(_doubled(lam)) if isinstance(lam, SlopeSeq) else None
 
     def __contains__(self, lam):
-        return lam in self.elements
+        return self._lookup(lam) is not None
 
     def __iter__(self):
         return iter(self.elements)
@@ -250,14 +266,12 @@ class StrataPoset:
         which grades N(G), except at nu_x of the union shape: it covers only
         (nu1 - 1, nu2, nu3 + 1), two ranks below, so it counts one less.
         """
-        if mu_low not in self.elements or lam not in self.elements:
+        lo, hi = self._lookup(mu_low), self._lookup(lam)
+        if lo is None or hi is None:
             raise ElementsNotInPoset(f"{mu_low} or {lam} not in N(G)_x for x = {self.x}")
         if not slope_leq(mu_low, lam):
             raise ElementsNotInPoset(f"{mu_low} is not <= {lam}")
-        return self._height(lam) - self._height(mu_low)
-
-    def _height(self, z: SlopeSeq) -> int:
-        return _rank(z) - (self.shape == UNION and z == self.nu_x)
+        return hi[1] - lo[1]
 
     def to_json(self):
         return {
@@ -277,9 +291,15 @@ class StrataPoset:
         return "\n".join(lines)
 
 
+def _doubled(z: SlopeSeq):
+    """(2 lam1, 2 lam3), integers that fix z: N(G) has denominators 1 and 2."""
+    return 2 * z.lam1.numerator // z.lam1.denominator, 2 * z.lam3.numerator // z.lam3.denominator
+
+
 def _rank(z: SlopeSeq) -> int:
     """Chai's rank <rho, z> - def(z)/2; def = 1 where lam2 is not integral."""
-    return int(z.lam1 - z.lam3 - Fraction(z.lam2.denominator != 1, 2))
+    t1, t3 = _doubled(z)
+    return (t1 - t3 - (t1 + t3) % 2) // 2
 
 
 def _covers(elements):
@@ -340,10 +360,11 @@ def segment_length(x, lam: SlopeSeq, mu_low: SlopeSeq) -> int:
 def codim(x: AffineWeylElt, lam: SlopeSeq) -> int:
     """Codimension of the closed stratum of lam: chain length up to nu_x.
 
-    That is r(nu_x) - r(lam) for Chai's rank r, less one for the union
-    shape, whose nu_x covers only a point two ranks below it.
+    That is r(nu_x) - r(lam) for Chai's rank r, less one for the union shape,
+    whose nu_x covers only a point two ranks below: two heights in the index.
     """
-    return poset_of(x).segment(lam, poset_of(x).nu_x)
+    poset = poset_of(x)
+    return poset.segment(lam, poset.nu_x)
 
 
 # -- the ceiling-sum codimension formula --------------------------------------
@@ -368,6 +389,7 @@ def _in_family(x: AffineWeylElt) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)
 def is_exceptional(x: AffineWeylElt) -> bool:
     """Member of the exception list, tested up to the rotation phi.
 
@@ -390,33 +412,30 @@ def codim_roottheoretic(x: AffineWeylElt, lam: SlopeSeq) -> int:
     """ceil<w1, nu-lam> + ceil<w2, nu-lam>, minus 1 on the exception list.
 
     The -1 applies to exceptional x (see is_exceptional) unless nu_x is
-    half-integral and both pairings <w_i, nu_x - lam> are integers.  This
-    departs from the exception list as printed, which subtracts 1 at every
-    lam != nu_x.  The half-integral nu_x are those of the s1s2 and s2s1
-    families, e.g. nu_x = (3, -3/2, -3/2) for mu = (-4, 2, 2), w = s1s2.
-    There N(G)_x is a full interval of N(G), where the chain length is
-    <rho, nu - lam> + (def(lam) - def(nu)) / 2; at a lam of the same
-    half-integral type both pairings are integers, the ceilings round
-    nothing, and the sum is already the codimension.  Sampling agrees: at
-    mu = (-4, 2, 2), w = s1s2, lam = (1, -1/2, -1/2) the two-prime estimate
-    (p = 5, 11, 10^5 trials, seed 1) is 2.92 with 95% interval
-    [2.63, 3.22], against 3 from the chain and 2 from the printed list.
-    Integral nu_x (the s1s2s1, s1 and s2 families; the headline
-    mu = (-2, 0, 2), w = s1s2s1 drops from 2 to 1) keep the -1.
+    half-integral and both pairings <w_i, nu_x - lam> are integers; the
+    list as printed subtracts 1 at every lam != nu_x.  Half-integral nu_x
+    are those of the s1s2 and s2s1 families, e.g. (3, -3/2, -3/2) for
+    mu = (-4, 2, 2), w = s1s2.  There N(G)_x is a full interval of N(G),
+    with chain length <rho, nu - lam> + (def(lam) - def(nu)) / 2; at a lam
+    of the same half-integral type the ceilings round nothing, and the sum
+    is already the codimension, as two-prime sampling confirms (see
+    demos/03_codimension_formulas.py).  Integral nu_x (the s1s2s1, s1 and
+    s2 families; the headline mu = (-2, 0, 2), w = s1s2s1 drops from 2 to
+    1) keep the -1.  lam is looked up in the index of poset_of(x), the
+    pairings are in doubled integers, and is_exceptional is cached per x.
     """
     poset = poset_of(x)
-    if lam not in poset:
+    entry = poset._lookup(lam)
+    if entry is None:
         raise ElementsNotInPoset(f"{lam} not in N(G)_x for x = {x}")
-    nu = poset.nu_x
-    pairings = (nu.lam1 - lam.lam1, nu.lam1 + nu.lam2 - lam.lam1 - lam.lam2)
-    total = sum(ceil_q(d) for d in pairings)
+    (n1, n3), (l1, l3) = _doubled(poset.nu_x), _doubled(lam)
+    # 2<w1, nu - lam> and 2<w2, nu - lam>, with <w2, z> = z1 + z2 = -z3
+    d1, d2 = n1 - l1, l3 - n3
+    total = -(-d1 // 2) - (-d2 // 2)
     if is_exceptional(x):
-        if lam == nu:
-            raise ExceptionBranchAtGeneric(
-                f"corrected formula undefined at lam = nu_x for exceptional x = {x}"
-            )
-        nu_integral = all(v.denominator == 1 for v in (nu.lam1, nu.lam2, nu.lam3))
-        if nu_integral or any(d.denominator != 1 for d in pairings):
+        if entry[0] == 0:  # lam = nu_x
+            raise ExceptionBranchAtGeneric(f"corrected formula undefined at lam = nu_x for exceptional x = {x}")
+        if n1 % 2 == n3 % 2 == 0 or d1 % 2 or d2 % 2:  # nu_x integral, or a ceiling rounds
             return total - 1
     return total
 
@@ -555,8 +574,11 @@ def _pp(p, e, coeff=1):
     return TruncatedSeries.pi_power(p, ceil_q(e), coeff=coeff)
 
 
-def _zz(p):
-    return TruncatedSeries.zero(p)
+def _grid(p, *rows):
+    """Entry grid from rows of exponents: e is pi^ceil(e), None an exact
+    zero, and a series stands for itself."""
+    zero = TruncatedSeries.zero(p)
+    return [[zero if e is None else e if isinstance(e, TruncatedSeries) else _pp(p, e) for e in row] for row in rows]
 
 
 # Templates: entry grids of (p, mu, l1, l3), l1 and l3 the outer slopes of
@@ -565,55 +587,43 @@ def _zz(p):
 
 
 def _s12(p, mu, l1, l3):
-    return [
-        [_pp(p, -l1), _pp(p, l3 - mu[1]), _pp(p, mu[0])],
-        [_pp(p, mu[1]), _zz(p), _zz(p)],
-        [_zz(p), _pp(p, mu[2]), _zz(p)],
-    ]
+    return _grid(p, (-l1, l3 - mu[1], mu[0]),
+                 (mu[1], None, None),
+                 (None, mu[2], None))
 
 
 def _s21(p, mu, l1, l3):
-    return [
-        [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
-        [_pp(p, l3 - mu[0]), _zz(p), _pp(p, mu[1])],
-        [_pp(p, mu[2]), _zz(p), _zz(p)],
-    ]
+    return _grid(p, (-l1, mu[0], None),
+                 (l3 - mu[0], None, mu[1]),
+                 (mu[2], None, None))
 
 
 def _s1(p, mu, l1, l3):
-    return [
-        [_pp(p, -l1), _pp(p, mu[0]), _zz(p)],
-        [_pp(p, mu[1]), _zz(p), _zz(p)],
-        [_pp(p, mu[2] + 1), _zz(p), _pp(p, mu[2])],
-    ]
+    return _grid(p, (-l1, mu[0], None),
+                 (mu[1], None, None),
+                 (mu[2] + 1, None, mu[2]))
 
 
 def _s2(p, mu, l1, l3):
-    b = _zz(p) if mu[1] + 1 == mu[2] else _pp(p, ceil_q(l3 - mu[1]) - 1)
-    return [
-        [_pp(p, mu[0]), b, _zz(p)],
-        [_pp(p, mu[1] + 1), _zz(p), _pp(p, mu[1])],
-        [_zz(p), _pp(p, mu[2]), _zz(p)],
-    ]
+    b = None if mu[1] + 1 == mu[2] else ceil_q(l3 - mu[1]) - 1
+    return _grid(p, (mu[0], b, None),
+                 (mu[1] + 1, None, mu[1]),
+                 (None, mu[2], None))
 
 
 def _s2_centre(p, mu, l1, l3):
     # the s2 grid with its slope-tuning entry at the centre instead of b
-    return [
-        [_pp(p, mu[0]), _zz(p), _zz(p)],
-        [_pp(p, mu[1] + 1), _pp(p, l3 - mu[0]), _pp(p, mu[1])],
-        [_zz(p), _pp(p, mu[2]), _zz(p)],
-    ]
+    return _grid(p, (mu[0], None, None),
+                 (mu[1] + 1, l3 - mu[0], mu[1]),
+                 (None, mu[2], None))
 
 
 def _s121_int3(p, mu, l1, l3):
     # the corner product of the two exact entries pins the bottom slope;
     # the top-left entry alone dials the top slope
-    return [
-        [_pp(p, -l1), _zz(p), _pp(p, mu[0])],
-        [_zz(p), _pp(p, mu[1]), _zz(p)],
-        [_pp(p, mu[2]), _zz(p), _zz(p)],
-    ]
+    return _grid(p, (-l1, None, mu[0]),
+                 (None, mu[1], None),
+                 (mu[2], None, None))
 
 
 def _s121_nu(p, mu, l1, l3):
@@ -623,31 +633,25 @@ def _s121_nu(p, mu, l1, l3):
 
 def _s121_low(p, mu, l1, l3):
     b = _pp(p, ceil_q(-l1) - 1) + _pp(p, ceil_q(l3 - mu[1]) - 1)
-    return [
-        [_pp(p, -l1), b, _pp(p, mu[0])],
-        [_pp(p, mu[1] + 1), _pp(p, mu[1]), _zz(p)],
-        [_pp(p, mu[2]), _zz(p), _zz(p)],
-    ]
+    return _grid(p, (-l1, b, mu[0]),
+                 (mu[1] + 1, mu[1], None),
+                 (mu[2], None, None))
 
 
 def _s121_high(p, mu, l1, l3):
     d = _pp(p, mu[2] - 1) + _pp(p, ceil_q(l3 - mu[0]) - 1)
-    return [
-        [_pp(p, -l1), _pp(p, mu[0] + 1, coeff=-1), _pp(p, mu[0])],
-        [d, _pp(p, mu[1]), _zz(p)],
-        [_pp(p, mu[2]), _zz(p), _zz(p)],
-    ]
+    return _grid(p, (-l1, _pp(p, mu[0] + 1, coeff=-1), mu[0]),
+                 (d, mu[1], None),
+                 (mu[2], None, None))
 
 
 def _s121_half_pair(p, mu, l1, l3):
     # half-point pair at the bottom: the two monomial products in the
     # upper-left minor cancel exactly, leaving the corner product of the
     # exact entries as the middle vertex of the polygon
-    return [
-        [_pp(p, mu[0] + 1), _pp(p, mu[0] + 1), _pp(p, mu[0])],
-        [_pp(p, mu[1]), _pp(p, mu[1]), _zz(p)],
-        [_pp(p, mu[2]), _zz(p), _zz(p)],
-    ]
+    return _grid(p, (mu[0] + 1, mu[0] + 1, mu[0]),
+                 (mu[1], mu[1], None),
+                 (mu[2], None, None))
 
 
 def _base_grids(y: AffineWeylElt, lam: SlopeSeq, p: int) -> list:
@@ -660,17 +664,9 @@ def _base_grids(y: AffineWeylElt, lam: SlopeSeq, p: int) -> list:
     """
     mu, w = y.mu, y.w_name
     if w == "1":
-        return [[
-            [_pp(p, mu[0]), _zz(p), _zz(p)],
-            [_zz(p), _pp(p, mu[1]), _zz(p)],
-            [_zz(p), _zz(p), _pp(p, mu[2])],
-        ]]
+        return [_grid(p, (mu[0], None, None), (None, mu[1], None), (None, None, mu[2]))]
     if w == "s12" and mu[1] == mu[2] and lam == poset_of(y).nu_x:
-        return [[
-            [_pp(p, mu[0] + 1), _zz(p), _pp(p, mu[0])],
-            [_pp(p, mu[1]), _zz(p), _zz(p)],
-            [_zz(p), _pp(p, mu[2]), _zz(p)],
-        ]]
+        return [_grid(p, (mu[0] + 1, None, mu[0]), (mu[1], None, None), (None, mu[2], None))]
     if w == "s121":
         poset = poset_of(y)
         if lam == poset.nu_x:
@@ -695,13 +691,8 @@ def _mirror_candidates(x: AffineWeylElt, lam: SlopeSeq, p: int):
     at m, swapped back and tried in the listed order rather than selected
     by the poset's shape; _s2_centre and _s121_half_pair have no base twin.
     """
-    templates = {
-        "s21": (_s12,),
-        "s12": (_s21,),
-        "s1": (_s1,),
-        "s2": (_s121_nu, _s121_low, _s121_high, _s121_half_pair),
-        "s121": (_s2, _s2_centre),
-    }[x.w_name]
+    templates = {"s21": (_s12,), "s12": (_s21,), "s1": (_s1,), "s121": (_s2, _s2_centre),
+                 "s2": (_s121_nu, _s121_low, _s121_high, _s121_half_pair)}[x.w_name]
     m = sorted(x.mu)
     for t in templates:
         g = t(p, m, lam.lam1, lam.lam3)
@@ -728,14 +719,7 @@ def _verified(y: AffineWeylElt, lam: SlopeSeq, grids):
 
 # recipes expressing x as a word in the automorphisms applied to a base point:
 # x = u_k(... u_1(y) ...), so a witness for y transports forward along u
-_RECIPES = (
-    (),
-    ("phi",),
-    ("phi", "phi"),
-    ("psi",),
-    ("psi", "phi"),
-    ("psi", "phi", "phi"),
-)
+_RECIPES = ((), ("phi",), ("phi", "phi"), ("psi",), ("psi", "phi"), ("psi", "phi", "phi"))
 
 
 def _normalizations(x: AffineWeylElt):

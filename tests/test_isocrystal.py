@@ -228,6 +228,30 @@ class TestCharpoly:
         assert cp.gamma.valuation() == 0 and cp.gamma.is_exact()
         assert slope_sequence(A) == SlopeSeq(0, 0, 0)
 
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_exact_zero_monomials_change_nothing(self, p):
+        # the full expansion keeps every monomial; charpoly3 leaves out those
+        # with an exact-zero factor, and must agree to the last coefficient,
+        # offset and precision, also beside entries only zero to precision
+        def expanded(A):
+            (a, b, c), (d, e, f), (g, h, i) = A.entries
+            ei_fh = e * i - f * h
+            det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
+            return -(a + e + i), (a * e - b * d) + (a * i - c * g) + ei_fh, -det
+
+        rng = np.random.default_rng(p)
+        for _ in range(40):
+            rows = laurent_matrix(rng, p, lo=-2, hi=3).entries
+            kinds = rng.integers(0, 4, size=(3, 3))
+            A = IsoMatrix([
+                [zero(p) if k == 0 else TruncatedSeries.zero(p, 2) if k == 1 else
+                 rows[i][j].truncate(int(rng.integers(3, 7))) if k == 2 else rows[i][j]
+                 for j, k in enumerate(kinds[i])]
+                for i in range(3)
+            ])
+            cp = charpoly3(A)
+            assert (cp.alpha, cp.beta, cp.gamma) == expanded(A)
+
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
     def test_matches_sympy_charpoly_over_gf_p(self, p):
         # Laurent inputs, scaled by t^3 into polynomial matrices for sympy:

@@ -165,6 +165,19 @@ class TestArithmetic:
         b = ts({-1: 4}, 5)
         assert (a * b).prec == min(7 + (-1), 5 + 2)
 
+    @given(a=series_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_exact_zero_factor_gives_the_exact_zero(self, a):
+        # prec = min(inf + val(a), prec(a) + inf) = inf
+        zero = TruncatedSeries.zero(P)
+        assert a * zero == zero * a == zero
+        assert (a * zero).is_exact_zero()
+
+    def test_zero_to_precision_factor_keeps_its_precision(self):
+        # not an exact zero: the product is known only to prec 4 + val(b)
+        b = ts({1: 2}, 9)
+        assert (TruncatedSeries.zero(P, 4) * b).prec == (b * TruncatedSeries.zero(P, 4)).prec == 5
+
     def test_modulus_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ts({0: 1}) + TruncatedSeries.one(13)

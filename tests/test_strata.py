@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from newton_strata.series import InsufficientPrecision
+from newton_strata.series import InsufficientPrecision, ceil_q
 from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_leq, slope_sequence
 from newton_strata.affine_weyl import (
     AffineWeylElt,
@@ -25,6 +25,7 @@ from newton_strata.strata import (
     INT3,
     NoWitnessFormula,
     SINGLETON,
+    StrataPoset,
     UNION,
     adlv_nonempty,
     codim,
@@ -207,6 +208,96 @@ class TestCodim:
             pos = poset_of(x)
             for i, j in pos.hasse:
                 assert codim(x, pos.elements[i]) == codim(x, pos.elements[j]) + 1
+
+
+def _outcome(f, *args):
+    """f's answer, or the type of the poset error it raises."""
+    try:
+        return f(*args)
+    except (ElementsNotInPoset, ExceptionBranchAtGeneric) as exc:
+        return type(exc)
+
+
+def _scanned_segment(pos, mu_low, top):
+    """Chain length by scanning pos.elements, with Chai's rank in Fractions."""
+    if mu_low not in pos.elements or top not in pos.elements or not slope_leq(mu_low, top):
+        raise ElementsNotInPoset
+
+    def height(z):
+        rank = int(z.lam1 - z.lam3 - Fraction(z.lam2.denominator != 1, 2))
+        return rank - (pos.shape == UNION and z == pos.nu_x)
+
+    return height(top) - height(mu_low)
+
+
+def _scanned_ceiling_sum(x, lam):
+    """The ceiling-sum formula in Fractions, membership by scanning."""
+    poset = poset_of(x)
+    if lam not in poset.elements:
+        raise ElementsNotInPoset(f"{lam} not in N(G)_x for x = {x}")
+    nu = poset.nu_x
+    pairings = (nu.lam1 - lam.lam1, nu.lam1 + nu.lam2 - lam.lam1 - lam.lam2)
+    total = sum(ceil_q(d) for d in pairings)
+    if is_exceptional(x):
+        if lam == nu:
+            raise ExceptionBranchAtGeneric(
+                f"corrected formula undefined at lam = nu_x for exceptional x = {x}"
+            )
+        nu_integral = all(v.denominator == 1 for v in (nu.lam1, nu.lam2, nu.lam3))
+        if nu_integral or any(d.denominator != 1 for d in pairings):
+            return total - 1
+    return total
+
+
+class TestPosetIndex:
+    def test_queries_match_scanning_references(self):
+        points = sorted(enumerate_NG(6), key=str)
+        for x in enumerate_grid(4):
+            pos = poset_of(x)
+            for z in points:
+                member = z in pos.elements
+                assert (z in pos) == adlv_nonempty(x, z) == member
+                assert _outcome(codim, x, z) == _outcome(_scanned_segment, pos, z, pos.nu_x)
+                assert _outcome(codim_roottheoretic, x, z) == _outcome(_scanned_ceiling_sum, x, z)
+            for lo in pos.elements:
+                for hi in pos.elements:
+                    assert _outcome(pos.segment, lo, hi) == _outcome(_scanned_segment, pos, lo, hi)
+
+    def test_queries_compare_no_more_slopes_on_larger_posets(self, monkeypatch):
+        # a scan would compare the query with every element before it
+        small, large = HEADLINE, X("mu=-8,0,8;w=s12")
+        assert len(poset_of(small)) == 2 and len(poset_of(large)) >= 40
+        calls = [0]
+        eq = SlopeSeq.__eq__
+
+        def counted(self, other):
+            calls[0] += 1
+            return eq(self, other)
+
+        def counts(x):
+            pos, out = poset_of(x), []
+            # a fresh copy of the bottom element, and a point outside
+            for z in (SlopeSeq(*pos.elements[-1]), lam("20,0,-20")):
+                for query in (codim, codim_roottheoretic, adlv_nonempty, lambda x, z: z in pos):
+                    calls[0] = 0
+                    _outcome(query, x, z)
+                    out.append(calls[0])
+            return out
+
+        monkeypatch.setattr(SlopeSeq, "__eq__", counted)
+        assert counts(small) == counts(large)
+
+    def test_non_slopes_are_not_members(self):
+        pos = poset_of(HEADLINE)
+        assert lam("1,0,-1") in pos
+        for other in ([1, 0, -1], None, (1, 0, -1), (Fraction(1), Fraction(0), Fraction(-1)), "1,0,-1"):
+            assert other not in pos
+
+    def test_index_stays_out_of_eq_hash_and_repr(self):
+        pos = poset_of(HEADLINE)
+        twin = StrataPoset(pos.x, pos.elements, pos.nu_x, pos.shape, pos.hasse)
+        assert twin == pos and hash(twin) == hash(pos) and repr(twin) == repr(pos)
+        assert "_index" not in repr(pos)
 
 
 class TestPredicates:
