@@ -7,10 +7,10 @@ of the ordinary characteristic polynomial X^3 + alpha X^2 + beta X + gamma
 With val(gamma) = 0 that polygon has a closed form in v1 = val(alpha) and
 v2 = val(beta), the same one the batched sampler uses:
     2*lam1 = max(-2*v1, -v2, 0),   -2*lam3 = max(-2*v2, -v1, 0).
-The coefficients are polynomials in the entries, computed with exact
-TruncatedSeries arithmetic: exact inputs need no working precision, and
-finite-precision inputs raise InsufficientPrecision when the known
-coefficients do not pin the polygon.
+So only the coefficients of tr, e2 and det through pi^0 matter, and
+slope_sequence reads each entry, as Python ints, only through its horizon
+(_horizons, shared with the block kernel); finite-precision inputs raise
+InsufficientPrecision when the known coefficients do not pin the polygon.
 """
 
 from __future__ import annotations
@@ -283,16 +283,6 @@ def charpoly3(A: IsoMatrix) -> CharPoly3:
 # -- Newton polygons --------------------------------------------------------
 
 
-def _val_info(ts: TruncatedSeries):
-    """int valuation, INF for an exact zero, or ("ge", prec) when unknown."""
-    v = ts.valuation()
-    if v is not None:
-        return v
-    if ts.is_exact_zero():
-        return INF
-    return ("ge", ts.prec)
-
-
 @functools.lru_cache(maxsize=4096)
 def _from_doubled(t1, t2, t3) -> SlopeSeq:
     """The SlopeSeq (t1/2, t2/2, t3/2), built and validated once per triple."""
@@ -361,19 +351,93 @@ def polygon_vertices(points):
 
 # -- slope sequences of matrices --------------------------------------------
 
+# the monomials of tr, e2 and det, as tuples of entry slots 3*i + j
+_MONOMIALS = ((0,), (4,), (8,), (0, 4), (0, 8), (4, 8), (1, 3), (2, 6), (5, 7),
+              (0, 4, 8), (0, 5, 7), (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6))
+# per slot, the other slots of each monomial that contains it, padded to
+# two with slot 9, whose onset is 0
+_OTHERS = [[(*(t for t in m if t != s), 9, 9)[:2] for m in _MONOMIALS if s in m] for s in range(9)]
+
+
+def _horizons(onsets):
+    """Per slot, the highest exponent that tr, e2 or det read through pi^0
+    take from that entry: over the monomials containing it, the max of
+    -(sum of the other onsets), inf marking a zero entry."""
+    o = [*onsets, 0]
+    return [max([-o[x] - o[y] for x, y in pairs]) for pairs in _OTHERS]
+
+
+# A read series is (lb, prec, coeffs): coeffs[j] is the coefficient of
+# pi^(lb + j) and lb bounds the valuation below (a sum's lb is the
+# valuation, or prec if none is seen); (INF, INF, ()) is the exact zero.
+_EXACT_ZERO = (INF, INF, ())
+
+
+def _times(x, y, cap):
+    """x * y below pi^cap, to TruncatedSeries's precision
+    min(prec_x + lb_y, prec_y + lb_x); coefficients not yet reduced."""
+    (lx, px, cx), (ly, py, cy) = x, y
+    if lx == INF or ly == INF:
+        return _EXACT_ZERO
+    prec = min(px + ly, py + lx, cap)
+    n = max(prec - lx - ly, 0)
+    out = [0] * n
+    for i, u in enumerate(cx[:n]):
+        if u:
+            for j, w in enumerate(cy[: n - i], i):
+                out[j] += u * w
+    return lx + ly, prec, out
+
+
+def _sum(terms, cap, p, signs=(1, -1, 1, -1, 1)):
+    """The signed sum of the terms below pi^cap, to their least precision,
+    reduced mod p; the exact zero for cap = -inf (a minor whose cofactor
+    entry is the exact zero)."""
+    if cap == -INF:
+        return _EXACT_ZERO
+    prec = min([cap] + [t[1] for t in terms])
+    lo = min([prec] + [t[0] for t in terms])
+    acc = [0] * (prec - lo)
+    for sign, (lb, _, cs) in zip(signs, terms):
+        for j, c in enumerate(cs[: max(prec - lb, 0)]):
+            acc[lb - lo + j] += sign * c
+    for j, c in enumerate(acc):
+        if c % p:
+            return lo + j, prec, [c % p for c in acc[j:]]
+    return prec, prec, []
+
 
 def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     """The slope sequence nu-bar(A) of the isocrystal (F^3, A*sigma).
 
-    Requires val(det A) = 0.  Exact inputs resolve exactly; finite-precision
-    inputs raise InsufficientPrecision when the known coefficients do not
-    pin the polygon (the caller controls resampling).
+    Requires val(det A) = 0.  tr, e2 and det are formed below pi^1 as
+    charpoly3 forms them, to its precision there, the minor of each entry
+    x of the first row below pi^(1 - lb_x).  Finite-precision inputs raise
+    InsufficientPrecision when the known coefficients do not pin the
+    polygon (the caller controls resampling).
     """
+    p, flat = A.p, [ts for row in A.entries for ts in row]
+    lbs = [ts.val_lower_bound() for ts in flat]
+    a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb].tolist() if top >= lb else [])
+                                 for ts, lb, top in zip(flat, lbs, _horizons(lbs)))
+    cap = max(1, 1 - a[0])  # e*i - f*h serves det and e2
+    ei_fh = _sum([_times(e, i, cap), _times(f, h, cap)], cap, p)
+    di_fg = _sum([_times(d, i, 1 - b[0]), _times(f, g, 1 - b[0])], 1 - b[0], p)
+    dh_eg = _sum([_times(d, h, 1 - c[0]), _times(e, g, 1 - c[0])], 1 - c[0], p)
+    det = _sum([_times(a, ei_fh, 1), _times(b, di_fg, 1), _times(c, dh_eg, 1)], 1, p)
+    if det[0] == 0 and det[2]:
+        alpha = _sum([a, e, i], 1, p, (1, 1, 1))
+        beta = _sum([_times(a, e, 1), _times(b, d, 1), _times(a, i, 1), _times(c, g, 1), ei_fh], 1, p)
+        try:
+            return _polygon(*(lb if lb < prec else ("ge", prec) for lb, prec, _ in (alpha, beta)))
+        except InsufficientPrecision:
+            pass
+    # det is not a unit through pi^0, or the polygon is not pinned: raise
+    # as the full polynomial does, whose valuations the messages name
     cp = charpoly3(A)
     dv = cp.gamma.valuation()
     if dv is None:
         raise InsufficientPrecision("det is zero to precision")
     if dv != 0:
         raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
-    return _polygon(_val_info(cp.alpha), _val_info(cp.beta))
-
+    return _polygon(*(ts.off if ts.coeffs.size else ("ge", ts.prec) if ts.prec < INF else INF for ts in (cp.alpha, cp.beta)))

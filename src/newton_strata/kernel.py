@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .series import InsufficientPrecision, TruncatedSeries
+from .isocrystal import _horizons
 from .affine_weyl import PatternEntry, ValuationPattern, coset_pattern
 
 BLOCK = 4096
@@ -115,21 +116,6 @@ def _blockwise(fn, n):
 def _joined(parts):
     """The per-column arrays of each block's result, joined along columns."""
     return [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
-
-
-# the monomials of tr, e2 and det, as tuples of entry slots 3*i + j
-_MONOMIALS = ((0,), (4,), (8,), (0, 4), (0, 8), (4, 8), (1, 3), (2, 6), (5, 7),
-              (0, 4, 8), (0, 5, 7), (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6))
-# per slot, the other slots of each monomial that contains it
-_OTHERS = [[tuple(t for t in m if t != s) for m in _MONOMIALS if s in m] for s in range(9)]
-
-
-def _horizons(onsets):
-    """Per slot, the highest exponent that tr, e2 or det read through pi^0
-    take from that entry: over the monomials containing it, the max of
-    -(sum of the other onsets), inf marking a zero entry."""
-    at = onsets.__getitem__
-    return [max([-sum(map(at, others)) for others in _OTHERS[s]]) for s in range(9)]
 
 
 def _least_onsets(patterns):

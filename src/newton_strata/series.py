@@ -162,20 +162,28 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, p: int, prec=INF) -> "TruncatedSeries":
-        return cls(p, 0, [], prec)
+        return cls.pi_power(p, 0, prec, 0)
 
     @classmethod
     def one(cls, p: int, prec=INF) -> "TruncatedSeries":
-        return cls(p, 0, [1], prec)
+        return cls.pi_power(p, 0, prec, 1)
 
     @classmethod
     def pi_power(cls, p: int, k: int, prec=INF, coeff: int = 1) -> "TruncatedSeries":
-        """coeff * pi^k, exact by default."""
-        return cls(p, k, [coeff], prec)
+        """coeff * pi^k, exact by default, as __init__ builds it but with no
+        array conversion or trim: zero if coeff = 0 mod p or k >= prec."""
+        _check_modulus(p)
+        self = object.__new__(cls)
+        self.p, self.prec = p, INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
+        self.off, self.coeffs = 0, _EMPTY
+        if coeff % p and k < prec:
+            self.off, self.coeffs = k, np.array([coeff % p], dtype=np.int64)
+            self.coeffs.flags.writeable = False
+        return self
 
     @classmethod
     def constant(cls, p: int, c: int, prec=INF) -> "TruncatedSeries":
-        return cls(p, 0, [c], prec)
+        return cls.pi_power(p, 0, prec, c)
 
     # -- basic queries ----------------------------------------------------
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from newton_strata import isocrystal
 from newton_strata.series import INF, InsufficientPrecision, TruncatedSeries
 from newton_strata.isocrystal import (
     IsoMatrix,
@@ -15,8 +16,9 @@ from newton_strata.isocrystal import (
     slope_leq,
     slope_sequence,
 )
-from newton_strata.affine_weyl import AffineWeylElt
-from newton_strata.empirics import make_config, sample_ixi
+from newton_strata.affine_weyl import AffineWeylElt, enumerate_grid
+from newton_strata.empirics import make_config, sample_ixi, sample_pattern
+from newton_strata.strata import NoWitnessFormula, poset_of, witness
 
 from conftest import P, rand_iwahori, rand_matrix, rand_series
 
@@ -468,3 +470,144 @@ class TestSlopeSequence:
                     slope_sequence(A.truncate(q))
             else:
                 assert slope_sequence(A.truncate(q)) == SlopeSeq.parse(slopes), q
+
+
+# -- the horizon read against the full characteristic polynomial --------------
+
+
+def full_val_info(ts):
+    """int valuation, INF for an exact zero, or ("ge", prec) when unknown."""
+    v = ts.valuation()
+    return v if v is not None else INF if ts.is_exact_zero() else ("ge", ts.prec)
+
+
+def reference_slopes(A):
+    """The Newton polygon of charpoly3's full-precision coefficients."""
+    cp = charpoly3(A)
+    dv = cp.gamma.valuation()
+    if dv is None:
+        raise InsufficientPrecision("det is zero to precision")
+    if dv != 0:
+        raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
+    return isocrystal._polygon(full_val_info(cp.alpha), full_val_info(cp.beta))
+
+
+def outcome(fn, A):
+    """fn(A), or the type and message of what it raised."""
+    try:
+        return fn(A)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+DIFF_PRIMES = (2, 11, 2**31 - 1, 3037000493)
+
+
+def grid_draws(bound):
+    """(A, prec): one draw per element of the grid, xI and I * xI in turn,
+    each pair of them at the next of the primes."""
+    for k, x in enumerate(enumerate_grid(bound)):
+        cfg = make_config(x, p=DIFF_PRIMES[k // 2 % 4], seed=k)
+        yield sample_ixi(cfg, k)[2] if k % 2 else sample_pattern(cfg, k), cfg.prec
+
+
+def plus_term(A, slot, k, c):
+    """A with c * pi^k added to entry slot (row-major), at its precision."""
+    flat = [ts for row in A.entries for ts in row]
+    flat[slot] = flat[slot] + TruncatedSeries.pi_power(A.p, k, flat[slot].prec, c)
+    return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
+
+
+def without_det_unit(A, slot, top):
+    """A with entry slot changed at pi^top so that det A has no pi^0 term,
+    or None when that coefficient of the entry does not reach it."""
+    d0, d1 = (plus_term(A, slot, top, c).det().coeff(0) for c in (0, 1))
+    if (d1 - d0) % A.p == 0:
+        return None
+    return plus_term(A, slot, top, -d0 * pow(d1 - d0, -1, A.p))
+
+
+@pytest.fixture
+def full_polynomials(monkeypatch):
+    """The charpoly3 calls slope_sequence makes, counted."""
+    calls = []
+    monkeypatch.setattr(isocrystal, "charpoly3", lambda A: calls.append(A) or charpoly3(A))
+    return calls
+
+
+class TestHorizonRead:
+    def test_grid_draws_and_truncations_match_the_full_polynomial(self, full_polynomials):
+        counts = {}
+        for A, prec in grid_draws(3):
+            for q in range(-4, prec + 1):
+                B = A.truncate(q)
+                want = outcome(reference_slopes, B)
+                full_polynomials.clear()
+                assert outcome(slope_sequence, B) == want, (B, q)
+                kind = "slopes" if isinstance(want, SlopeSeq) else want[0].__name__
+                # an answer never needs the full polynomial
+                assert kind != "slopes" or not full_polynomials, (B, q)
+                counts[kind] = counts.get(kind, 0) + 1
+        # both the answers and the raises are pinned, messages included
+        assert counts["slopes"] > 3000 and counts["InsufficientPrecision"] > 1000, counts
+
+    def test_witnesses_match_the_full_polynomial(self, full_polynomials):
+        pairs = [(x, lam) for x in enumerate_grid(4) for lam in poset_of(x).elements]
+        checked = 0
+        for k, (x, lam) in enumerate(pairs):
+            try:
+                W = witness(x, lam, p=DIFF_PRIMES[k % 4])
+            except NoWitnessFormula:
+                continue
+            full_polynomials.clear()
+            assert outcome(slope_sequence, W) == outcome(reference_slopes, W) == lam, (x, lam)
+            assert not full_polynomials, (x, lam)
+            checked += 1
+        assert checked > 1600
+
+    @pytest.mark.parametrize("p", [3, 11])
+    def test_an_unpinned_polygon_names_the_full_valuations(self, p):
+        # tr is zero only to pi^-2, and e2 = -pi^2 - pi^3 is known past
+        # pi^0: the message names val(e2) = 2, not just its bound below pi^1
+        A = IsoMatrix([[TruncatedSeries.zero(p, -2), pi(3, p=p), zero(p)],
+                       [pi(-1, p=p), zero(p), pi(-1, p=p)],
+                       [pi(-2, p=p), pi(4, p=p), zero(p)]])
+        want = (InsufficientPrecision, "valuations ('ge', -2), 2 do not pin the polygon")
+        assert outcome(slope_sequence, A) == outcome(reference_slopes, A) == want
+
+    def test_coefficients_above_the_horizons_change_nothing(self):
+        # random coefficients above each entry's horizon (and above its
+        # valuation, which the horizons read) leave every answer as it was
+        rng = np.random.default_rng(19)
+        changed = 0
+        for A, prec in grid_draws(2):
+            tops = isocrystal._horizons([ts.val_lower_bound() for row in A.entries for ts in row])
+            B = A
+            for slot, top in enumerate(tops):
+                lo = max(top, B[slot // 3, slot % 3].val_lower_bound()) + 1
+                for k in range(lo, min(prec, lo + 8)):
+                    B = plus_term(B, slot, k, int(rng.integers(0, A.p)))
+            changed += B != A
+            assert slope_sequence(B) == reference_slopes(B) == slope_sequence(A)
+        assert changed > 100
+
+    def test_a_horizon_one_short_changes_an_answer(self, monkeypatch):
+        # read through its horizon, each entry's top coefficient can decide
+        # whether det is a unit: drawn entries are changed there until det
+        # has no pi^0 term, and with that entry read one exponent short the
+        # answer changes (slopes, where val(det) > 0 must raise)
+        horizons = isocrystal._horizons
+        changed = set()
+        for A, _ in grid_draws(2):
+            tops = horizons([ts.val_lower_bound() for row in A.entries for ts in row])
+            for slot, top in enumerate(tops):
+                B = without_det_unit(A, slot, top)
+                if slot in changed or B is None:
+                    continue
+                want = outcome(slope_sequence, B)
+                assert want == outcome(reference_slopes, B) and want[0] is ValueError
+                monkeypatch.setattr(isocrystal, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
+                if outcome(slope_sequence, B) != want:
+                    changed.add(slot)
+                monkeypatch.setattr(isocrystal, "_horizons", horizons)
+        assert changed == set(range(9))

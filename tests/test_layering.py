@@ -62,3 +62,25 @@ def test_the_hash_slot_layout_is_written_once():
             callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Name) and node.func.id == "_raw_hash"]
     assert sorted(callers) == ["_draw", "_pattern_blocks"]
+
+
+def _defined(tree):
+    """The names a module binds at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_the_horizon_rule_is_written_once():
+    # the scalar slope_sequence and the block kernel read entries through
+    # the same horizons: one definition, in isocrystal.py, which the kernel
+    # imports under the same module-level name (tests patch kernel._horizons)
+    for name in MODULES:
+        shared = {"_MONOMIALS", "_OTHERS", "_horizons"} & set(_defined(_tree(name)))
+        assert shared == (set() if name != "isocrystal.py" else {"_MONOMIALS", "_OTHERS", "_horizons"}), name
+    imports = [(node.module, alias.name, alias.asname) for node in _tree("kernel.py").body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert ("isocrystal", "_horizons", None) in imports

@@ -69,6 +69,30 @@ class TestConstruction:
         s = TruncatedSeries.pi_power(P, -4, coeff=6)
         assert s.valuation() == -4 and s.leading_coeff() == 6 and s.is_exact()
 
+    @pytest.mark.parametrize("p", [2, 11, 3037000493])
+    def test_monomial_constructors_equal_from_terms(self, p):
+        # zero, one, pi_power and constant skip __init__'s conversion, so
+        # check them against from_terms: coefficients p and -1, k >= prec
+        built = []
+        for prec in (INF, -3, 0, 2, 5):
+            built += [(TruncatedSeries.zero(p, prec), {}, prec), (TruncatedSeries.one(p, prec), {0: 1}, prec)]
+            for c in (0, 1, p, -1, p + 1, 2 * p - 1):
+                built.append((TruncatedSeries.constant(p, c, prec), {0: c}, prec))
+                built += [(TruncatedSeries.pi_power(p, k, prec, c), {k: c}, prec) for k in (-4, 0, 1, 2, 7)]
+        for got, terms, prec in built:
+            want = TruncatedSeries.from_terms(p, terms, prec)
+            assert got == want and hash(got) == hash(want) and got.to_json() == want.to_json(), (terms, prec)
+            assert got.prec == prec and not got.coeffs.flags.writeable
+        assert TruncatedSeries.pi_power(p, 5, 5).is_zero_to_precision()
+        assert TruncatedSeries.pi_power(p, 4, 5, p).is_zero_to_precision()
+
+    @pytest.mark.parametrize("p", [1, 4, 2**31, 3037000493 + 2, 2**61 - 1])
+    def test_monomial_constructors_reject_bad_moduli(self, p):
+        for build in (lambda: TruncatedSeries.zero(p), lambda: TruncatedSeries.one(p, 3),
+                      lambda: TruncatedSeries.pi_power(p, 2), lambda: TruncatedSeries.constant(p, 5)):
+            with pytest.raises(ValueError):
+                build()
+
 
 class TestValuation:
     def test_valuation_of_zero_to_precision_is_none(self):
