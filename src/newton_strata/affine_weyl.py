@@ -8,6 +8,7 @@ The base-alcove interior point p0 and all geometry use exact rationals.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -392,6 +393,7 @@ _K_CASES = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def coset_pattern(x: AffineWeylElt, which: str = "xI") -> ValuationPattern:
     """The entrywise valuation pattern of xI, K_i, x'I', or the Iwahori I.
 

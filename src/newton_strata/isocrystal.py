@@ -7,10 +7,10 @@ of the ordinary characteristic polynomial X^3 + alpha X^2 + beta X + gamma
 With val(gamma) = 0 that polygon has a closed form in v1 = val(alpha) and
 v2 = val(beta), the same one the batched sampler uses:
     2*lam1 = max(-2*v1, -v2, 0),   -2*lam3 = max(-2*v2, -v1, 0).
-So only the coefficients of tr, e2 and det through pi^0 matter, and
-slope_sequence reads each entry, as Python ints, only through its horizon
-(_horizons, shared with the block kernel); finite-precision inputs raise
-InsufficientPrecision when the known coefficients do not pin the polygon.
+So only tr and e2 through pi^-1 (their pi^0 terms never move it) and det
+through pi^0 matter: slope_sequence reads each entry, as Python ints, only
+through its horizon (_horizons, shared with the block kernel), and raises
+InsufficientPrecision when finite precision leaves the polygon unpinned.
 """
 
 from __future__ import annotations
@@ -355,15 +355,15 @@ def polygon_vertices(points):
 _MONOMIALS = ((0,), (4,), (8,), (0, 4), (0, 8), (4, 8), (1, 3), (2, 6), (5, 7),
               (0, 4, 8), (0, 5, 7), (1, 3, 8), (1, 5, 6), (2, 3, 7), (2, 4, 6))
 # per slot, the other slots of each monomial that contains it, padded to
-# two with slot 9, whose onset is 0
-_OTHERS = [[(*(t for t in m if t != s), 9, 9)[:2] for m in _MONOMIALS if s in m] for s in range(9)]
+# two with slots 10 (onset 1: tr and e2 stop at pi^-1) and 9 (onset 0)
+_OTHERS = [[(*(t for t in m if t != s), 10, 9)[:2] for m in _MONOMIALS if s in m] for s in range(9)]
 
 
 def _horizons(onsets):
-    """Per slot, the highest exponent that tr, e2 or det read through pi^0
-    take from that entry: over the monomials containing it, the max of
-    -(sum of the other onsets), inf marking a zero entry."""
-    o = [*onsets, 0]
+    """Per slot, the highest exponent that tr and e2 through pi^-1 and det
+    through pi^0 read from that entry: over the monomials containing it, the
+    max of -(sum of the other onsets), inf marking a zero entry."""
+    o = [*onsets, 0, 1]
     return [max([-o[x] - o[y] for x, y in pairs]) for pairs in _OTHERS]
 
 
@@ -410,8 +410,8 @@ def _sum(terms, cap, p, signs=(1, -1, 1, -1, 1)):
 def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     """The slope sequence nu-bar(A) of the isocrystal (F^3, A*sigma).
 
-    Requires val(det A) = 0.  tr, e2 and det are formed below pi^1 as
-    charpoly3 forms them, to its precision there, the minor of each entry
+    Requires val(det A) = 0.  det is formed below pi^1, tr and e2 below pi^0,
+    as charpoly3 forms them, to its precision there, the minor of each entry
     x of the first row below pi^(1 - lb_x).  Finite-precision inputs raise
     InsufficientPrecision when the known coefficients do not pin the
     polygon (the caller controls resampling).
@@ -420,14 +420,14 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     lbs = [ts.val_lower_bound() for ts in flat]
     a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb].tolist() if top >= lb else [])
                                  for ts, lb, top in zip(flat, lbs, _horizons(lbs)))
-    cap = max(1, 1 - a[0])  # e*i - f*h serves det and e2
+    cap = max(0, 1 - a[0])  # e*i - f*h serves det and e2
     ei_fh = _sum([_times(e, i, cap), _times(f, h, cap)], cap, p)
     di_fg = _sum([_times(d, i, 1 - b[0]), _times(f, g, 1 - b[0])], 1 - b[0], p)
     dh_eg = _sum([_times(d, h, 1 - c[0]), _times(e, g, 1 - c[0])], 1 - c[0], p)
     det = _sum([_times(a, ei_fh, 1), _times(b, di_fg, 1), _times(c, dh_eg, 1)], 1, p)
     if det[0] == 0 and det[2]:
-        alpha = _sum([a, e, i], 1, p, (1, 1, 1))
-        beta = _sum([_times(a, e, 1), _times(b, d, 1), _times(a, i, 1), _times(c, g, 1), ei_fh], 1, p)
+        alpha = _sum([a, e, i], 0, p, (1, 1, 1))
+        beta = _sum([_times(a, e, 0), _times(b, d, 0), _times(a, i, 0), _times(c, g, 0), ei_fh], 0, p)
         try:
             return _polygon(*(lb if lb < prec else ("ge", prec) for lb, prec, _ in (alpha, beta)))
         except InsufficientPrecision:

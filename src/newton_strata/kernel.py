@@ -8,12 +8,13 @@ below v is stored, and every window is the exponent it reaches.  Trace,
 principal 2x2 minor sum and determinant come from exact truncated
 convolution mod p, reduced often enough that no int64 sum overflows for
 any prime with (p-1)**2 + p < 2**63 (SampleConfig rejects larger ones).
-As val(det) = 0, valuations above 0 cannot move the Newton polygon, so
-each entry is drawn only through its horizon (_horizons), which pins every
-slope sequence exactly, with no retry; histograms, campaigns and
-kappa_check run on it.  For I * xI, chi(UM) = chi(MU) and M @ U lies in
-xI, so M @ U is read through xI's horizons; it and kappa_check's
-conjugates are products of blocks.
+As val(det) = 0, a valuation of tr or e2 at 0 or above cannot move the
+Newton polygon, so tr and e2 are read through pi^-1 and det through pi^0,
+each entry only through its horizon (_horizons), all nine in one hash
+pass.  That pins every slope sequence exactly, with no retry; histograms,
+campaigns and kappa_check run on it.  For I * xI, chi(UM) = chi(MU) and
+M @ U lies in xI, so M @ U is read through xI's horizons; it and
+kappa_check's conjugates are products of blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: the
@@ -48,31 +49,44 @@ _EXP_MULT = 0xE7037ED1A0B428DB
 # -- counter-based coefficient generator ---------------------------------------
 
 
+def _row_chunks(z):
+    """z's rows, 2**14 entries (or one row) at a time, with one scratch array
+    of their shape: a temporary of z's size costs more in page faults."""
+    rows = z if z.ndim == 2 else z.reshape(-1, 1)
+    step = max(1, (1 << 14) // max(1, rows.shape[1]))
+    t = np.empty((min(step, len(rows)), rows.shape[1]), dtype=z.dtype)
+    for lo in range(0, len(rows), step):
+        y = rows[lo : lo + step]
+        yield y, t[: len(y)]
+
+
 def _mix64(z):
     """splitmix64 finalizer on a fresh uint64 array, in place."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    for y, t in _row_chunks(z):
+        y ^= np.right_shift(y, np.uint64(30), out=t)
+        y *= np.uint64(0xBF58476D1CE4E5B9)
+        y ^= np.right_shift(y, np.uint64(27), out=t)
+        y *= np.uint64(0x94D049BB133111EB)
+        y ^= np.right_shift(y, np.uint64(31), out=t)
     return z
 
 
-def _raw_hash(seed: int, slot, trials, exps):
+def _raw_hash(seed: int, slot, trials, exps, rows=slice(None)):
     """uint64 hash array indexed by (seed, slot, trial, exponent).
 
-    slot is an int or a uint64 array; slot, trials and exps are shaped to
-    broadcast, e.g. trials (B, 1) against exps (1, L).  The value at a given
-    index tuple never depends on the window, so re-sampling at higher
-    precision extends the same series.
+    slot (an int or a uint64 array) broadcasts against trials, and rows
+    picks rows of their mix for exps: slots (9, 1), trials (1, B), rows (R,)
+    and exps (R, 1) hash R rows of B trials, each slot mixed once per trial.
+    The value at a given index tuple never depends on the window, so
+    re-sampling at higher precision extends the same series.
     """
     with np.errstate(over="ignore"):
         # (seed * _SEED_MULT + (slot + 1) * _SLOT_MULT) mod 2**64
         base = np.uint64((seed * _SEED_MULT + _SLOT_MULT) & _MASK64)
         base = base + np.asarray(slot, dtype=np.uint64) * np.uint64(_SLOT_MULT)
-        h = _mix64(base ^ (trials * np.uint64(_TRIAL_MULT)))
-        h = _mix64(h ^ (exps * np.uint64(_EXP_MULT)))
-    return h
+        h = _mix64(base ^ (trials * np.uint64(_TRIAL_MULT)))[rows]
+        h ^= exps * np.uint64(_EXP_MULT)
+    return _mix64(h)
 
 
 def _as_u64(arr) -> np.ndarray:
@@ -132,7 +146,8 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
     the coefficient of pi^(v + t), v the least onset over the columns, and
     rows below a column's own onset are zero.  A slot zero in every column
     has no rows and v one past its top; a slot whose top lies below its
-    onset has no rows and v at its onset.
+    onset has no rows and v at its onset.  Every block is a view of one
+    array, hashed in one pass.
     """
     if isinstance(patterns, ValuationPattern):
         distinct, which = [patterns], np.zeros(len(ids), dtype=np.intp)
@@ -141,27 +156,28 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
         which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
         distinct = list({id(q): q for q in patterns}.values())
     flat = [sum(q.entries, ()) for q in distinct]
-    trials = _as_u64(ids).reshape(1, -1)
-    pu, pm = np.uint64(p), np.uint64(p - 1)
+    # per slot and distinct pattern, the entry's onset (inf for a zero entry)
+    ks = [[math.inf if q[slot].kind == "zero" else q[slot].k for q in flat] for slot in range(9)]
+    vs = [min(k) if min(k) < math.inf else top + 1 for k, top in zip(ks, tops)]
+    ns = np.array([max(0, top - v + 1) for v, top in zip(vs, tops)], dtype=np.int64)
+    ends = np.cumsum(ns)
+    starts = ends - ns
+    # the rows of every slot in one hash pass: row r of slot s is pi^(v_s + r)
+    exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(np.array(vs, dtype=np.int64) - starts, ns)
+    raw = _raw_hash(seed, np.arange(slot_base, slot_base + 9, dtype=np.uint64).reshape(-1, 1),
+                    _as_u64(ids).reshape(1, -1), _as_u64(exps).reshape(-1, 1), np.repeat(np.arange(9), ns))
     out = []
-    for slot, top in enumerate(tops):
-        # per distinct pattern, the entry's onset (inf for a zero entry)
-        ks = [math.inf if q[slot].kind == "zero" else q[slot].k for q in flat]
-        v = min(ks) if min(ks) < math.inf else top + 1
-        n = max(0, top - v + 1)
-        if not n:
-            out.append((np.zeros((0, len(ids)), dtype=np.int64), v))
-            continue
-        raw = _raw_hash(seed, slot_base + slot, trials, _as_u64(np.arange(v, v + n, dtype=np.int64)).reshape(-1, 1))
-        arr = (raw - raw // pu * pu).view(np.int64)
-        hi = min(max(ks), v + n)
+    for slot, (v, start, end) in enumerate(zip(vs, starts.tolist(), ends.tolist())):
+        arr, n = raw[start:end], end - start
+        hi = min(max(ks[slot]), v + n)
         if hi > v:
-            arr[: hi - v][np.arange(v, hi).reshape(-1, 1) < np.array(ks)[which]] = 0
-        # an exact lead is a unit
+            arr[: hi - v][np.arange(v, hi).reshape(-1, 1) < np.array(ks[slot])[which]] = 0
+        # an exact lead is a unit, 1 .. p-1, which _reduce keeps
         for k in {q[slot].k for q in flat if q[slot].kind == "exact" and q[slot].k < v + n}:
             cols = np.array([q[slot].kind == "exact" and q[slot].k == k for q in flat])[which]
-            np.copyto(arr[k - v], 1 + raw[k - v] % pm, where=cols)
-        out.append((arr, v))
+            np.copyto(arr[k - v], 1 + arr[k - v] % np.uint64(p - 1), where=cols)
+        out.append((arr.view(np.int64), v))
+    _reduce(raw, p)
     return out
 
 
@@ -170,7 +186,8 @@ def _reduce(arr, p):
     if arr.size < 1024:
         arr %= p
     else:
-        arr -= arr // p * p
+        for y, t in _row_chunks(arr):
+            y -= np.multiply(np.floor_divide(y, p, out=t), p, out=t)
 
 
 def _conv(x, y, p, top):
@@ -258,31 +275,32 @@ def _slopes_block(entries, p):
     form of isocrystal.newton_polygon):
         2*lam1    = max(-2*v1, -v2, 0)
         2*(-lam3) = max(-2*v2, -v1, 0)
-    A valuation above 0 moves neither formula, so tr, the minor sum and det
-    are formed through pi^0, the cofactor of each a, b, c only through
-    pi^(-its onset).  Should tr, e2 or det fall short of pi^0, this raises;
-    a column zero through pi^0 gives the same slopes as its true valuation.
+    A valuation of 0 or above moves neither formula, so tr, e2 and ae, bd,
+    cg are formed through pi^-1 (every predicate threshold is at most 0),
+    det through pi^0 and the cofactor of each a, b, c through pi^(-its
+    onset).  Should tr or e2 fall short of pi^-1, or det of pi^0, this
+    raises; a column zero through pi^-1 gives its true valuation's slopes.
     """
     a, b, c, d, e, f, g, h, i = entries
 
-    def mul(x, y, top=0):
+    def mul(x, y, top=-1):
         return _conv(x, y, p, top)
 
     # the determinant first, so that its cofactors are freed before the
     # products the caller keeps are formed
-    ei, fh = mul(e, i, max(0, -a[1])), mul(f, h, max(0, -a[1]))
+    ei, fh = mul(e, i, max(-1, -a[1])), mul(f, h, max(-1, -a[1]))
     cof_a = _combine(p, [ei], [fh])
     cof_b = _combine(p, [mul(d, i, -b[1])], [mul(f, g, -b[1])])
     cof_c = _combine(p, [mul(d, h, -c[1])], [mul(e, g, -c[1])])
-    det = _combine(p, [mul(a, cof_a), mul(c, cof_c)], [mul(b, cof_b)])
+    det = _combine(p, [mul(a, cof_a, 0), mul(c, cof_c, 0)], [mul(b, cof_b, 0)])
     if det[1] + len(det[0]) < 1 or not bool(np.all(_lead_val(det) == 0)):
         raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
     del cof_a, cof_b, cof_c, det
 
     ae, bd, cg = mul(a, e), mul(b, d), mul(c, g)
     tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, mul(a, i), ei], [bd, cg, fh])
-    if tr[1] + len(tr[0]) < 1 or mi[1] + len(mi[0]) < 1:
-        raise ArithmeticError("tr or e2 not known through pi^0; kernel inconsistency")
+    if tr[1] + len(tr[0]) < 0 or mi[1] + len(mi[0]) < 0:
+        raise ArithmeticError("tr or e2 not known through pi^-1; kernel inconsistency")
     v_tr, v_mi = _lead_val(tr), _lead_val(mi)
     two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
     two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)

@@ -1,6 +1,7 @@
 """Monte-Carlo sampling over coset patterns and its statistical reports."""
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -162,6 +163,73 @@ class TestGoldenDraws:
                 assert arr[:, col].tolist() == [entry.coeff(e) for e in range(g, cfg.prec)], (index, slot)
 
 
+def _per_slot_blocks(patterns, p, seed, ids, tops, slot_base=0):
+    """Reference for _pattern_blocks: one _raw_hash call per slot, rows from
+    the least onset, then every column's zeros and unit lead, column by
+    column."""
+    single = isinstance(patterns, ValuationPattern)
+    columns = [patterns] * len(ids) if single else patterns
+    onsets = _least_onsets([patterns] if single else patterns)
+    trials = ids.view(np.uint64).reshape(1, -1)
+    out = []
+    for slot, top in enumerate(tops):
+        entries = [sum(q.entries, ())[slot] for q in columns]
+        ks = [math.inf if e.kind == "zero" else e.k for e in entries]
+        v = onsets[slot] if onsets[slot] < math.inf else top + 1
+        n = max(0, top - v + 1)
+        exps = np.arange(v, v + n, dtype=np.int64).view(np.uint64).reshape(-1, 1)
+        raw = kernel._raw_hash(seed, slot_base + slot, trials, exps, np.zeros(n, dtype=np.intp))
+        arr = (raw % np.uint64(p)).astype(np.int64)
+        for col, (e, k) in enumerate(zip(entries, ks)):
+            arr[: min(k, v + n) - v, col] = 0
+            if e.kind == "exact" and k < v + n:
+                arr[k - v, col] = 1 + int(raw[k - v, col]) % (p - 1)
+        out.append((arr, v))
+    return out
+
+
+def _splitmix64(z):
+    """The splitmix64 finalizer on one Python integer."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+class TestOnePassDraw:
+    """_pattern_blocks hashes the rows of all 9 slots in one pass; every
+    coefficient stays the one the per-slot layout draws."""
+
+    def test_mix64_is_the_splitmix64_finalizer(self):
+        zs = [0, 1, 2**63, 2**64 - 1]
+        z = np.array([zs, zs[::-1]], dtype=np.uint64)
+        assert kernel._mix64(z) is z
+        assert z.tolist() == [[_splitmix64(u) for u in zs], [_splitmix64(u) for u in zs[::-1]]]
+
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    @pytest.mark.parametrize("n", [40, 0])
+    def test_blocks_equal_the_per_slot_draw(self, p, n):
+        ids = np.arange(5, 5 + n, dtype=np.int64)
+        k2 = coset_pattern(GOLDEN_X, "K2")
+        # tops above, at and below the onsets, and a slot of zeros drawn far
+        tops = [4, -1, -3, 6, 9, 0, 2, 7, 1]
+        # the case patterns of a bound-2 campaign, mixed column by column
+        cases = [cfg.pattern for pairs in empirics._campaign_groups(2, p, 0, None).values() for _, _, cfg in pairs]
+        mixed = [cases[(7 * col) % len(cases)] for col in range(n)]
+        settings = [
+            (coset_pattern(HEADLINE, "xI"), kernel._horizons(_least_onsets([coset_pattern(HEADLINE, "xI")])), 0),
+            (k2, tops, 0),
+            (k2, tops, 9),
+        ]
+        if n:
+            settings += [(mixed, kernel._horizons(_least_onsets(mixed)), 0), (mixed, [5] * 9, 9)]
+        for patterns, tops, base in settings:
+            got = _pattern_blocks(patterns, p, 3, ids, tops, slot_base=base)
+            want = _per_slot_blocks(patterns, p, 3, ids, tops, slot_base=base)
+            assert [v for _, v in got] == [v for _, v in want], (tops, base)
+            for slot, ((arr, _), (ref, _)) in enumerate(zip(got, want)):
+                assert arr.shape == ref.shape and np.array_equal(arr, ref), (tops, base, slot)
+
+
 def _padded(blocks, base, n):
     """Blocks in the layout of rows from a common base: n rows from pi^base,
     and the row of the block's onset (n for a block with no row there)."""
@@ -312,8 +380,9 @@ class TestBulkKernel:
 
     @pytest.mark.parametrize("mode", ["xI", "IxI"])
     def test_a_horizon_one_row_short_raises(self, mode, monkeypatch):
-        # with any one horizon one row lower, tr, e2 or det is no longer
-        # known through pi^0, and the kernel must raise rather than read it.
+        # with any one horizon one row lower, tr or e2 is no longer known
+        # through pi^-1, or det through pi^0, and the kernel must raise
+        # rather than read it.
         # A horizon below its slot's onset hashes no row: the zeros there
         # are known without a draw, and lowering it changes nothing
         horizons = kernel._horizons
@@ -329,7 +398,7 @@ class TestBulkKernel:
             assert len(held) >= 3, text
             for slot in held:
                 monkeypatch.setattr(kernel, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
-                with pytest.raises(ArithmeticError, match="through pi\\^0"):
+                with pytest.raises(ArithmeticError, match="^(det not a unit through pi\\^0|tr or e2 not known through pi\\^-1);"):
                     _horizon_slopes([x], mode, 11, 3, 16)
 
     def test_slope_codes_roundtrip_at_the_field_ends(self):
@@ -396,6 +465,20 @@ def test_ixi_blocks_keep_the_xi_windows():
     for x in (x for xs in HORIZON_BLOCKS for x in xs):
         shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(x, mode, 11, 3, ids)] for mode in ("IxI", "xI")]
         assert shapes[0] == shapes[1], str(x)
+
+
+def test_xi_windows_read_tr_and_e2_below_pi0_only():
+    """The rows an xI draw hashes, summed over its 9 blocks: tr and e2 are
+    read through pi^-1 and det through pi^0.  Reading tr and e2 through
+    pi^0 as well would hash 5573 rows on the |mu_i| <= 4 grid, 8 on the
+    headline."""
+    ids = np.arange(1, dtype=np.int64)
+
+    def rows(x):
+        return sum(len(arr) for arr, _ in kernel._sample_blocks(x, "xI", 11, 3, ids))
+
+    assert rows(HEADLINE) == 4
+    assert sum(rows(x) for x in enumerate_grid(4)) == 3798
 
 
 class TestHistograms:
@@ -854,3 +937,32 @@ def test_reports_do_not_depend_on_the_block_width(p, monkeypatch):
     monkeypatch.setattr(kernel, "BLOCK", 7)
     assert _chunked_reports(p) == whole
     assert max(widths) == 7
+
+
+def _bound_two_docs(p):
+    """The xI and IxI histograms of the |mu_i| <= 2 grid, a bound-2 campaign
+    and the kappa_check reports of KAPPA_CASES at p, as JSON without
+    elapsed_ms."""
+    docs = [empirical_poset(x, make_config(x, p=p, trials=64, seed=1), mode=mode).to_json()
+            for x in enumerate_grid(2) for mode in ("xI", "IxI")]
+    docs.append(predicate_campaign(bound=2, trials_per_case=100, p=p, seed=1).to_json())
+    docs += [kappa_check(X(text), which, trials=40, p=p, seed=2).to_json() for text, which in KAPPA_CASES]
+    for doc in docs:
+        doc.pop("elapsed_ms")
+    return docs
+
+
+# sha256 of the sorted-key JSON list of _bound_two_docs(p), recorded when
+# tr and e2 were still read through pi^0 and every slot hashed apart
+BOUND_TWO_DIGESTS = {
+    2: "1bb5d80d6589d4ad65e11f048bab2da79e1ea62cd49b9a361605534d502ca088",
+    11: "0b1cd76c9a21b552f03c64f789d04ab8a86c5779c82b002a9061f7a0095b23e1",
+    2**31 - 1: "3dc7fb42743f657473a268d6131179d9a60ef3bd11e6c2c85405d3d03cf39f66",
+}
+
+
+@pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+def test_bound_two_reports_keep_their_recorded_digest(p):
+    docs = _bound_two_docs(p)
+    assert len(docs) == 2 * len(list(enumerate_grid(2))) + 1 + len(KAPPA_CASES)
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == BOUND_TWO_DIGESTS[p]
