@@ -366,10 +366,14 @@ def kappa_check(
     d' = -f/c, h' = (bi - ch)/D, g' = -(i + f h')/c = -(ei - fh)/D with
     D = ce - bf must give d', h', g' their valuations and j A j^-1 back in
     the reduced pattern.  Each test runs on the block kernel over trial ids
-    0 .. trials-1, drawn as sample_pattern and _sample_unipotent draw them.
-    A test its window cannot decide raises InsufficientPrecision.  The
-    first 10 failing trials are drawn again one matrix at a time and
-    reported verbatim.
+    0 .. trials-1, drawn as sample_pattern and _sample_unipotent draw them,
+    and reads each product only through the exponents its checks decide:
+    the xI thresholds and horizons for the forward test, the K1 thresholds
+    for the inverse.  A test its window cannot decide raises
+    InsufficientPrecision.  A which whose pattern x lacks (K1 needs w=s121
+    with mu strictly increasing) raises PatternUndefined.  The first 10
+    failing trials are drawn again one matrix at a time and reported
+    verbatim.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

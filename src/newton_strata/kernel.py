@@ -62,7 +62,7 @@ def _row_chunks(z):
 
 def _mix64(z):
     """splitmix64 finalizer on a fresh uint64 array, in place."""
-    for y, t in _row_chunks(z):
+    for y, t in [(z, np.empty_like(z))] if z.size <= 1 << 14 else _row_chunks(z):
         y ^= np.right_shift(y, np.uint64(30), out=t)
         y *= np.uint64(0xBF58476D1CE4E5B9)
         y ^= np.right_shift(y, np.uint64(27), out=t)
@@ -396,17 +396,19 @@ def _passes(checks, n):
     return ok
 
 
-def _k1_inverse_passes(x, kpat, acfg, ids):
+def _k1_inverse_passes(x, kpat, acfg, ids, top):
     """Per trial id, whether the explicit K1 inverse of acfg's draw A passes.
 
     With D = ce - bf, J = cD j and Jt = cD j^-1 are polynomial in A and
-    j A j^-1 = J A Jt / (cD)^2.  A is drawn through pi^(prec-1), as far as
-    its scalar draw reaches, and a product of m entries of A through
-    pi^(prec - 1 + (m-1) g), g the least onset of A: prec - g exponents from
-    its least onset m g, as A holds from g.  Where c or D is zero that far
-    the test is undecided, as the inverse is."""
+    j A j^-1 = J A Jt / (cD)^2.  A is drawn through pi^top, a product of m
+    of its entries through pi^(top + (m-1) g), g = m1 its least onset, so
+    N = J A Jt (7 entries) through pi^(top + 6g).  As v(c) = m1 and v(D) =
+    m1 + m2 in xI, a check of N against entry k reads it through pi^(s+k-1),
+    or pi^(s+k) for an exact k, s = 2(2 m1 + m2): the least top that reaches
+    every such k is s - 6g + k = 2(m2 - m1) + k.  Those on d', h' and g' read
+    less, and a zero entry reads N as far as it is known.  Where c or D is
+    zero that far the test is undecided, as the inverse is."""
     p, g, (m1, m2, m3) = acfg.p, min(_least_onsets([acfg.pattern])), x.mu
-    top = acfg.prec - 1
     A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, [top] * 9)
     _, b, c, _, e, f, _, h, i = A
     D, bi_ch, ei_fh = (_combine(p, [_conv(u, v, p, top + g)], [_conv(y, z, p, top + g)])
@@ -432,29 +434,42 @@ def _kappa_passes(x, kpat, xpat, jrows, p, seed, trials, acfg):
     forward (j^-1 k j in xpat, with k's slopes), identity (k back from
     conjugation by 1, ids 0 .. 31 only) and, given acfg, the K1 inverse.
 
-    k is drawn through pi^T, T = max(-2g, top xI onset) with g the least
-    onset of k, and j through pi^(T - g)."""
+    Slot s of j^-1 k j is formed through pi^T_s, as far as _passes decides
+    its xI entry (pi^(k-1) for a min k, pi^k if exact) and _slopes_block
+    reads it (its xI horizon), and its slopes are read only where it is in
+    xI; k j and k as far as the products above them and k's slopes read
+    them, j through pi^(max T - g), g the least onset of k, and the K1
+    inverse's A through the least top its checks read (_k1_inverse_passes)."""
     xentries = sum(xpat.entries, ())
-    g = min(_least_onsets([kpat]))
-    top = max(-2 * g, max(e.k for e in xentries))
-    tops = [top] * 9
+    oj = [0 if s == "one" else math.inf if s == "zero" else s for row in jrows for s in row]
+    oi = [*oj[:6], min(oj[6], oj[3] + oj[7]), *oj[7:]]  # j^-1: (1), (-d, 1), (dh - g, -h, 1)
+    tops = [max(h, e.k - (e.kind == "min")) for h, e in zip(_horizons(_least_onsets([xpat])), xentries)]
+    # (k j)[k, l] as far as j^-1 (k j) reads it, and k[k, m] as far as k j reads it
+    tkj = [max(tops[3 * i + l] - oi[3 * i + k] for i in range(3)) for k in range(3) for l in range(3)]
+    tk = [max(h, *(tkj[s - s % 3 + l] - oj[3 * (s % 3) + l] for l in range(3)))
+          for s, h in enumerate(_horizons(_least_onsets([kpat])))]
+    jtop = max(tops) - min(_least_onsets([kpat]))
+    k1top = 2 * (x.mu[1] - x.mu[0]) + max(e.k - (e.kind == "min") for e in sum(kpat.entries, ()) if e.kind != "zero")
     ids = np.arange(trials, dtype=np.int64)
 
     def block(cut):
         cols = ids[cut]
-        K = _pattern_blocks(kpat, p, seed, cols, tops)
-        j = _unipotent_blocks(jrows, p, seed, cols, top - g)
+        K = _pattern_blocks(kpat, p, seed, cols, tk)
+        j = _unipotent_blocks(jrows, p, seed, cols, jtop)
         one, zero = j[0], j[1]
-        kappa = _matmul_blocks(_unipotent_inverse(j, p, top - g), _matmul_blocks(K, j, p, tops), p, tops)
-        same = np.all(np.stack(_slopes_block(kappa, p)[0]) == np.stack(_slopes_block(K, p)[0]), axis=0)
-        forward = _passes([(e, blk, 0) for e, blk in zip(xentries, kappa)], cols.size) & same
+        kappa = _matmul_blocks(_unipotent_inverse(j, p, jtop), _matmul_blocks(K, j, p, tkj), p, tops)
+        forward = _passes([(e, blk, 0) for e, blk in zip(xentries, kappa)], cols.size)
+        # the columns in xI, read from the xI onsets (their rows below are zero)
+        kept = [(arr[max(0, e.k - v):, forward], max(v, e.k)) for (arr, v), e in zip(kappa, xentries)]
+        same = np.stack(_slopes_block(kept, p)[0]) == np.stack(_slopes_block([(a[:, forward], v) for a, v in K], p)[0])
+        forward[forward] = np.all(same, axis=0)
 
         n = int(np.count_nonzero(cols < 32))
         head, ident = ([(arr[:, :n], v) for arr, v in M] for M in (K, [one if s % 4 == 0 else zero for s in range(9)]))
-        again = _matmul_blocks(ident, _matmul_blocks(head, ident, p, tops), p, tops)
+        again = _matmul_blocks(ident, _matmul_blocks(head, ident, p, tk), p, tk)
         identity = np.all([(u == v).all(axis=0) for (u, _), (v, _) in zip(again, head)], axis=0)
 
-        inverse = _k1_inverse_passes(x, kpat, acfg, cols) if acfg else np.ones(0, dtype=bool)
+        inverse = _k1_inverse_passes(x, kpat, acfg, cols, k1top) if acfg else np.ones(0, dtype=bool)
         return forward, identity, inverse
 
     return _joined(_blockwise(block, trials))

@@ -966,3 +966,96 @@ def test_bound_two_reports_keep_their_recorded_digest(p):
     docs = _bound_two_docs(p)
     assert len(docs) == 2 * len(list(enumerate_grid(2))) + 1 + len(KAPPA_CASES)
     assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == BOUND_TWO_DIGESTS[p]
+
+
+# the elements with a K1 pattern in the |mu_i| <= 6 grid: w = s121, mu1 < mu2 < mu3
+K1_ELEMENTS = [x for x in enumerate_grid(6) if x.w_name == "s121" and x.mu[0] < x.mu[1] < x.mu[2]]
+# sha256 of the sorted-key JSON list of the K1 reports of K1_ELEMENTS (64
+# trials, without elapsed_ms) at p in (2, 11, 2**31 - 1) and seeds 0 and 7,
+# recorded when A was drawn through pi^(prec-1) and k through one top
+K1_DIGEST = "a270a25f9628d7ed1f5dac172d9a6a9b01b41f9baaef54de78e53ceb00f9746a"
+
+
+def _one_row_short(monkeypatch, pattern, slot=None):
+    """Draw pattern's blocks one row short of their windows: in every slot,
+    or in the given one only."""
+    draw = kernel._pattern_blocks
+
+    def short(patterns, p, seed, ids, tops, slot_base=0):
+        if patterns == pattern:
+            tops = [t - (slot is None or s == slot) for s, t in enumerate(tops)]
+        return draw(patterns, p, seed, ids, tops, slot_base)
+
+    monkeypatch.setattr(kernel, "_pattern_blocks", short)
+
+
+class TestKappaWindows:
+    """kappa_check reads its products only as far as its checks decide."""
+
+    def test_k1_reports_keep_their_recorded_digest(self):
+        assert len(K1_ELEMENTS) == 18
+        docs = []
+        for p in (2, 11, 2**31 - 1):
+            for seed in (0, 7):
+                for x in K1_ELEMENTS:
+                    doc = kappa_check(x, "K1", trials=64, p=p, seed=seed).to_json()
+                    doc.pop("elapsed_ms")
+                    docs.append(doc)
+        assert all(doc["inverse_passes"] == doc["inverse_trials"] == 64 for doc in docs)
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == K1_DIGEST
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_k1_window_one_row_short_raises(self, p, monkeypatch):
+        # the derived window decides every column; one row shorter, N = J A
+        # Jt no longer reaches the highest K1 threshold
+        inverse = kernel._k1_inverse_passes
+        for x in K1_ELEMENTS:
+            report = kappa_check(x, "K1", trials=32, p=p, seed=1)
+            assert report.inverse_passes == report.inverse_trials == 32, x
+            with monkeypatch.context() as mp:
+                mp.setattr(kernel, "_k1_inverse_passes", lambda x, kpat, acfg, ids, top: inverse(x, kpat, acfg, ids, top - 1))
+                with pytest.raises(InsufficientPrecision, match="^the block window does not decide a kappa test$"):
+                    kappa_check(x, "K1", trials=32, p=p, seed=1)
+
+    @pytest.mark.parametrize("p", [2, 11])
+    def test_forward_window_one_row_short_raises(self, p, monkeypatch):
+        # k drawn one row shorter in every slot leaves a forward test open;
+        # one row shorter in any one slot that holds rows, or that is zero
+        # (its block starts one past its top), the kappa test or the slopes
+        # kernel raises.  A slot whose top lies below its onset hashes no
+        # row, and lowering it changes nothing
+        for text, which in KAPPA_CASES:
+            x, kpat, drawn = X(text), coset_pattern(X(text), which), []
+            draw = kernel._pattern_blocks
+
+            def recorded(patterns, p, seed, ids, tops, slot_base=0):
+                if patterns == kpat:
+                    drawn.append(tops)
+                return draw(patterns, p, seed, ids, tops, slot_base)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(kernel, "_pattern_blocks", recorded)
+                report = kappa_check(x, which, trials=32, p=p, seed=1)
+            assert report.passes == 32 and report.identity_ok == 32, (text, which)
+            with monkeypatch.context() as mp:
+                _one_row_short(mp, kpat)
+                with pytest.raises(InsufficientPrecision, match="^the block window does not decide a kappa test$"):
+                    kappa_check(x, which, trials=32, p=p, seed=1)
+            onsets = _least_onsets([kpat])
+            held = [s for s in range(9) if drawn[0][s] >= onsets[s] or onsets[s] == math.inf]
+            assert len(held) >= 6, (text, which)
+            for slot in held:
+                with monkeypatch.context() as mp:
+                    _one_row_short(mp, kpat, slot)
+                    with pytest.raises(ArithmeticError, match="^(the block window does not decide a kappa test|"
+                                       "det not a unit through pi\\^0|tr or e2 not known through pi\\^-1)"):
+                        kappa_check(x, which, trials=32, p=p, seed=1)
+
+    def test_an_unordered_mu_raises_pattern_undefined(self):
+        import newton_strata
+
+        for text in ("mu=-3,2,1;w=s121", "mu=1,0,-1;w=s121", "mu=0,0,0;w=s121"):
+            with pytest.raises(newton_strata.PatternUndefined, match="^K1 needs w=s121 with ordered mu"):
+                newton_strata.kappa_check(X(text), "K1", trials=4)
+        with pytest.raises(newton_strata.PatternUndefined):
+            newton_strata.kappa_check(X("mu=-2,0,2;w=s12"), "K1", trials=4)
