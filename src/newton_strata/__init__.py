@@ -3,140 +3,20 @@
 Exact truncated Laurent series over GF(p) (series), slope sequences of
 twisted linear maps (isocrystal), the extended affine Weyl group with its
 coset valuation patterns (affine_weyl), closed-form Newton posets, strata
-codimensions, and witness matrices (strata), plus Monte-Carlo validation
-of the closed forms (empirics) and a command-line surface (cli).
+codimensions, and witness matrices (strata), the block kernel that reads
+slopes and pattern tests of many sampled matrices at once (kernel),
+Monte-Carlo validation of the closed forms on it (empirics) and a
+command-line surface (cli).  Each module's __all__ lists its public names;
+the package exports those of the five below and nothing else.
 """
 
-from .series import INF, InsufficientPrecision, TruncatedSeries, ceil_q
-from .isocrystal import (
-    CharPoly3,
-    IsoMatrix,
-    SlopeSeq,
-    charpoly3,
-    dominant_rep,
-    newton_polygon,
-    polygon_vertices,
-    slope_leq,
-    slope_sequence,
-)
-from .affine_weyl import (
-    AffineWeylElt,
-    Chamber,
-    PatternEntry,
-    PatternUndefined,
-    ValuationPattern,
-    chamber_of,
-    compose,
-    coset_pattern,
-    enumerate_grid,
-    length,
-    phi,
-    phi_matrix,
-    psi,
-    psi_matrix,
-    psi_slopes,
-    two_rho_pairing,
-)
-from .strata import (
-    CaseNotApplicable,
-    ElementsNotInPoset,
-    ExceptionBranchAtGeneric,
-    NoWitnessFormula,
-    StrataPoset,
-    adlv_nonempty,
-    codim,
-    codim_roottheoretic,
-    conjecture_rhs,
-    enumerate_NG,
-    generic_slope,
-    is_exceptional,
-    poset_of,
-    predicate_case,
-    predicate_poset,
-    segment_length,
-    stratum_predicate,
-    witness,
-)
-from .empirics import (
-    CampaignReport,
-    CodimEstimate,
-    KappaReport,
-    SampleConfig,
-    StratumHistogram,
-    ZeroCount,
-    empirical_poset,
-    estimate_codim,
-    kappa_check,
-    make_config,
-    mazur_bound,
-    predicate_campaign,
-    sample_ixi,
-    sample_pattern,
-)
+from . import series, isocrystal, affine_weyl, strata, empirics
+from .series import *
+from .isocrystal import *
+from .affine_weyl import *
+from .strata import *
+from .empirics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "InsufficientPrecision",
-    "TruncatedSeries",
-    "ceil_q",
-    "CharPoly3",
-    "IsoMatrix",
-    "SlopeSeq",
-    "charpoly3",
-    "dominant_rep",
-    "newton_polygon",
-    "polygon_vertices",
-    "slope_leq",
-    "slope_sequence",
-    "AffineWeylElt",
-    "Chamber",
-    "PatternEntry",
-    "PatternUndefined",
-    "ValuationPattern",
-    "chamber_of",
-    "compose",
-    "coset_pattern",
-    "enumerate_grid",
-    "length",
-    "phi",
-    "phi_matrix",
-    "psi",
-    "psi_matrix",
-    "psi_slopes",
-    "two_rho_pairing",
-    "CaseNotApplicable",
-    "ElementsNotInPoset",
-    "ExceptionBranchAtGeneric",
-    "NoWitnessFormula",
-    "StrataPoset",
-    "adlv_nonempty",
-    "codim",
-    "codim_roottheoretic",
-    "conjecture_rhs",
-    "enumerate_NG",
-    "generic_slope",
-    "is_exceptional",
-    "poset_of",
-    "predicate_case",
-    "predicate_poset",
-    "segment_length",
-    "stratum_predicate",
-    "witness",
-    "CampaignReport",
-    "CodimEstimate",
-    "KappaReport",
-    "SampleConfig",
-    "StratumHistogram",
-    "ZeroCount",
-    "empirical_poset",
-    "estimate_codim",
-    "kappa_check",
-    "make_config",
-    "mazur_bound",
-    "predicate_campaign",
-    "sample_ixi",
-    "sample_pattern",
-    "__version__",
-]
+__all__ = [*series.__all__, *isocrystal.__all__, *affine_weyl.__all__, *strata.__all__, *empirics.__all__, "__version__"]

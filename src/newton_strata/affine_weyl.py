@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import INF, InsufficientPrecision, TruncatedSeries
+from .series import InsufficientPrecision, TruncatedSeries
 from .isocrystal import IsoMatrix, SlopeSeq
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ValuationPattern",
     "PatternEntry",
     "PatternUndefined",
-    "W_NAMES",
     "compose",
     "length",
     "chamber_of",
@@ -32,10 +31,7 @@ __all__ = [
     "psi_slopes",
     "psi_matrix",
     "coset_pattern",
-    "matrix_rep",
     "two_rho_pairing",
-    "tau_matrix",
-    "eta_matrix",
     "enumerate_grid",
 ]
 
@@ -69,15 +65,6 @@ def _papply(w, nu):
     for i in range(3):
         out[w[i]] = nu[i]
     return tuple(out)
-
-
-def _psign(w):
-    s = 1
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if w[i] > w[j]:
-                s = -s
-    return s
 
 
 WORD_TO_PERM = {
@@ -204,9 +191,6 @@ class Chamber:
     def __str__(self):
         return self.name
 
-    def apply_psi(self) -> "Chamber":
-        return Chamber(_pmul(_W0, _pmul(self.weyl_label, _W0)))
-
 
 def chamber_of(x: AffineWeylElt) -> Chamber:
     """The s with x(p0) in s(C0), compared in integers as 12 * x(p0)."""
@@ -241,25 +225,6 @@ def psi_slopes(lam: SlopeSeq) -> SlopeSeq:
     return SlopeSeq(-lam.lam3, -lam.lam2, -lam.lam1)
 
 
-def tau_matrix(p: int) -> IsoMatrix:
-    """tau = pi^(-1,0,0) * M(s12); conjugation by tau realizes phi."""
-    z = TruncatedSeries.zero(p)
-    return IsoMatrix(
-        [
-            [z, z, TruncatedSeries.pi_power(p, -1)],
-            [TruncatedSeries.one(p), z, z],
-            [z, TruncatedSeries.one(p), z],
-        ]
-    )
-
-
-def eta_matrix(p: int) -> IsoMatrix:
-    """eta = the antidiagonal permutation matrix of the longest element."""
-    z = TruncatedSeries.zero(p)
-    o = TruncatedSeries.one
-    return IsoMatrix([[z, z, o(p)], [z, o(p), z], [o(p), z, z]])
-
-
 def phi_matrix(A: IsoMatrix) -> IsoMatrix:
     """Conjugation by tau (sigma fixes tau, so this is a sigma-conjugation).
 
@@ -286,23 +251,7 @@ def two_rho_pairing(lam: SlopeSeq) -> Fraction:
     return 2 * (lam.lam1 - lam.lam3)
 
 
-# -- matrix representatives and coset patterns --------------------------------
-
-
-def matrix_rep(x: AffineWeylElt, p: int, prec=INF) -> IsoMatrix:
-    """pi^mu P_w with det normalized to 1 by a sign flip on the first row."""
-    sign = _psign(x.w)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if x.w[j] == i:
-                c = -1 if (sign < 0 and i == 0) else 1
-                row.append(TruncatedSeries.pi_power(p, x.mu[i], prec=prec, coeff=c))
-            else:
-                row.append(TruncatedSeries.zero(p, prec))
-        rows.append(row)
-    return IsoMatrix(rows)
+# -- coset patterns ------------------------------------------------------------
 
 
 @dataclass(frozen=True)

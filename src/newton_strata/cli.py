@@ -16,10 +16,8 @@ from .series import INF, InsufficientPrecision, TruncatedSeries, _check_modulus
 from .isocrystal import IsoMatrix, SlopeSeq, _vertices, slope_sequence
 from .affine_weyl import W_NAMES, AffineWeylElt, chamber_of, coset_pattern, enumerate_grid
 from .strata import (
-    CaseNotApplicable,
     ElementsNotInPoset,
     ExceptionBranchAtGeneric,
-    NoWitnessFormula,
     adlv_nonempty,
     codim,
     codim_roottheoretic,

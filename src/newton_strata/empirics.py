@@ -38,7 +38,6 @@ __all__ = [
     "KappaReport",
     "CampaignReport",
     "ZeroCount",
-    "MAX_RETRIES",
     "make_config",
     "sample_pattern",
     "sample_ixi",
@@ -165,12 +164,6 @@ class StratumHistogram:
         if not self.counts:
             raise ZeroCount("empty histogram")
         return max(self.counts, key=lambda s: (self.counts[s], s.as_tuple()))
-
-    def frequency(self, lam: SlopeSeq) -> float:
-        """Fraction of samples with slope sequence <= lam."""
-        if not self.trials:
-            return 0.0
-        return sum(n for s, n in self.counts.items() if slope_leq(s, lam)) / self.trials
 
     def to_json(self) -> dict:
         return {

@@ -31,6 +31,8 @@ __all__ = [
     "newton_polygon",
     "slope_sequence",
     "slope_leq",
+    "dominant_rep",
+    "polygon_vertices",
 ]
 
 
@@ -115,8 +117,6 @@ def dominant_rep(triple) -> SlopeSeq:
 
 # -- matrices ---------------------------------------------------------------
 
-_ENTRY_NAMES_3 = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
-
 
 class IsoMatrix:
     """A 3x3 matrix of truncated series, representing Phi = A*sigma.
@@ -167,10 +167,6 @@ class IsoMatrix:
 
     def __hash__(self):
         return hash((self.p, self.entries))
-
-    def named(self, name: str) -> TruncatedSeries:
-        k = _ENTRY_NAMES_3.index(name)
-        return self.entries[k // 3][k % 3]
 
     def __matmul__(self, other: "IsoMatrix") -> "IsoMatrix":
         return IsoMatrix(

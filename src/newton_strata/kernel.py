@@ -198,10 +198,13 @@ def _conv(x, y, p, top):
     min(top - va - vb + 1, len(a), len(b)) rows: it stops at pi^top, or where
     either factor runs out.  Shift k adds a[k] * b[: n-k] into rows k
     onward; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
-    no int64 entry overflows whenever (p-1)**2 + p < 2**63.
+    no int64 entry overflows whenever (p-1)**2 + p < 2**63.  A product of
+    no rows is the empty view a[:0], with nothing allocated or reduced.
     """
     (a, va), (b, vb) = x, y
     n = max(0, min(top - va - vb + 1, len(a), len(b)))
+    if not n:
+        return a[:0], va + vb
     out = np.zeros((n, a.shape[1]), dtype=np.int64)
     step = ((1 << 63) - p) // (p - 1) ** 2
     for k in range(n):

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "INF",
     "InsufficientPrecision",
     "TruncatedSeries",
     "ceil_q",
@@ -220,11 +221,6 @@ class TruncatedSeries:
         if 0 <= j < self.coeffs.size:
             return int(self.coeffs[j])
         return 0
-
-    def leading_coeff(self) -> int:
-        if not self.coeffs.size:
-            raise InsufficientPrecision("series is zero to precision; no leading term")
-        return int(self.coeffs[0])
 
     def in_P(self, k) -> bool:
         """Membership in P^k = pi^ceil(k) * O (P^l := P^ceil(l) for rational l).

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import INF, InsufficientPrecision, TruncatedSeries, ceil_q
+from .series import InsufficientPrecision, TruncatedSeries, ceil_q
 from .isocrystal import IsoMatrix, SlopeSeq, dominant_rep, slope_leq, slope_sequence
 from .affine_weyl import (
     AffineWeylElt,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from newton_strata.series import INF, TruncatedSeries
-from newton_strata.isocrystal import SlopeSeq, slope_sequence
+from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_sequence
 from newton_strata.affine_weyl import (
     P0,
     W_NAMES,
@@ -15,15 +15,12 @@ from newton_strata.affine_weyl import (
     compose,
     coset_pattern,
     enumerate_grid,
-    eta_matrix,
     length,
-    matrix_rep,
     phi,
     phi_matrix,
     psi,
     psi_matrix,
     psi_slopes,
-    tau_matrix,
     two_rho_pairing,
 )
 from newton_strata.empirics import SampleConfig, make_config, sample_pattern
@@ -32,6 +29,41 @@ from newton_strata.strata import NoWitnessFormula, poset_of, witness
 from conftest import P, rand_iwahori
 
 X = AffineWeylElt.parse
+
+
+def _tau_matrix(p):
+    """tau = pi^(-1,0,0) * M(s12); conjugation by tau realizes phi."""
+    z = TruncatedSeries.zero(p)
+    return IsoMatrix(
+        [
+            [z, z, TruncatedSeries.pi_power(p, -1)],
+            [TruncatedSeries.one(p), z, z],
+            [z, TruncatedSeries.one(p), z],
+        ]
+    )
+
+
+def _eta_matrix(p):
+    """eta = the antidiagonal permutation matrix of the longest element."""
+    z = TruncatedSeries.zero(p)
+    o = TruncatedSeries.one
+    return IsoMatrix([[z, z, o(p)], [z, o(p), z], [o(p), z, z]])
+
+
+def _matrix_rep(x, p, prec=INF):
+    """pi^mu P_w with det normalized to 1 by a sign flip on the first row."""
+    sign = (-1) ** sum(x.w[i] > x.w[j] for i in range(3) for j in range(i + 1, 3))
+    rows = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            if x.w[j] == i:
+                c = -1 if (sign < 0 and i == 0) else 1
+                row.append(TruncatedSeries.pi_power(p, x.mu[i], prec=prec, coeff=c))
+            else:
+                row.append(TruncatedSeries.zero(p, prec))
+        rows.append(row)
+    return IsoMatrix(rows)
 
 
 class TestGroupStructure:
@@ -98,8 +130,11 @@ class TestChambers:
         assert names == {"C0", "s1(C0)", "s2(C0)", "s12(C0)", "s21(C0)", "s121(C0)"}
 
     def test_psi_transports_chambers(self):
+        # psi conjugates the chamber's label by the longest element w0
+        w0 = WORD_TO_PERM["s121"]
         for x in enumerate_grid(2):
-            assert chamber_of(psi(x)).name == chamber_of(x).apply_psi().name
+            s = chamber_of(x).weyl_label
+            assert chamber_of(psi(x)).weyl_label == tuple(w0[s[w0[i]]] for i in range(3))
 
     def test_integer_chambers_match_the_rational_base_point(self):
         # the definition: the s with x(p0) in s(C0), read off act_point(P0)
@@ -132,8 +167,8 @@ class TestSymmetries:
 
     def test_tau_rotation_and_eta_determinants(self):
         # tau is the length-zero rotation, det pi^-1; conjugation cancels it
-        assert tau_matrix(P).det().valuation() == -1
-        assert eta_matrix(P).det().valuation() == 0
+        assert _tau_matrix(P).det().valuation() == -1
+        assert _eta_matrix(P).det().valuation() == 0
 
     def test_phi_matrix_preserves_slopes(self, rng):
         for k in range(25):
@@ -167,13 +202,13 @@ TRANSPORT_PRIMES = [2, 11, 2**31 - 1]
 
 def _phi_by_products(A):
     """The product definition tau A tau^-1 that phi_matrix replaced."""
-    t = tau_matrix(A.p)
+    t = _tau_matrix(A.p)
     return t @ A @ t.inverse()
 
 
 def _psi_by_products(A):
     """The product definition eta (A^t)^-1 eta^-1 that psi_matrix replaced."""
-    e = eta_matrix(A.p)
+    e = _eta_matrix(A.p)
     return e @ A.inverse().transpose() @ e.inverse()
 
 
@@ -270,12 +305,12 @@ class TestTransports:
 class TestPatterns:
     def test_matrix_rep_lies_in_own_coset_pattern(self):
         for x in enumerate_grid(2):
-            A = matrix_rep(x, P, prec=24)
+            A = _matrix_rep(x, P, prec=24)
             assert coset_pattern(x, "xI").contains(A)
 
     def test_matrix_rep_has_unit_determinant(self):
         for x in list(enumerate_grid(2))[:30]:
-            assert matrix_rep(x, P).det().valuation() == 0
+            assert _matrix_rep(x, P).det().valuation() == 0
 
     def test_identity_coset_is_the_iwahori_pattern(self):
         pat = coset_pattern(AffineWeylElt.identity(), "xI")

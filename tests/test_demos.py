@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README quickstart, runs to completion against
+the package in src/."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +12,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _runs_and_prints(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip()
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip()
+    _runs_and_prints(str(demo))
+
+
+def test_readme_quickstart_runs():
+    # the README's python blocks, in order, as one script: every name they
+    # use stays importable and every call stays valid
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    _runs_and_prints("-c", "\n".join(blocks))

@@ -133,12 +133,6 @@ class TestIsoMatrix:
         )
         assert A.det() == pi(-1) * pi(0, 3) * pi(1, 5)
 
-    def test_named_entries_follow_row_major_letters(self):
-        A = IsoMatrix([[pi(i * 3 + j) for j in range(3)] for i in range(3)])
-        assert A.named("a") == pi(0)
-        assert A.named("f") == pi(5)
-        assert A.named("i") == pi(8)
-
     def test_from_int_matrix_and_identity(self):
         A = IsoMatrix.from_int_matrix(P, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         I3 = IsoMatrix.identity(P)

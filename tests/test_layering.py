@@ -1,9 +1,12 @@
 """Module layering, read from the source: only kernel.py builds, multiplies
 or reads a block, and the kernel imports no module built on it."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import newton_strata
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "newton_strata"
 # the names that build, multiply or read a block
@@ -84,3 +87,18 @@ def test_the_horizon_rule_is_written_once():
     imports = [(node.module, alias.name, alias.asname) for node in _tree("kernel.py").body
                if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert ("isocrystal", "_horizons", None) in imports
+
+
+EXPORTING = ("series", "isocrystal", "affine_weyl", "strata", "empirics")
+
+
+def test_the_package_api_is_the_submodule_lists():
+    # each submodule's __all__ is the one list of its public names
+    modules = [importlib.import_module(f"newton_strata.{name}") for name in EXPORTING]
+    listed = [n for module in modules for n in module.__all__]
+    assert newton_strata.__all__ == listed + ["__version__"]
+    assert len(listed) == len(set(listed)), "a name sits in two submodule lists"
+    for module in modules:
+        for n in module.__all__:
+            assert hasattr(module, n), f"{module.__name__}.__all__ lists {n}, which it does not define"
+            assert getattr(newton_strata, n) is getattr(module, n), n
