@@ -5,9 +5,10 @@ N(G)_x with their generic slopes, segment lengths and the two codimension
 formulas, closed-stratum membership predicates, non-emptiness of affine
 Deligne-Lusztig varieties, and explicit witness matrices.
 
-The generic slopes and poset shapes are encoded as data keyed by
-(w, chamber, boundary equalities on mu); the sampling module provides the
-independent check of these tables.
+The generic slope nu_x is read from the generic onsets of xI, and the
+poset shape from one s1s2s1 table keyed by (chamber, boundary equalities
+on mu), reached by the rotation phi; the sampling module provides the
+independent check of both.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import InsufficientPrecision, TruncatedSeries, ceil_q
-from .isocrystal import IsoMatrix, SlopeSeq, dominant_rep, slope_leq, slope_sequence
+from .series import INF, InsufficientPrecision, TruncatedSeries, ceil_q
+from .isocrystal import _MONOMIALS, IsoMatrix, SlopeSeq, _polygon, slope_leq, slope_sequence
 from .affine_weyl import (
     AffineWeylElt,
     chamber_of,
@@ -110,7 +111,7 @@ def _sort_desc(elems):
     return tuple(sorted(elems, key=lambda z: (z.lam1, z.lam1 + z.lam2), reverse=True))
 
 
-# -- the generic-slope and shape tables ---------------------------------------
+# -- the generic slope and the poset shape -----------------------------------
 
 FULL = "full"
 INT1 = "interval-lam1-fixed"
@@ -118,103 +119,37 @@ INT3 = "interval-lam3-fixed"
 SINGLETON = "singleton"
 UNION = "union"
 
-_H = Fraction(1, 2)
-
-
-def _rows_s12(mu, ch):
-    if ch == "C0":
-        return ((1, -_H, -_H), FULL) if mu[1] == mu[2] else ((1, 0, -1), FULL)
-    if ch == "s1(C0)":
-        return ((_H, 0, -_H), FULL) if mu[0] + 1 == mu[2] else ((1, 0, -1), FULL)
-    if ch == "s2(C0)":
-        return ((1, -1, 0), FULL)
-    if ch == "s12(C0)":
-        return ((0, 0, 0), FULL)
-    if ch == "s21(C0)":
-        return ((_H, -_H, 0), FULL) if mu[0] + 1 == mu[1] else ((1, -1, 0), FULL)
-    return ((0, 0, 0), FULL)  # s121(C0)
-
-
-def _rows_s21(mu, ch):
-    if ch == "C0":
-        return ((_H, _H, -1), FULL) if mu[0] == mu[1] else ((1, 0, -1), FULL)
-    if ch == "s1(C0)":
-        return ((0, 1, -1), FULL)
-    if ch == "s2(C0)":
-        return ((_H, 0, -_H), FULL) if mu[0] + 1 == mu[2] else ((1, 0, -1), FULL)
-    if ch == "s12(C0)":
-        return ((0, _H, -_H), FULL) if mu[1] + 1 == mu[2] else ((0, 1, -1), FULL)
-    return ((0, 0, 0), FULL)  # s21(C0), s121(C0)
-
 
 def _rows_s121(mu, ch):
+    """The shape of N(G)_x for x = pi^mu s1s2s1 in the chamber named ch."""
     if ch == "C0":
-        if mu[0] + 1 == mu[1]:
-            return ((1, 0, -1), INT1)
-        if mu[1] + 1 == mu[2]:
-            return ((1, 0, -1), INT3)
-        return ((1, 0, -1), UNION)
-    if ch == "s1(C0)":
-        if mu[0] + 1 == mu[2]:
-            return ((_H, 0, -_H), SINGLETON)
-        return ((1, 0, -1), INT1)
-    if ch == "s2(C0)":
-        if mu[0] + 1 == mu[2]:
-            return ((_H, 0, -_H), SINGLETON)
-        return ((1, 0, -1), INT3)
-    if ch == "s12(C0)":
-        return ((0, 0, 0), INT1)
-    if ch == "s21(C0)":
-        return ((0, 0, 0), INT3)
-    return ((0, 0, 0), FULL)  # s121(C0)
+        return INT1 if mu[0] + 1 == mu[1] else INT3 if mu[1] + 1 == mu[2] else UNION
+    if ch in ("s1(C0)", "s2(C0)") and mu[0] + 1 == mu[2]:
+        return SINGLETON
+    return {"s1(C0)": INT1, "s12(C0)": INT1, "s2(C0)": INT3, "s21(C0)": INT3}.get(ch, FULL)
 
 
-def _rows_s1(mu, ch):
-    if ch == "C0":
-        if mu[0] + 1 == mu[1]:
-            return ((_H, -_H, 0), SINGLETON)
-        return ((1, -1, 0), INT3)
-    if ch == "s1(C0)":
-        return ((0, 0, 0), INT3)
-    if ch == "s2(C0)":
-        return ((1, -1, 0), INT1) if mu[0] == mu[2] else ((1, -1, 0), FULL)
-    if ch == "s12(C0)":
-        return ((0, 0, 0), INT1) if mu[1] == mu[2] else ((0, 0, 0), UNION)
-    if ch == "s21(C0)":
-        if mu[0] + 1 == mu[1]:
-            return ((_H, -_H, 0), SINGLETON)
-        return ((1, -1, 0), INT1)
-    return ((0, 0, 0), INT1)  # s121(C0)
+def _generic_row(x: AffineWeylElt):
+    """(nu_x, shape) of N(G)_x.
 
-
-def _rows_s2(mu, ch):
-    if ch == "C0":
-        if mu[1] + 1 == mu[2]:
-            return ((0, _H, -_H), SINGLETON)
-        return ((0, 1, -1), INT1)
-    if ch == "s1(C0)":
-        return ((0, 1, -1), INT3) if mu[0] == mu[2] else ((0, 1, -1), FULL)
-    if ch == "s2(C0)":
-        return ((0, 0, 0), INT1)
-    if ch == "s12(C0)":
-        if mu[1] + 1 == mu[2]:
-            return ((0, _H, -_H), SINGLETON)
-        return ((0, 1, -1), INT3)
-    if ch == "s21(C0)":
-        return ((0, 0, 0), INT3) if mu[0] == mu[1] else ((0, 0, 0), UNION)
-    return ((0, 0, 0), INT3)  # s121(C0)
-
-
-_TABLES = {"s12": _rows_s12, "s21": _rows_s21, "s121": _rows_s121, "s1": _rows_s1, "s2": _rows_s2}
-
-
-def _table_row(x: AffineWeylElt):
-    """(nu_x, shape) from the encoded tables; w = 1 is the singleton case."""
-    if x.w_name == "1":
-        return dominant_rep(tuple(-m for m in x.mu)), SINGLETON
-    c, shape = _TABLES[x.w_name](x.mu, chamber_of(x).name)
-    nu = dominant_rep(tuple(Fraction(-m) - Fraction(ci) for m, ci in zip(x.mu, c)))
-    return nu, shape
+    nu_x is the Newton point of a generic element of xI, whose leading
+    coefficients are all non-zero: no two monomials of tr or e2 cancel, so
+    val(tr) and val(e2) are the least summed onsets of the xI pattern over
+    their monomials, a zero entry counting as INF.  The shape is a singleton
+    for w = 1 and the full interval below nu_x for w = s1s2 and s2s1.  The
+    rotation phi carries IxI to I phi(x) I with the same Newton points and
+    permutes s1, s2 and s1s2s1 cyclically, so w = s1 and s2 read the
+    s1s2s1 table at the rotation of x that has w = s1s2s1.
+    """
+    # uncached: poset_of keeps the row, and a cached pattern costs ~1.4 kB per x
+    onsets = [INF if e.kind == "zero" else e.k for row in coset_pattern.__wrapped__(x, "xI").entries for e in row]
+    v1, v2 = (min(sum(onsets[s] for s in m) for m in monomials) for monomials in (_MONOMIALS[:3], _MONOMIALS[3:9]))
+    nu = _polygon(v1, v2)
+    if x.w_name in ("1", "s12", "s21"):
+        return nu, SINGLETON if x.w_name == "1" else FULL
+    while x.w_name != "s121":
+        x = phi(x)
+    return nu, _rows_s121(x.mu, chamber_of(x).name)
 
 
 # -- posets --------------------------------------------------------------------
@@ -317,10 +252,8 @@ def _covers(elements):
     return tuple(sorted(out))
 
 
-@functools.lru_cache(maxsize=None)
-def poset_of(x: AffineWeylElt) -> StrataPoset:
-    """The poset N(G)_x, materialized from the table row for x."""
-    nu, shape = _table_row(x)
+def _elements(nu: SlopeSeq, shape: str):
+    """The elements of the poset of this shape below nu, sorted from nu down."""
     if shape == SINGLETON:
         elems = [nu]
     elif shape == FULL:
@@ -336,12 +269,20 @@ def poset_of(x: AffineWeylElt) -> StrataPoset:
         elems = _interval(sub) + [nu]
     else:
         raise AssertionError(shape)
-    ordered = _sort_desc(set(elems))
+    return _sort_desc(set(elems))
+
+
+@functools.lru_cache(maxsize=None)
+def poset_of(x: AffineWeylElt) -> StrataPoset:
+    """The poset N(G)_x, materialized from the generic slope and shape of x."""
+    nu, shape = _generic_row(x)
+    ordered = _elements(nu, shape)
     return StrataPoset(x, ordered, nu, shape, _covers(ordered))
 
 
 def generic_slope(x: AffineWeylElt) -> SlopeSeq:
-    return poset_of(x).nu_x
+    """nu_x, read from the generic onsets of xI without building the poset."""
+    return _generic_row(x)[0]
 
 
 def segment_length(x, lam: SlopeSeq, mu_low: SlopeSeq) -> int:
@@ -372,17 +313,13 @@ def codim(x: AffineWeylElt, lam: SlopeSeq) -> int:
 
 def _in_family(x: AffineWeylElt) -> bool:
     mu, w = x.mu, x.w_name
+    if w in ("s21", "s2"):
+        return _in_family(psi(x))
     if w == "s121":
         return mu[0] + 2 < mu[1] + 1 < mu[2]
     if w == "s12":
         n = mu[1]
         return n >= 1 and mu == (-2 * n, n, n)
-    if w == "s21":
-        n = -mu[0]
-        return n >= 1 and mu == (-n, -n, 2 * n)
-    if w == "s2":
-        n = mu[2]
-        return n >= 1 and mu == (-2 * n + 1, n - 1, n)
     if w == "s1":
         n = -mu[0]
         return n >= 1 and mu == (-n, -n + 1, 2 * n - 1)
@@ -391,21 +328,19 @@ def _in_family(x: AffineWeylElt) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def is_exceptional(x: AffineWeylElt) -> bool:
-    """Member of the exception list, tested up to the rotation phi.
+    """Member of the exception list, tested up to phi and psi.
 
     The list is the one printed with the ceiling-sum formula: the s1s2s1
     family with mu1 + 2 < mu2 + 1 < mu3, and the one-parameter families
     (-2n, n, n) s1s2, (-n, -n, 2n) s2s1, (-2n+1, n-1, n) s2 and
-    (-n, -n+1, 2n-1) s1 for n >= 1.  Membership alone does not decide the
-    -1 correction: codim_roottheoretic applies it only where the ceilings
-    can round, see there.
+    (-n, -n+1, 2n-1) s1 for n >= 1.  psi fixes the s1s2s1 condition and
+    swaps s1s2 with s2s1 and s2 with s1, so _in_family holds three families
+    and reads w = s2s1 and s2 through psi.  Membership alone does not decide
+    the -1 correction: codim_roottheoretic applies it only where the
+    ceilings can round, see there.
     """
-    y = x
-    for _ in range(3):
-        if _in_family(y):
-            return True
-        y = phi(y)
-    return False
+    y = phi(x)
+    return _in_family(x) or _in_family(y) or _in_family(phi(y))
 
 
 def codim_roottheoretic(x: AffineWeylElt, lam: SlopeSeq) -> int:

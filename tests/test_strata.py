@@ -106,8 +106,15 @@ class TestPosets:
         assert len(pos.elements) == 4
 
     def test_simple_reflection_at_origin_is_a_point(self):
-        pos = poset_of(X("mu=0,0,0;w=s1"))
+        x = X("mu=0,0,0;w=s1")
+        pos = poset_of(x)
         assert pos.elements == (lam("0,0,0"),)
+        # the point is an interval fixing either end; its label is the one
+        # of the rotation with w = s1s2s1
+        y = phi(x)
+        while y.w_name != "s121":
+            y = phi(y)
+        assert pos.shape == poset_of(y).shape == INT1
 
     def test_interval_shapes_fix_one_end(self):
         x1 = X("mu=-3,0,3;w=s121")  # first gap equals 1: lam1 pinned
@@ -146,6 +153,11 @@ class TestPosets:
 
     def test_generic_slope_shortcut(self):
         assert generic_slope(HEADLINE) == poset_of(HEADLINE).nu_x
+
+    def test_generic_slope_builds_no_poset(self):
+        misses = poset_of.cache_info().misses
+        assert generic_slope(X("mu=-40,0,40;w=s121")) == lam("39,0,-39")
+        assert poset_of.cache_info().misses == misses
 
 
 class TestCodim:
@@ -202,6 +214,23 @@ class TestCodim:
         x = X("mu=-4,1,3;w=s121")  # mu1+2 < mu2+1 < mu3
         assert is_exceptional(x)
         assert is_exceptional(phi(x)) and is_exceptional(phi(phi(x)))
+
+    def test_exceptions_are_the_printed_list_up_to_phi(self):
+        # the five printed families, each tested directly, as the reference
+        def printed(y):
+            mu, w = y.mu, y.w_name
+            if w == "s121":
+                return mu[0] + 2 < mu[1] + 1 < mu[2]
+            n = {"s12": mu[1], "s21": -mu[0], "s2": mu[2], "s1": -mu[0]}.get(w, 0)
+            return n >= 1 and mu == {"s12": (-2 * n, n, n), "s21": (-n, -n, 2 * n),
+                                     "s2": (-2 * n + 1, n - 1, n), "s1": (-n, -n + 1, 2 * n - 1)}[w]
+
+        count = 0
+        for x in enumerate_grid(12):
+            expect = any(printed(y) for y in (x, phi(x), phi(phi(x))))
+            assert is_exceptional(x) == expect, x
+            count += expect
+        assert count > 0
 
     def test_poset_is_ranked_by_codim(self):
         for x in enumerate_grid(2):
