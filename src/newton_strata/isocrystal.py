@@ -365,38 +365,36 @@ def _horizons(onsets):
 
 # A read series is (lb, prec, coeffs): coeffs[j] is the coefficient of
 # pi^(lb + j) and lb bounds the valuation below (a sum's lb is the
-# valuation, or prec if none is seen); (INF, INF, ()) is the exact zero.
+# valuation, or prec if none is seen); (INF, INF, ()) is the exact zero,
+# and a series x enters a sum of products as the pair (x, _ONE).
 _EXACT_ZERO = (INF, INF, ())
+_ONE = (0, INF, (1,))
 
 
-def _times(x, y, cap):
-    """x * y below pi^cap, to TruncatedSeries's precision
-    min(prec_x + lb_y, prec_y + lb_x); coefficients not yet reduced."""
-    (lx, px, cx), (ly, py, cy) = x, y
-    if lx == INF or ly == INF:
-        return _EXACT_ZERO
-    prec = min(px + ly, py + lx, cap)
-    n = max(prec - lx - ly, 0)
-    out = [0] * n
-    for i, u in enumerate(cx[:n]):
-        if u:
-            for j, w in enumerate(cy[: n - i], i):
-                out[j] += u * w
-    return lx + ly, prec, out
-
-
-def _sum(terms, cap, p, signs=(1, -1, 1, -1, 1)):
-    """The signed sum of the terms below pi^cap, to their least precision,
-    reduced mod p; the exact zero for cap = -inf (a minor whose cofactor
-    entry is the exact zero)."""
+def _sum(pairs, cap, p, signs=(1, -1, 1, -1, 1)):
+    """The signed sum of the products x * y over the pairs below pi^cap,
+    each to TruncatedSeries's precision min(prec_x + lb_y, prec_y + lb_x)
+    and the sum to their least, with every product added straight into one
+    list of Python ints, reduced mod p once; the exact zero for cap = -inf
+    (a minor whose cofactor entry is the exact zero).  A product with an
+    exact-zero factor has onset and precision inf: it adds nothing and
+    changes no precision."""
     if cap == -INF:
         return _EXACT_ZERO
-    prec = min([cap] + [t[1] for t in terms])
-    lo = min([prec] + [t[0] for t in terms])
+    terms, prec = [], cap
+    for sign, ((lx, px, cx), (ly, py, cy)) in zip(signs, pairs):
+        terms.append((sign, lx + ly, cx, cy))
+        prec = min(prec, px + ly, py + lx)
+    lo = min([prec] + [u for _, u, _, _ in terms])
     acc = [0] * (prec - lo)
-    for sign, (lb, _, cs) in zip(signs, terms):
-        for j, c in enumerate(cs[: max(prec - lb, 0)]):
-            acc[lb - lo + j] += sign * c
+    for sign, u, cx, cy in terms:
+        # the product's coefficient of pi^(u + r) goes to acc[u - lo + r]
+        n = max(prec - u, 0)
+        for i, c in enumerate(cx[:n]):
+            if c:
+                c *= sign
+                for j, w in enumerate(cy[: n - i], u - lo + i):
+                    acc[j] += c * w
     for j, c in enumerate(acc):
         if c % p:
             return lo + j, prec, [c % p for c in acc[j:]]
@@ -417,13 +415,13 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb].tolist() if top >= lb else [])
                                  for ts, lb, top in zip(flat, lbs, _horizons(lbs)))
     cap = max(0, 1 - a[0])  # e*i - f*h serves det and e2
-    ei_fh = _sum([_times(e, i, cap), _times(f, h, cap)], cap, p)
-    di_fg = _sum([_times(d, i, 1 - b[0]), _times(f, g, 1 - b[0])], 1 - b[0], p)
-    dh_eg = _sum([_times(d, h, 1 - c[0]), _times(e, g, 1 - c[0])], 1 - c[0], p)
-    det = _sum([_times(a, ei_fh, 1), _times(b, di_fg, 1), _times(c, dh_eg, 1)], 1, p)
+    ei_fh = _sum([(e, i), (f, h)], cap, p)
+    di_fg = _sum([(d, i), (f, g)], 1 - b[0], p)
+    dh_eg = _sum([(d, h), (e, g)], 1 - c[0], p)
+    det = _sum([(a, ei_fh), (b, di_fg), (c, dh_eg)], 1, p)
     if det[0] == 0 and det[2]:
-        alpha = _sum([a, e, i], 0, p, (1, 1, 1))
-        beta = _sum([_times(a, e, 0), _times(b, d, 0), _times(a, i, 0), _times(c, g, 0), ei_fh], 0, p)
+        alpha = _sum([(a, _ONE), (e, _ONE), (i, _ONE)], 0, p, (1, 1, 1))
+        beta = _sum([(a, e), (b, d), (a, i), (c, g), (ei_fh, _ONE)], 0, p)
         try:
             return _polygon(*(lb if lb < prec else ("ge", prec) for lb, prec, _ in (alpha, beta)))
         except InsufficientPrecision:

@@ -4,10 +4,12 @@ sampled matrices at once.
 Every entry is an exponent-major int64 block (arr, v) for B samples: row t
 of arr holds the coefficient of pi^(v + t), v is the least onset over the
 samples, and the block is known through pi^(v + len(arr) - 1).  No row
-below v is stored, and every window is the exponent it reaches.  Trace,
-principal 2x2 minor sum and determinant come from exact truncated
-convolution mod p, reduced often enough that no int64 sum overflows for
-any prime with (p-1)**2 + p < 2**63 (SampleConfig rejects larger ones).
+below v is stored, and every window is the exponent it reaches.  Every
+sum of products (each entry of a matrix product, the cofactors, det and
+e2) is one _dot: its products are truncated exactly and added shift by
+shift into one int64 array, reduced mod p once at the end, or often
+enough that no entry overflows for any prime with (p-1)**2 + p < 2**63
+(SampleConfig rejects larger ones).
 As val(det) = 0, a valuation of tr or e2 at 0 or above cannot move the
 Newton polygon, so tr and e2 are read through pi^-1 and det through pi^0,
 each entry only through its horizon (_horizons), all nine in one hash
@@ -190,36 +192,46 @@ def _reduce(arr, p):
             y -= np.multiply(np.floor_divide(y, p, out=t), p, out=t)
 
 
-def _conv(x, y, p, top):
-    """The product of two blocks of residues mod p, with onset va + vb, through
-    pi^top at most.
+def _dot(p, top, plus, minus=()):
+    """(sum of a * b over the block pairs of plus - the same over minus)
+    mod p, through pi^top at most, in one int64 array reduced once.
 
-    A block is known through pi^(v + len - 1), so the product holds n =
-    min(top - va - vb + 1, len(a), len(b)) rows: it stops at pi^top, or where
-    either factor runs out.  Shift k adds a[k] * b[: n-k] into rows k
-    onward; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
-    no int64 entry overflows whenever (p-1)**2 + p < 2**63.  A product of
-    no rows is the empty view a[:0], with nothing allocated or reduced.
+    The product of (a, va) and (b, vb) starts at u = va + vb and is known
+    through n = min(top - u + 1, len(a), len(b)) rows: it stops at pi^top,
+    or where either factor runs out.  The sum starts at the least u and is
+    known as far as every product is.  Shift k of a pair adds a[k] * b[: m-k]
+    into its rows from k on, m its rows in the sum, so at most one product
+    per entry; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
+    no int64 entry overflows whenever (p-1)**2 + p < 2**63.  A sum of no rows
+    is the empty view a[:0] of the first factor, with nothing allocated.
     """
-    (a, va), (b, vb) = x, y
-    n = max(0, min(top - va - vb + 1, len(a), len(b)))
-    if not n:
-        return a[:0], va + vb
-    out = np.zeros((n, a.shape[1]), dtype=np.int64)
-    step = ((1 << 63) - p) // (p - 1) ** 2
-    for k in range(n):
-        if k and k % step == 0:
-            _reduce(out, p)
-        out[k:] += a[k] * b[: n - k]
-    _reduce(out, p)
-    return out, va + vb
+    pairs = [(x, y, op) for terms, op in ((plus, np.add), (minus, np.subtract)) for x, y in terms]
+    onsets = [va + vb for (_, va), (_, vb), _ in pairs]
+    v = min(onsets)
+    end = min(u + max(0, min(top - u + 1, len(a), len(b))) for u, ((a, _), (b, _), _) in zip(onsets, pairs))
+    first = pairs[0][0][0]
+    if end == v:
+        return first[:0], v
+    acc = np.zeros((end - v, first.shape[1]), dtype=np.int64)
+    step, shifts = ((1 << 63) - p) // (p - 1) ** 2, 0
+    for u, ((a, _), (b, _), op) in zip(onsets, pairs):
+        for k in range(end - u):
+            if shifts == step:
+                _reduce(acc, p)
+                shifts = 0
+            dst = acc[u - v + k :]
+            op(dst, a[k] * b[: len(dst)], out=dst)
+            shifts += 1
+    _reduce(acc, p)
+    return acc, v
 
 
 def _combine(p, plus, minus=()):
-    """(sum of plus - sum of minus) mod p: a block from the least onset v,
-    known as far as every term is, so through the least v_t + len_t - 1.
-    Each term adds into the rows from its own onset; one whose onset lies
-    past that range adds nothing."""
+    """(sum of plus - sum of minus) mod p for blocks, the linear sum that
+    _dot takes of products: from the least onset v, known as far as every
+    term is, so through the least v_t + len_t - 1.  Each term adds into the
+    rows from its own onset; one whose onset lies past that range adds
+    nothing."""
     terms = (*plus, *minus)
     v = min(u for _, u in terms)
     n = min(u + len(arr) for arr, u in terms) - v
@@ -235,8 +247,7 @@ def _combine(p, plus, minus=()):
 def _matmul_blocks(X, Y, p, tops):
     """The 3x3 product X @ Y of two matrices of blocks, entries row by row,
     entry s through pi^tops[s] at most."""
-    return [_combine(p, [_conv(X[3 * i + k], Y[3 * k + j], p, tops[3 * i + j]) for k in range(3)])
-            for i in range(3) for j in range(3)]
+    return [_dot(p, tops[3 * i + j], [(X[3 * i + k], Y[3 * k + j]) for k in range(3)]) for i in range(3) for j in range(3)]
 
 
 def _sample_blocks(x, mode, p, seed, ids):
@@ -281,27 +292,24 @@ def _slopes_block(entries, p):
     A valuation of 0 or above moves neither formula, so tr, e2 and ae, bd,
     cg are formed through pi^-1 (every predicate threshold is at most 0),
     det through pi^0 and the cofactor of each a, b, c through pi^(-its
-    onset).  Should tr or e2 fall short of pi^-1, or det of pi^0, this
-    raises; a column zero through pi^-1 gives its true valuation's slopes.
+    onset).  Each cofactor and det is one _dot, and e2 = ae - bd + ai - cg
+    + cof_a reuses a's cofactor ei - fh, formed through pi^-1 at least.
+    Should tr or e2 fall short of pi^-1, or det of pi^0, this raises; a
+    column zero through pi^-1 gives its true valuation's slopes.
     """
     a, b, c, d, e, f, g, h, i = entries
-
-    def mul(x, y, top=-1):
-        return _conv(x, y, p, top)
-
-    # the determinant first, so that its cofactors are freed before the
+    # the determinant first, so that cof_b and cof_c are freed before the
     # products the caller keeps are formed
-    ei, fh = mul(e, i, max(-1, -a[1])), mul(f, h, max(-1, -a[1]))
-    cof_a = _combine(p, [ei], [fh])
-    cof_b = _combine(p, [mul(d, i, -b[1])], [mul(f, g, -b[1])])
-    cof_c = _combine(p, [mul(d, h, -c[1])], [mul(e, g, -c[1])])
-    det = _combine(p, [mul(a, cof_a, 0), mul(c, cof_c, 0)], [mul(b, cof_b, 0)])
+    cof_a = _dot(p, max(-1, -a[1]), [(e, i)], [(f, h)])
+    cof_b = _dot(p, -b[1], [(d, i)], [(f, g)])
+    cof_c = _dot(p, -c[1], [(d, h)], [(e, g)])
+    det = _dot(p, 0, [(a, cof_a), (c, cof_c)], [(b, cof_b)])
     if det[1] + len(det[0]) < 1 or not bool(np.all(_lead_val(det) == 0)):
         raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
-    del cof_a, cof_b, cof_c, det
+    del cof_b, cof_c, det
 
-    ae, bd, cg = mul(a, e), mul(b, d), mul(c, g)
-    tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, mul(a, i), ei], [bd, cg, fh])
+    ae, bd, cg, ai = (_dot(p, -1, [(x, y)]) for x, y in ((a, e), (b, d), (c, g), (a, i)))
+    tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, ai, cof_a], [bd, cg])
     if tr[1] + len(tr[0]) < 0 or mi[1] + len(mi[0]) < 0:
         raise ArithmeticError("tr or e2 not known through pi^-1; kernel inconsistency")
     v_tr, v_mi = _lead_val(tr), _lead_val(mi)
@@ -380,7 +388,7 @@ def _unipotent_inverse(j, p, top):
     _unipotent_blocks: rows (1), (-d, 1), (dh - g, -h, 1)."""
     one, zero, d, g, h = j[0], j[1], j[3], j[6], j[7]
     return [one, zero, zero, _combine(p, [zero], [d]), one, zero,
-            _combine(p, [_conv(d, h, p, top)], [g]), _combine(p, [zero], [h]), one]
+            _combine(p, [_dot(p, top, [(d, h)])], [g]), _combine(p, [zero], [h]), one]
 
 
 def _passes(checks, n):
@@ -414,12 +422,12 @@ def _k1_inverse_passes(x, kpat, acfg, ids, top):
     p, g, (m1, m2, m3) = acfg.p, min(_least_onsets([acfg.pattern])), x.mu
     A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, [top] * 9)
     _, b, c, _, e, f, _, h, i = A
-    D, bi_ch, ei_fh = (_combine(p, [_conv(u, v, p, top + g)], [_conv(y, z, p, top + g)])
+    D, bi_ch, ei_fh = (_dot(p, top + g, [(u, v)], [(y, z)])
                        for u, v, y, z in ((c, e, b, f), (b, i, c, h), (e, i, f, h)))
     if not (c[0].any(axis=0).all() and D[0].any(axis=0).all()):
         raise InsufficientPrecision("c or ce - bf is zero to precision; cannot invert")
     # cD d' = -fD, cD h' = c(bi - ch) and cD g' = -c(ei - fh); cD (d'h' - g') = iD
-    cD, fD, iD, c_h, c_g = (_conv(u, v, p, top + 2 * g) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
+    cD, fD, iD, c_h, c_g = (_dot(p, top + 2 * g, [(u, v)]) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
     zero = (c[0][:0], top + 2 * g + 1)
     J = [cD, zero, zero, _combine(p, [zero], [fD]), cD, zero, _combine(p, [zero], [c_g]), c_h, cD]
     Jt = [cD, zero, zero, fD, cD, zero, iD, _combine(p, [zero], [c_h]), cD]

@@ -12,7 +12,7 @@ from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_leq, slope_seque
 from newton_strata.series import InsufficientPrecision, TruncatedSeries
 from newton_strata.affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of, stratum_predicate
-from newton_strata.kernel import _combine, _conv, _decode, _encode, _least_onsets, _pattern_blocks
+from newton_strata.kernel import _combine, _decode, _dot, _encode, _least_onsets, _pattern_blocks
 from newton_strata.empirics import (
     _sample_unipotent,
     _unipotent_rows,
@@ -241,15 +241,22 @@ def _padded(blocks, base, n):
     return out
 
 
-def _python_conv(x, y, p, n):
-    """Reference for _conv with Python integers, column by column: rows
-    [0, n) from the product's onset, reading only rows that both arrays hold."""
-    (a, _), (b, _) = x, y
-    out = np.zeros((n, a.shape[1]), dtype=np.int64)
-    for col in range(a.shape[1]):
-        for t in range(n):
-            out[t, col] = sum(int(a[i, col]) * int(b[t - i, col]) for i in range(t + 1) if i < len(a) and t - i < len(b)) % p
-    return out
+def _python_dot(p, top, plus, minus):
+    """Reference for _dot with Python integers, column by column: each
+    product from va + vb through pi^top or where a factor runs out, the sum
+    from the least onset as far as every product is known."""
+    terms = [(x, y, 1) for x, y in plus] + [(x, y, -1) for x, y in minus]
+    spans = [(va + vb, max(0, min(top - va - vb + 1, len(a), len(b)))) for (a, va), (b, vb), _ in terms]
+    v, end = min(u for u, _ in spans), min(u + n for u, n in spans)
+    out = np.zeros((end - v, terms[0][0][0].shape[1]), dtype=np.int64)
+    for (row, col), _ in np.ndenumerate(out):
+        total = 0
+        for ((a, _), (b, _), sign), (u, n) in zip(terms, spans):
+            r = v + row - u
+            if 0 <= r < n:
+                total += sign * sum(int(a[i, col]) * int(b[r - i, col]) for i in range(r + 1))
+        out[row, col] = total % p
+    return out, v
 
 
 def _block(rng, p, n, onset, worst=False):
@@ -325,20 +332,28 @@ HORIZON_BLOCKS = [list(enumerate_grid(4)), [X("mu=-40,0,40;w=s121")]]
 
 class TestBulkKernel:
     @pytest.mark.parametrize("p", [2**31 - 1, P_MAX, 1753413037, 2, 11])
-    def test_conv_matches_python_integers(self, p, rng):
+    def test_dot_matches_python_integers(self, p, rng):
         # reductions fall every ((1<<63) - p) // (p-1)**2 shifts: 2, 1 and 3
-        # for the three large primes; all-(p-1) blocks are the worst case.
-        # The product stops at pi^top, or where a factor's rows run out, and
-        # its onset is the plain sum
-        for top in range(-3, 9):
-            for oa, ob in ((0, 0), (1, 0), (0, 2), (2, 3), (-2, 1)):
-                for la, lb in ((8, 8), (8, 3), (2, 9), (0, 5)):
-                    for worst in (True, False):
-                        x, y = _block(rng, p, la, oa, worst), _block(rng, p, lb, ob, worst)
-                        out, onset = _conv(x, y, p, top)
-                        n = max(0, min(top - oa - ob + 1, la, lb))
-                        assert onset == oa + ob and out.shape == (n, 4)
-                        assert np.array_equal(out, _python_conv(x, y, p, n)), (p, top, la, lb, oa, ob, worst)
+        # for the three large primes, inside a product and between two.
+        # All-(p-1) blocks summed with one sign are the worst case.  Sums
+        # of 1 to 6 products with unequal onsets and lengths, products of
+        # no rows among them; the sum starts at the least onset and runs as
+        # far as every product is known
+        zero_rows = 0
+        for case in range(240):
+            worst, top = case % 2 == 0, int(rng.integers(-3, 9))
+            pairs = [tuple(_block(rng, p, int(rng.integers(0, 9)), int(rng.integers(-2, 4)), worst) for _ in "xy")
+                     for _ in range(1 + case % 6)]
+            cut = [len(pairs), 0, int(rng.integers(0, len(pairs) + 1))][case // 2 % 3]
+            plus, minus = pairs[:cut], pairs[cut:]
+            out, v = _dot(p, top, plus, minus)
+            want, onset = _python_dot(p, top, plus, minus)
+            assert v == onset and out.shape == want.shape and np.array_equal(out, want), (p, case)
+            if not len(out):
+                # a sum of no rows is an empty view of its first factor
+                assert out.base is pairs[0][0][0], (p, case)
+                zero_rows += 1
+        assert zero_rows > 10, zero_rows
 
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1, P_MAX])
     def test_combine_matches_python_integers(self, p, rng):

@@ -605,3 +605,53 @@ class TestHorizonRead:
                     changed.add(slot)
                 monkeypatch.setattr(isocrystal, "_horizons", horizons)
         assert changed == set(range(9))
+
+
+# -- the fused sum of products against series arithmetic ----------------------
+
+
+def random_read_series(rng, p):
+    """A random series, exact, truncated, zero to precision or the exact
+    zero, with its onset in [-4, 4), and its read (lb, prec, coefficients)."""
+    kind = ("exact", "truncated", "zero to precision", "exact zero")[int(rng.integers(0, 4))]
+    off, n = int(rng.integers(-4, 4)), int(rng.integers(1, 7))
+    coeffs = rng.integers(0, p, size=n)
+    coeffs[0] = int(rng.integers(1, p))
+    ts = {"exact": TruncatedSeries(p, off, coeffs, INF),
+          "truncated": TruncatedSeries(p, off, coeffs, off + int(rng.integers(1, n + 4))),
+          "zero to precision": TruncatedSeries.zero(p, off),
+          "exact zero": TruncatedSeries.zero(p)}[kind]
+    return ts, (ts.val_lower_bound(), ts.prec, ts.coeffs.tolist())
+
+
+class TestFusedSum:
+    @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
+    def test_fused_sum_matches_series_arithmetic(self, p):
+        # the signed sum of 1 to 5 products below pi^cap, each added straight
+        # into one list, gives the (lb, prec, coefficients) that series `*`
+        # and `+`/`-` give cut below pi^cap; a series times the exact one is
+        # how a sum takes a lone series
+        rng = np.random.default_rng(p)
+        one = TruncatedSeries.one(p)
+        kinds = set()
+        for _ in range(600):
+            n, cap = int(rng.integers(1, 6)), int(rng.integers(-6, 9))
+            signs = tuple(int(s) for s in rng.choice([1, -1], size=n))
+            series, reads = [], []
+            for _ in range(n):
+                (x, rx), (y, ry) = random_read_series(rng, p), random_read_series(rng, p)
+                if rng.integers(0, 4) == 0:
+                    y, ry = one, isocrystal._ONE
+                series.append((x, y))
+                reads.append((rx, ry))
+                kinds.add((x.prec == INF, x.is_zero_to_precision()))
+            total = None
+            for sign, (x, y) in zip(signs, series):
+                term = x * y if sign == 1 else -(x * y)
+                total = term if total is None else total + term
+            total = total.truncate(cap)
+            lb = total.val_lower_bound()
+            want = (lb, total.prec, [total.coeff(e) for e in range(lb, total.prec)])
+            lb, prec, coeffs = isocrystal._sum(reads, cap, p, signs)
+            assert (lb, prec, list(coeffs)) == want, (cap, signs, series)
+        assert len(kinds) == 4, kinds

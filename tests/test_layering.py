@@ -10,7 +10,7 @@ import newton_strata
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "newton_strata"
 # the names that build, multiply or read a block
-BLOCK_NAMES = {"_conv", "_combine", "_matmul_blocks", "_pattern_blocks", "_lead_val", "_slopes_block", "_raw_hash"}
+BLOCK_NAMES = {"_dot", "_combine", "_matmul_blocks", "_pattern_blocks", "_lead_val", "_slopes_block", "_raw_hash"}
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
