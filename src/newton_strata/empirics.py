@@ -134,9 +134,9 @@ def sample_ixi(cfg: SampleConfig, index: int = 0):
 
 def _poset_worker(args):
     """Histogram of encoded doubled slopes for trial ids in [lo, hi)."""
-    x_text, mode, p, seed, lo, hi = args
+    x, mode, p, seed, lo, hi = args
     counts = {}
-    for slopes in _sampled_slopes(AffineWeylElt.parse(x_text), mode, p, seed, np.arange(lo, hi, dtype=np.int64)):
+    for slopes in _sampled_slopes(x, mode, p, seed, range(lo, hi)):
         codes, n = np.unique(_encode(*slopes), return_counts=True)
         for code, cnt in zip(codes.tolist(), n.tolist()):
             counts[code] = counts.get(code, 0) + cnt
@@ -199,7 +199,7 @@ def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI"
     chunks = []
     step = max(1, -(-cfg.trials // cfg.workers))
     for lo in range(0, cfg.trials, step):
-        chunks.append((str(x), mode, cfg.p, cfg.seed, lo, min(lo + step, cfg.trials)))
+        chunks.append((x, mode, cfg.p, cfg.seed, lo, min(lo + step, cfg.trials)))
     if cfg.workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(_poset_worker, chunks))

@@ -24,8 +24,8 @@ scalar draws (_draw) and the blocks hold the same coefficients, and
 results do not depend on how trials are split across blocks or workers.
 
 This module is the only one that builds, multiplies or reads a block.  Its
-callers get per-column arrays back (doubled slopes, valuations and pass
-masks), and every block holds at most BLOCK columns, whatever the trials.
+callers get per-column arrays back, and a block holds BLOCK columns, or in a
+histogram max(BLOCK, 32 * BLOCK // rows), rows the coefficients per column.
 """
 
 import math
@@ -77,7 +77,7 @@ def _raw_hash(seed: int, slot, trials, exps, rows=slice(None)):
     """uint64 hash array indexed by (seed, slot, trial, exponent).
 
     slot (an int or a uint64 array) broadcasts against trials, and rows
-    picks rows of their mix for exps: slots (9, 1), trials (1, B), rows (R,)
+    picks rows of their mix for exps: slots (S, 1), trials (1, B), rows (R,)
     and exps (R, 1) hash R rows of B trials, each slot mixed once per trial.
     The value at a given index tuple never depends on the window, so
     re-sampling at higher precision extends the same series.
@@ -92,6 +92,8 @@ def _raw_hash(seed: int, slot, trials, exps, rows=slice(None)):
 
 
 def _as_u64(arr) -> np.ndarray:
+    """arr as uint64; a range of trial ids becomes an array only here."""
+    arr = np.arange(arr.start, arr.stop) if isinstance(arr, range) else arr
     return np.ascontiguousarray(arr, dtype=np.int64).view(np.uint64)
 
 
@@ -107,7 +109,7 @@ def _draw(p, seed, index, prec, specs):
     ends = np.cumsum(lens)
     starts = ends - lens
     exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(onsets - starts, lens)
-    raw = _raw_hash(seed, np.repeat(np.array(slots, dtype=np.uint64), lens), _as_u64([index]), _as_u64(exps))
+    raw = _raw_hash(seed, _as_u64(slots), _as_u64([index]), _as_u64(exps), np.repeat(np.arange(len(slots)), lens))
     res = (raw % np.uint64(p)).astype(np.int64)
     out = []
     for k, unit, lo, hi in zip(ks, units, starts.tolist(), ends.tolist()):
@@ -121,12 +123,12 @@ def _draw(p, seed, index, prec, specs):
 # -- blocks --------------------------------------------------------------------
 
 
-def _blockwise(fn, n):
-    """fn(cut) for each slice cut of at most BLOCK of the columns 0 .. n-1,
-    in order, and one empty slice when n is 0: the one loop that holds every
-    block to BLOCK columns, whatever the trials."""
-    for lo in range(0, max(n, 1), BLOCK):
-        yield fn(slice(lo, lo + BLOCK))
+def _blockwise(fn, n, width):
+    """fn(cut) for each slice cut of at most width of the columns 0 .. n-1,
+    in order, and one empty slice when n is 0: the one loop that bounds
+    every block, whatever the trials."""
+    for lo in range(0, max(n, 1), width):
+        yield fn(slice(lo, lo + width))
 
 
 def _joined(parts):
@@ -164,10 +166,12 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
     ns = np.array([max(0, top - v + 1) for v, top in zip(vs, tops)], dtype=np.int64)
     ends = np.cumsum(ns)
     starts = ends - ns
-    # the rows of every slot in one hash pass: row r of slot s is pi^(v_s + r)
+    # the rows of every slot in one hash pass: row r of slot s is pi^(v_s + r),
+    # and (slot, trial) is mixed only for the slots that store rows
     exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(np.array(vs, dtype=np.int64) - starts, ns)
-    raw = _raw_hash(seed, np.arange(slot_base, slot_base + 9, dtype=np.uint64).reshape(-1, 1),
-                    _as_u64(ids).reshape(1, -1), _as_u64(exps).reshape(-1, 1), np.repeat(np.arange(9), ns))
+    live = np.flatnonzero(ns)
+    raw = _raw_hash(seed, _as_u64(slot_base + live).reshape(-1, 1), _as_u64(ids).reshape(1, -1),
+                    _as_u64(exps).reshape(-1, 1), np.repeat(np.arange(len(live)), ns[live]))
     out = []
     for slot, (v, start, end) in enumerate(zip(vs, starts.tolist(), ends.tolist())):
         arr, n = raw[start:end], end - start
@@ -250,23 +254,30 @@ def _matmul_blocks(X, Y, p, tops):
     return [_dot(p, tops[3 * i + j], [(X[3 * i + k], Y[3 * k + j]) for k in range(3)]) for i in range(3) for j in range(3)]
 
 
-def _sample_blocks(x, mode, p, seed, ids):
-    """Entry blocks of the sampled xI (or I * xI) matrices, each drawn only
-    through its horizon.  For I * xI, chi(UM) = chi(MU) and M @ U lies in
-    xI * I = xI, so M @ U is formed instead, read through xI's own horizons,
-    and M and U are drawn only as far as those entries read.
-    """
+def _sample_windows(x, mode):
+    """What _sample_blocks draws for x: the xI horizons, one (pattern, least
+    onsets, tops, slot_base) per factor, and the rows they store per column."""
     xpat = coset_pattern(x, "xI")
     om = _least_onsets([xpat])
     top = _horizons(om)
-    if mode == "xI":
-        return _pattern_blocks(xpat, p, seed, ids, top)
-    ipat = coset_pattern(x, "I")
-    ou = _least_onsets([ipat])
-    tm = [max(top[3 * i + j] - ou[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
-    tu = [max(top[3 * i + j] - om[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
-    U, M = _pattern_blocks(ipat, p, seed, ids, tu), _pattern_blocks(xpat, p, seed, ids, tm, 9)
-    return _matmul_blocks(M, U, p, top)
+    draws = [(xpat, om, top, 0)]
+    if mode != "xI":
+        ipat = coset_pattern(x, "I")
+        ou = _least_onsets([ipat])
+        tm = [max(top[3 * i + j] - ou[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
+        tu = [max(top[3 * i + j] - om[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
+        draws = [(ipat, ou, tu, 0), (xpat, om, tm, 9)]
+    return top, draws, sum(max(0, t - k + 1) for _, onsets, tops, _ in draws for k, t in zip(onsets, tops))
+
+
+def _sample_blocks(windows, p, seed, ids):
+    """Entry blocks of the sampled xI (or I * xI) matrices of x, each drawn
+    only through its horizon, windows = _sample_windows(x, mode).  For I * xI,
+    chi(UM) = chi(MU) and M @ U lies in xI * I = xI, so M @ U is formed
+    instead, read through xI's horizons, and M and U only as far as it reads."""
+    top, draws, _ = windows
+    blocks = [_pattern_blocks(q, p, seed, ids, tops, base) for q, _, tops, base in draws]
+    return blocks[0] if len(blocks) == 1 else _matmul_blocks(blocks[1], blocks[0], p, top)
 
 
 # -- slopes and valuations -------------------------------------------------------
@@ -328,9 +339,13 @@ def _decode(code: int):
 
 
 def _sampled_slopes(x, mode, p, seed, ids):
-    """The doubled slope triples of the xI (or I * xI) draws with the given
-    trial ids, one (t1, t2, t3) per block of at most BLOCK columns."""
-    return _blockwise(lambda cut: _slopes_block(_sample_blocks(x, mode, p, seed, ids[cut]), p)[0], ids.size)
+    """The doubled slope triples of the xI (or I * xI) draws of the trial ids
+    (a range: only a block's ids become an array), one (t1, t2, t3) per block
+    of max(BLOCK, 32 * BLOCK // rows) columns, rows the coefficients a column
+    stores: a budget of 2**17, so a short window pays a block's cost less often."""
+    windows = _sample_windows(x, mode)
+    return _blockwise(lambda cut: _slopes_block(_sample_blocks(windows, p, seed, ids[cut]), p)[0],
+                      len(ids), max(BLOCK, 32 * BLOCK // windows[2]))
 
 
 def _campaign_columns(columns, p, seed):
@@ -351,7 +366,7 @@ def _campaign_columns(columns, p, seed):
         return (np.stack(slopes), _lead_val(entries[0]),
                 _lead_val(_combine(p, [ae], [bd])), _lead_val(_combine(p, [bd, cg])))
 
-    return _joined(_blockwise(block, len(ids)))
+    return _joined(_blockwise(block, len(ids), BLOCK))
 
 
 def _zero_to_precision(cfg, slot, ids):
@@ -364,7 +379,7 @@ def _zero_to_precision(cfg, slot, ids):
     def block(cut):
         return (~_pattern_blocks(cfg.pattern, cfg.p, cfg.seed, ids[cut], tops)[slot][0].any(axis=0),)
 
-    return _joined(_blockwise(block, len(ids)))[0]
+    return _joined(_blockwise(block, len(ids), BLOCK))[0]
 
 
 # -- kappa_check's tests ---------------------------------------------------------
@@ -483,4 +498,4 @@ def _kappa_passes(x, kpat, xpat, jrows, p, seed, trials, acfg):
         inverse = _k1_inverse_passes(x, kpat, acfg, cols, k1top) if acfg else np.ones(0, dtype=bool)
         return forward, identity, inverse
 
-    return _joined(_blockwise(block, trials))
+    return _joined(_blockwise(block, trials, BLOCK))

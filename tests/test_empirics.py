@@ -137,6 +137,33 @@ def _golden_draws(p):
     return k2, m, j
 
 
+def _grid_draw_bytes(p):
+    """The scalar draws of the |mu_i| <= 2 grid at p, byte for byte: for each
+    element and trial index 0 and 1, sample_pattern's draw, sample_ixi's two
+    factors and the K1, K2 and K3 unipotent complements (prec 14, seed 6,
+    slot_base 9); per entry its offset, precision, length, writeable flag and
+    little-endian int64 coefficients."""
+    out = []
+    for x in enumerate_grid(2):
+        cfg = make_config(x, p=p, seed=3)
+        for t in (0, 1):
+            draws = [sample_pattern(cfg, t), *sample_ixi(cfg, t)[:2]]
+            draws += [_sample_unipotent(p, _unipotent_rows(x, which), 14, 6, t, 9) for which in ("K1", "K2", "K3")]
+            for s in (A[i, j] for A in draws for i in range(3) for j in range(3)):
+                out.append(f"{s.off},{s.prec},{len(s.coeffs)},{s.coeffs.flags.writeable};".encode())
+                out.append(s.coeffs.astype("<i8").tobytes())
+    return b"".join(out)
+
+
+# sha256 of _grid_draw_bytes(p), recorded when _draw mixed (slot, trial)
+# once per coefficient rather than once per slot
+GRID_DRAW_DIGESTS = {
+    2: "80e2cc6f001053ad9ad9393d7ca025412b4cb970f0dc1b3a2598a3ce4a6ea76d",
+    11: "f0bd8966fc5053373bdab78ba7cedaeb2490cedd3c395bcac70dd57551ec5294",
+    2**31 - 1: "7a1d951fbaf16d6fb9451db9ec7c781844639ae9a845c595a41d2ce235b62862",
+}
+
+
 class TestGoldenDraws:
     @pytest.mark.parametrize("p", sorted(GOLDEN_DIGESTS))
     def test_draws_keep_their_recorded_coefficients(self, p):
@@ -149,6 +176,10 @@ class TestGoldenDraws:
         k2 = _golden_draws(11)[0]
         assert [[k2[i, j].terms()[:4] for j in range(3)] for i in range(3)] == GOLDEN_K2_HEAD
         assert k2.min_prec() == 16
+
+    @pytest.mark.parametrize("p", sorted(GRID_DRAW_DIGESTS))
+    def test_grid_draws_keep_their_recorded_bytes(self, p):
+        assert hashlib.sha256(_grid_draw_bytes(p)).hexdigest() == GRID_DRAW_DIGESTS[p]
 
     @pytest.mark.parametrize("p", [11, 2**31 - 1])
     def test_scalar_entries_equal_the_bulk_block_columns(self, p):
@@ -322,8 +353,8 @@ def _full_window_slopes(xs, mode, p, seed, n):
 def _horizon_slopes(xs, mode, p, seed, n):
     """The same slopes from the kernel, one block per x."""
     ids = np.arange(n, dtype=np.int64)
-    return np.concatenate([np.stack(kernel._slopes_block(kernel._sample_blocks(x, mode, p, seed, ids), p)[0])
-                           for x in xs], axis=1)
+    blocks = (kernel._sample_blocks(kernel._sample_windows(x, mode), p, seed, ids) for x in xs)
+    return np.concatenate([np.stack(kernel._slopes_block(entries, p)[0]) for entries in blocks], axis=1)
 
 
 # the |mu_i| <= 4 grid in one reference block, and an element at +-40 in another
@@ -478,7 +509,8 @@ def test_ixi_blocks_keep_the_xi_windows():
     rows: the product is read through xI's horizons, not its own."""
     ids = np.arange(4, dtype=np.int64)
     for x in (x for xs in HORIZON_BLOCKS for x in xs):
-        shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(x, mode, 11, 3, ids)] for mode in ("IxI", "xI")]
+        shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(kernel._sample_windows(x, mode), 11, 3, ids)]
+                  for mode in ("IxI", "xI")]
         assert shapes[0] == shapes[1], str(x)
 
 
@@ -490,7 +522,7 @@ def test_xi_windows_read_tr_and_e2_below_pi0_only():
     ids = np.arange(1, dtype=np.int64)
 
     def rows(x):
-        return sum(len(arr) for arr, _ in kernel._sample_blocks(x, "xI", 11, 3, ids))
+        return sum(len(arr) for arr, _ in kernel._sample_blocks(kernel._sample_windows(x, "xI"), 11, 3, ids))
 
     assert rows(HEADLINE) == 4
     assert sum(rows(x) for x in enumerate_grid(4)) == 3798
@@ -938,23 +970,69 @@ def _chunked_reports(p):
     return docs
 
 
+# short and wide windows: 4 and 8 rows a column (xI, IxI) on the headline,
+# 4 and 12 on a translation, 25 and 74 at +-8, 156 and 464 at +-40
+WIDTH_XS = [HEADLINE, X("mu=1,-2,1"), X("mu=-8,2,6;w=s121"), X("mu=-40,0,40;w=s121")]
+WIDTH_TRIALS = 300
+ESTIMATE_TRIALS = 10**4
+
+
+def _histogram_counts(p):
+    """empirical_poset counts of WIDTH_XS in both modes, and a two-prime
+    estimate at ESTIMATE_TRIALS headline trials."""
+    counts = [empirical_poset(x, make_config(x, p=p, trials=WIDTH_TRIALS, seed=4), mode=mode).counts
+              for x in WIDTH_XS for mode in ("xI", "IxI")]
+    est = estimate_codim(HEADLINE, lam("0,0,0"), p1=p, p2=31, trials=ESTIMATE_TRIALS, seed=2)
+    return counts, est.counts, est.estimate
+
+
 @pytest.mark.parametrize("p", [2, 11])
 def test_reports_do_not_depend_on_the_block_width(p, monkeypatch):
     """kappa_check and the campaign draw blocks of at most kernel.BLOCK
-    columns, so their memory does not grow with the trials, and their
-    reports, failures in order included, do not depend on the split."""
-    whole = _chunked_reports(p)
+    columns, and a histogram blocks of max(BLOCK, 32 * BLOCK // rows), rows
+    the coefficients a column stores, so no block grows with the trials; and
+    reports (failures in order included), counts and estimates do not
+    depend on the split."""
+    whole, counts = _chunked_reports(p), _histogram_counts(p)
     assert any(doc.get("failures") for doc in whole)
-    widths, draw = [], kernel._pattern_blocks
+    draws, draw = [], kernel._pattern_blocks
 
     def counted(patterns, p, seed, ids, *args, **kwargs):
-        widths.append(len(ids))
-        return draw(patterns, p, seed, ids, *args, **kwargs)
+        blocks = draw(patterns, p, seed, ids, *args, **kwargs)
+        draws.append((ids, sum(len(arr) for arr, _ in blocks)))
+        return blocks
 
     monkeypatch.setattr(kernel, "_pattern_blocks", counted)
     monkeypatch.setattr(kernel, "BLOCK", 7)
     assert _chunked_reports(p) == whole
-    assert max(widths) == 7
+    assert max(len(ids) for ids, _ in draws) == 7
+    draws.clear()
+    assert _histogram_counts(p) == counts
+    # the rows a histogram block stores: an IxI block draws U, then M, with
+    # the same ids object
+    blocks = []
+    for ids, n in draws:
+        if blocks and blocks[-1][0] is ids:
+            blocks[-1][1] += n
+        else:
+            blocks.append([ids, n])
+    # the estimate alone spans 2 * 179 blocks of 56 columns (4 rows a column)
+    assert len(blocks) > 2 * ESTIMATE_TRIALS // 56
+    for ids, n in blocks:
+        assert len(ids) <= max(7, 32 * 7 // n), (ids, n)
+        # only the last block of a histogram holds fewer than BLOCK columns
+        assert len(ids) >= 7 or ids.stop in (WIDTH_TRIALS, ESTIMATE_TRIALS), (ids, n)
+
+
+def test_a_short_window_gets_a_wider_block():
+    """A histogram block holds max(BLOCK, 32 * BLOCK // rows) columns: the
+    headline's xI draws store 4 rows a column and get 32768 columns, its
+    IxI draws 8 rows and 16384, and a window of 32 rows or more gets BLOCK."""
+    for x, mode, rows, width in ((HEADLINE, "xI", 4, 32768), (HEADLINE, "IxI", 8, 16384),
+                                 (X("mu=-40,0,40;w=s121"), "xI", 156, kernel.BLOCK)):
+        assert kernel._sample_windows(x, mode)[2] == rows
+        blocks = list(kernel._sampled_slopes(x, mode, 11, 0, range(2 * width + 1)))
+        assert [len(t1) for t1, _, _ in blocks] == [width, width, 1], (str(x), mode)
 
 
 def _bound_two_docs(p):
