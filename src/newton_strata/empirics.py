@@ -20,7 +20,8 @@ import numpy as np
 from .series import TruncatedSeries, _check_modulus, ceil_q
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
-from .kernel import _OFFSET, _campaign_columns, _decode, _draw, _encode, _kappa_passes, _sampled_slopes, _zero_to_precision
+from .kernel import (_OFFSET, _campaign_columns, _decode, _drawn_series, _encode, _kappa_passes, _sampled_slopes,
+                     _unipotent_pattern, _zero_to_precision)
 from .strata import (
     CaseNotApplicable,
     _BRANCH_ON_D,
@@ -109,10 +110,7 @@ def sample_pattern(cfg: SampleConfig, index: int = 0, slot_base: int = 0) -> Iso
     coefficients from pi^k; zero entries stay zero.  Deterministic in
     (seed, index), and refined in place by raising prec.
     """
-    entries = [e for row in cfg.pattern.entries for e in row]
-    specs = [(slot_base + s, e.k, e.kind == "exact") for s, e in enumerate(entries) if e.kind != "zero"]
-    drawn = iter(_draw(cfg.p, cfg.seed, index, cfg.prec, specs))
-    flat = [TruncatedSeries.zero(cfg.p, cfg.prec) if e.kind == "zero" else next(drawn) for e in entries]
+    flat = _drawn_series(cfg.pattern, cfg.p, cfg.seed, index, cfg.prec, slot_base)
     return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
 
 
@@ -309,10 +307,8 @@ def _unipotent_rows(x: AffineWeylElt, which: str):
 
 def _sample_unipotent(p, rows, prec, seed, index, slot_base) -> IsoMatrix:
     fixed = {"one": TruncatedSeries.one(p), "zero": TruncatedSeries.zero(p)}
-    flat = [spec for row in rows for spec in row]
-    specs = [(slot_base + s, spec, False) for s, spec in enumerate(flat) if not isinstance(spec, str)]
-    drawn = iter(_draw(p, seed, index, prec, specs))
-    flat = [fixed[spec] if isinstance(spec, str) else next(drawn) for spec in flat]
+    drawn = _drawn_series(_unipotent_pattern(rows), p, seed, index, prec, slot_base)
+    flat = [fixed[spec] if isinstance(spec, str) else s for spec, s in zip((spec for row in rows for spec in row), drawn)]
     return IsoMatrix([flat[0:3], flat[3:6], flat[6:9]])
 
 

@@ -19,15 +19,18 @@ M @ U lies in xI, so M @ U is read through xI's horizons; it and
 kappa_check's conjugates are products of blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
-slot, exponent), so a sample is a pure function of its trial index: the
-scalar draws (_draw) and the blocks hold the same coefficients, and
-results do not depend on how trials are split across blocks or workers.
+slot, exponent), so a sample is a pure function of its trial index: a
+scalar draw (_drawn_series) is one column of a block, and results do not
+depend on how trials are split across blocks or workers.  What depends
+only on a window (_sample_windows, _block_layout) is cached read-only.
 
 This module is the only one that builds, multiplies or reads a block.  Its
 callers get per-column arrays back, and a block holds BLOCK columns, or in a
 histogram max(BLOCK, 32 * BLOCK // rows), rows the coefficients per column.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -97,29 +100,6 @@ def _as_u64(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64).view(np.uint64)
 
 
-def _draw(p, seed, index, prec, specs):
-    """One series per (slot, k, unit) spec, hashed in one pass.
-
-    Each series holds the hash residues at exponents k .. prec-1 of its
-    slot; a unit spec gets a nonzero leading coefficient at pi^k.
-    """
-    slots, ks, units = zip(*specs)
-    onsets = np.array(ks, dtype=np.int64)
-    lens = np.maximum(prec - onsets, 0)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(onsets - starts, lens)
-    raw = _raw_hash(seed, _as_u64(slots), _as_u64([index]), _as_u64(exps), np.repeat(np.arange(len(slots)), lens))
-    res = (raw % np.uint64(p)).astype(np.int64)
-    out = []
-    for k, unit, lo, hi in zip(ks, units, starts.tolist(), ends.tolist()):
-        coeffs = res[lo:hi]
-        if unit:
-            coeffs[0] = 1 + int(raw[lo] % np.uint64(p - 1))
-        out.append(TruncatedSeries._reduced(p, k, coeffs, prec))
-    return out
-
-
 # -- blocks --------------------------------------------------------------------
 
 
@@ -141,6 +121,38 @@ def _least_onsets(patterns):
     return [min(math.inf if e.kind == "zero" else e.k for e in es) for es in zip(*(sum(q.entries, ()) for q in patterns))]
 
 
+@functools.lru_cache(maxsize=1024)
+def _block_layout(distinct, tops, slot_base):
+    """What _pattern_blocks reads from its window alone, cached read-only:
+    per slot (v, start, end) of its rows in the hash; the live slots,
+    exponents and row index that _raw_hash takes; (first row, mask by row
+    and distinct pattern) where a slot stores rows below an onset; and (row,
+    mask by distinct pattern) per exact lead."""
+    flat = [sum(q.entries, ()) for q in distinct]
+    # per slot and distinct pattern, the entry's onset (inf for a zero entry)
+    ks = [[math.inf if e.kind == "zero" else e.k for e in es] for es in zip(*flat)]
+    vs = [min(k) if min(k) < math.inf else top + 1 for k, top in zip(ks, tops)]
+    ns = [max(0, top - v + 1) for v, top in zip(vs, tops)]
+    spans = tuple((v, end - n, end) for v, n, end in zip(vs, ns, itertools.accumulate(ns)))
+    # the rows of every slot in one hash pass: row r of slot s is pi^(v_s + r),
+    # and (slot, trial) is mixed only for the slots that store rows
+    live = [slot for slot, n in enumerate(ns) if n]
+    arrays = [_as_u64(np.array(live, dtype=np.int64) + slot_base).reshape(-1, 1),
+              _as_u64([e for v, n in zip(vs, ns) for e in range(v, v + n)]).reshape(-1, 1),
+              np.repeat(np.arange(len(live)), [ns[slot] for slot in live])]
+    below, leads = [], []
+    for (v, start, end), k_slot, entries in zip(spans, ks, zip(*flat)):
+        hi = min(max(k_slot), v + end - start)
+        if hi > v:
+            below.append((start, np.arange(v, hi).reshape(-1, 1) < np.array(k_slot)))
+        # an exact lead is a unit, 1 .. p-1, which _reduce keeps
+        leads += [(start + k - v, np.array([e.kind == "exact" and e.k == k for e in entries]))
+                  for k in {e.k for e in entries if e.kind == "exact" and e.k < v + end - start}]
+    for arr in arrays + [mask for _, mask in below + leads]:
+        arr.setflags(write=False)
+    return spans, *arrays, tuple(below), tuple(leads)
+
+
 def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
     """Exponent-major coefficient blocks for all 9 entries, slot s drawn
     through pi^tops[s].
@@ -151,40 +163,24 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
     rows below a column's own onset are zero.  A slot zero in every column
     has no rows and v one past its top; a slot whose top lies below its
     onset has no rows and v at its onset.  Every block is a view of one
-    array, hashed in one pass.
+    array, hashed in one pass over the cached _block_layout; one pattern is
+    one distinct pattern, its column map broadcast.
     """
     if isinstance(patterns, ValuationPattern):
-        distinct, which = [patterns], np.zeros(len(ids), dtype=np.intp)
+        distinct, which = (patterns,), np.zeros(1, dtype=np.intp)
     else:
         index = {}
         which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
-        distinct = list({id(q): q for q in patterns}.values())
-    flat = [sum(q.entries, ()) for q in distinct]
-    # per slot and distinct pattern, the entry's onset (inf for a zero entry)
-    ks = [[math.inf if q[slot].kind == "zero" else q[slot].k for q in flat] for slot in range(9)]
-    vs = [min(k) if min(k) < math.inf else top + 1 for k, top in zip(ks, tops)]
-    ns = np.array([max(0, top - v + 1) for v, top in zip(vs, tops)], dtype=np.int64)
-    ends = np.cumsum(ns)
-    starts = ends - ns
-    # the rows of every slot in one hash pass: row r of slot s is pi^(v_s + r),
-    # and (slot, trial) is mixed only for the slots that store rows
-    exps = np.arange(ends[-1], dtype=np.int64) + np.repeat(np.array(vs, dtype=np.int64) - starts, ns)
-    live = np.flatnonzero(ns)
-    raw = _raw_hash(seed, _as_u64(slot_base + live).reshape(-1, 1), _as_u64(ids).reshape(1, -1),
-                    _as_u64(exps).reshape(-1, 1), np.repeat(np.arange(len(live)), ns[live]))
-    out = []
-    for slot, (v, start, end) in enumerate(zip(vs, starts.tolist(), ends.tolist())):
-        arr, n = raw[start:end], end - start
-        hi = min(max(ks[slot]), v + n)
-        if hi > v:
-            arr[: hi - v][np.arange(v, hi).reshape(-1, 1) < np.array(ks[slot])[which]] = 0
-        # an exact lead is a unit, 1 .. p-1, which _reduce keeps
-        for k in {q[slot].k for q in flat if q[slot].kind == "exact" and q[slot].k < v + n}:
-            cols = np.array([q[slot].kind == "exact" and q[slot].k == k for q in flat])[which]
-            np.copyto(arr[k - v], 1 + arr[k - v] % np.uint64(p - 1), where=cols)
-        out.append((arr.view(np.int64), v))
+        distinct = tuple({id(q): q for q in patterns}.values())
+    spans, slots, exps, rows, below, leads = _block_layout(distinct, tuple(tops), slot_base)
+    raw = _raw_hash(seed, slots, _as_u64(ids).reshape(1, -1), exps, rows)
+    for start, mask in below:
+        np.copyto(raw[start : start + len(mask)], 0, where=mask[:, which])
+    for row, cols in leads:
+        np.copyto(raw[row], 1 + raw[row] % np.uint64(p - 1), where=cols[which])
     _reduce(raw, p)
-    return out
+    arr = raw.view(np.int64)
+    return [(arr[start:end], v) for v, start, end in spans]
 
 
 def _reduce(arr, p):
@@ -192,8 +188,15 @@ def _reduce(arr, p):
     if arr.size < 1024:
         arr %= p
     else:
-        for y, t in _row_chunks(arr):
+        for y, t in [(arr, np.empty_like(arr))] if arr.size <= 1 << 14 else _row_chunks(arr):
             y -= np.multiply(np.floor_divide(y, p, out=t), p, out=t)
+
+
+def _drawn_series(pattern, p, seed, index, prec, slot_base=0):
+    """The draw of trial index as nine series through pi^(prec-1), entries
+    row by row: one column of _pattern_blocks, a zero entry zero to prec."""
+    blocks = _pattern_blocks(pattern, p, seed, np.array([index]), [prec - 1] * 9, slot_base)
+    return [TruncatedSeries._reduced(p, v, arr[:, 0], prec) for arr, v in blocks]
 
 
 def _dot(p, top, plus, minus=()):
@@ -254,19 +257,20 @@ def _matmul_blocks(X, Y, p, tops):
     return [_dot(p, tops[3 * i + j], [(X[3 * i + k], Y[3 * k + j]) for k in range(3)]) for i in range(3) for j in range(3)]
 
 
+@functools.lru_cache(maxsize=1024)
 def _sample_windows(x, mode):
-    """What _sample_blocks draws for x: the xI horizons, one (pattern, least
-    onsets, tops, slot_base) per factor, and the rows they store per column."""
+    """What _sample_blocks draws for x, as tuples: the xI horizons, one
+    (pattern, least onsets, tops, slot_base) per factor, and their rows."""
     xpat = coset_pattern(x, "xI")
     om = _least_onsets([xpat])
-    top = _horizons(om)
-    draws = [(xpat, om, top, 0)]
+    top = tuple(_horizons(om))
+    draws = ((xpat, tuple(om), top, 0),)
     if mode != "xI":
         ipat = coset_pattern(x, "I")
         ou = _least_onsets([ipat])
-        tm = [max(top[3 * i + j] - ou[3 * k + j] for j in range(3)) for i in range(3) for k in range(3)]
-        tu = [max(top[3 * i + j] - om[3 * i + k] for i in range(3)) for k in range(3) for j in range(3)]
-        draws = [(ipat, ou, tu, 0), (xpat, om, tm, 9)]
+        tm = tuple(max(top[3 * i + j] - ou[3 * k + j] for j in range(3)) for i in range(3) for k in range(3))
+        tu = tuple(max(top[3 * i + j] - om[3 * i + k] for i in range(3)) for k in range(3) for j in range(3))
+        draws = ((ipat, tuple(ou), tu, 0), (xpat, tuple(om), tm, 9))
     return top, draws, sum(max(0, t - k + 1) for _, onsets, tops, _ in draws for k, t in zip(onsets, tops))
 
 
@@ -385,17 +389,21 @@ def _zero_to_precision(cfg, slot, ids):
 # -- kappa_check's tests ---------------------------------------------------------
 
 
+def _unipotent_pattern(rows):
+    """The pattern of a unipotent spec's hashed entries: a min entry from
+    pi^k on, and no rows for a one or a zero."""
+    return ValuationPattern(tuple(tuple(PatternEntry("zero") if isinstance(spec, str) else PatternEntry("min", spec)
+                                        for spec in row) for row in rows))
+
+
 def _unipotent_blocks(rows, p, seed, ids, top):
     """Blocks of _sample_unipotent's draws (slot_base 9) through pi^top: a
     one is 1 at pi^0 and zeros above, a zero has no rows, and a min entry
     is hashed from pi^k on."""
-    specs = [spec for row in rows for spec in row]
-    drawn = [PatternEntry("zero") if isinstance(spec, str) else PatternEntry("min", spec) for spec in specs]
-    blocks = _pattern_blocks(ValuationPattern((tuple(drawn[0:3]), tuple(drawn[3:6]), tuple(drawn[6:9]))),
-                             p, seed, ids, [top] * 9, slot_base=9)
+    blocks = _pattern_blocks(_unipotent_pattern(rows), p, seed, ids, [top] * 9, slot_base=9)
     one = np.zeros((top + 1, len(ids)), dtype=np.int64)
     one[0] = 1
-    return [(one, 0) if spec == "one" else block for spec, block in zip(specs, blocks)]
+    return [(one, 0) if spec == "one" else block for spec, block in zip((spec for row in rows for spec in row), blocks)]
 
 
 def _unipotent_inverse(j, p, top):

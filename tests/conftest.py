@@ -2,12 +2,21 @@
 import numpy as np
 import pytest
 
+from newton_strata import kernel
 from newton_strata.series import INF, TruncatedSeries
 from newton_strata.isocrystal import IsoMatrix
 from newton_strata.affine_weyl import AffineWeylElt, coset_pattern
 from newton_strata.empirics import SampleConfig, sample_pattern
 
 P = 11
+
+
+@pytest.fixture(autouse=True)
+def fresh_kernel_windows():
+    """Each test starts with the kernel's per-window caches empty, so a test
+    that patches what a window is made of (kernel._horizons) draws anew."""
+    kernel._sample_windows.cache_clear()
+    kernel._block_layout.cache_clear()
 
 
 @pytest.fixture

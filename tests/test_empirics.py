@@ -432,9 +432,16 @@ class TestBulkKernel:
         # A horizon below its slot's onset hashes no row: the zeros there
         # are known without a draw, and lowering it changes nothing
         horizons = kernel._horizons
+
+        def patch(rule):
+            # a window is cached per (x, mode): drop it, so the next draw
+            # lays its window out by the patched rule
+            monkeypatch.setattr(kernel, "_horizons", rule)
+            kernel._sample_windows.cache_clear()
+
         for text in ("mu=-2,0,2;w=s121", "mu=-40,0,40;w=s121", "mu=1,-3,2;w=s2", "mu=0,0,0", "mu=3,-1,-2;w=s1"):
             x, seen = X(text), []
-            monkeypatch.setattr(kernel, "_horizons", lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
+            patch(lambda onsets: seen.append((onsets, horizons(onsets))) or seen[-1][1])
             assert np.array_equal(_horizon_slopes([x], mode, 11, 3, 16), _full_window_slopes([x], mode, 11, 3, 16))
             # the onsets are those of the xI entries in both modes: in IxI
             # the kernel forms M @ U, which lies in xI
@@ -443,7 +450,7 @@ class TestBulkKernel:
             held = [slot for slot in range(9) if tops[slot] >= onsets[slot]]
             assert len(held) >= 3, text
             for slot in held:
-                monkeypatch.setattr(kernel, "_horizons", lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
+                patch(lambda onsets: [t - (s == slot) for s, t in enumerate(horizons(onsets))])
                 with pytest.raises(ArithmeticError, match="^(det not a unit through pi\\^0|tr or e2 not known through pi\\^-1);"):
                     _horizon_slopes([x], mode, 11, 3, 16)
 
@@ -1033,6 +1040,52 @@ def test_a_short_window_gets_a_wider_block():
         assert kernel._sample_windows(x, mode)[2] == rows
         blocks = list(kernel._sampled_slopes(x, mode, 11, 0, range(2 * width + 1)))
         assert [len(t1) for t1, _, _ in blocks] == [width, width, 1], (str(x), mode)
+
+
+def _window_docs(p, cold):
+    """Both histogram modes on the headline, a wide element and +-40, a
+    10**4-trial estimate, a bound-2 campaign and a K1 kappa_check, as JSON
+    without any elapsed_ms; with cold, the kernel's per-window caches are
+    cleared before every call."""
+    calls = [lambda x=x, mode=mode: empirical_poset(x, make_config(x, p=p, trials=64, seed=1), mode=mode)
+             for x in (HEADLINE, X("mu=-8,2,6;w=s121"), X("mu=-40,0,40;w=s121")) for mode in ("xI", "IxI")]
+    calls += [lambda: estimate_codim(HEADLINE, lam("0,0,0"), p1=p, p2=31, trials=ESTIMATE_TRIALS, seed=2),
+              lambda: predicate_campaign(bound=2, trials_per_case=20, p=p, seed=1),
+              lambda: kappa_check(HEADLINE, "K1", trials=40, p=p, seed=2)]
+    docs = []
+    for call in calls:
+        if cold:
+            kernel._sample_windows.cache_clear()
+            kernel._block_layout.cache_clear()
+        doc = call().to_json()
+        doc.pop("elapsed_ms", None)
+        docs.append(doc)
+    return docs
+
+
+@pytest.mark.parametrize("p", [2, 11])
+def test_cached_windows_give_the_reports_of_fresh_ones(p):
+    """Every call laid out afresh and every call read from warm caches give
+    the same reports."""
+    cold = _window_docs(p, cold=True)
+    _window_docs(p, cold=False)
+    hits = kernel._block_layout.cache_info().hits
+    assert _window_docs(p, cold=False) == cold
+    assert kernel._block_layout.cache_info().hits > hits
+
+
+def test_a_cached_layout_is_read_only():
+    # two distinct patterns in one block: rows below an onset and exact leads
+    patterns = (coset_pattern(HEADLINE, "xI"), coset_pattern(X("mu=1,-3,2;w=s2"), "xI"))
+    tops = tuple(kernel._horizons(_least_onsets(patterns)))
+    spans, slots, exps, rows, below, leads = kernel._block_layout(patterns, tops, 0)
+    assert below and leads
+    for arr in (slots, exps, rows, *(mask for _, mask in below + leads)):
+        assert arr.size
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    top, draws, _ = kernel._sample_windows(HEADLINE, "IxI")
+    assert all(isinstance(t, tuple) for t in (top, draws, *(tops for _, _, tops, _ in draws)))
 
 
 def _bound_two_docs(p):
