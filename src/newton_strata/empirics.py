@@ -10,6 +10,7 @@ sample_ixi draw the same matrices one at a time.
 """
 
 import functools
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from .series import TruncatedSeries, _check_modulus, ceil_q
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .kernel import (_OFFSET, _campaign_columns, _decode, _drawn_series, _encode, _kappa_passes, _sampled_slopes,
-                     _unipotent_pattern, _zero_to_precision)
+                     _unipotent_pattern)
 from .strata import (
     CaseNotApplicable,
     _BRANCH_ON_D,
@@ -375,7 +376,7 @@ def kappa_check(
     acfg = SampleConfig(pattern=xpat, p=p, prec=prec, trials=1, seed=seed ^ 0x5DEECE66D) if which == "K1" else None
     report = KappaReport(x=str(x), which=which, trials=trials)
     t0 = time.perf_counter()
-    forward, identity, inverse = _kappa_passes(x, kpat, xpat, jrows, p, seed, trials, acfg)
+    forward, identity, inverse = _kappa_passes(x, kpat, jrows, p, seed, trials, acfg)
     report.passes, report.identity_ok = int(forward.sum()), int(identity.sum())
     report.inverse_passes, report.inverse_trials = int(inverse.sum()), inverse.size
     flagged = sorted([(t, "forward") for t in np.flatnonzero(~forward).tolist()]
@@ -458,10 +459,6 @@ def _campaign_groups(bound, p, seed, cases):
     return groups
 
 
-# the slot of d = A[1, 0], the entry IIIA at mu2 + 1 = mu3 branches on
-_D_SLOT = 3
-
-
 def _pair_reps(trials_per_case, n_pairs):
     """Draws of each of a tag's pairs: an equal share of trials_per_case,
     or, with fewer trials than pairs, one draw on each of trials_per_case
@@ -471,43 +468,37 @@ def _pair_reps(trials_per_case, n_pairs):
 
 
 def _campaign_verdicts(groups, trials_per_case, p, seed):
-    """Every campaign draw evaluated on the block kernel.
+    """Every campaign draw evaluated in one pass of the block kernel.
 
-    The columns are the trial ids 0 .. n-1 of each x, n the most reps any
-    of its pairs needs, each column drawn from its own x's case pattern.
-    Yields (tag, x, lam, cfg, predicted, slopes) per pair in campaign
-    order: the verdicts of the closed-form tests and the doubled slope
-    triples of its reps 0 .. n-1, n its count from _pair_reps.
+    Each drawn pair's closed-form tests are derived first.  The columns are
+    the trial ids 0 .. n-1 of each x, n the most reps any of its pairs
+    needs, drawn from x's case pattern, d to its precision if a test
+    branches on d.  Yields (tag, x, lam, cfg, predicted, slopes) per pair in
+    campaign order: the verdicts of its tests and the doubled slope triples
+    of its reps 0 .. n-1, n its count from _pair_reps.
     """
-    pair_reps = {tag: _pair_reps(trials_per_case, len(pairs)) for tag, pairs in groups.items()}
-    reps, cfgs = {}, {}
-    for tag, pairs in groups.items():
-        for (x, _, cfg), n in zip(pairs, pair_reps[tag]):
-            if n:
-                reps[x], cfgs[x] = max(n, reps.get(x, 0)), cfg
-    if not reps:
-        return
-    start, width = {}, 0
-    for x, n in reps.items():
-        start[x], width = width, width + n
-    slopes, *vals = _campaign_columns([(cfgs[x].pattern, n) for x, n in reps.items()], p, seed)
-    vals = dict(zip(("a", "ae-bd", "db+gc"), vals))
-
-    def valuations(q, x, cfg, n):
-        cut = slice(start[x], start[x] + n)
-        if q == _BRANCH_ON_D:
-            d_zero = _zero_to_precision(cfg, _D_SLOT, np.arange(n, dtype=np.int64))
-            return np.where(d_zero, vals["ae-bd"][cut], vals["db+gc"][cut])
-        return vals[q][cut]
-
+    drawn, columns = [], {}
     for tag in sorted(groups):
-        for (x, lam, cfg), n in zip(groups[tag], pair_reps[tag]):
-            if not n:
-                continue
-            predicted = np.ones(n, dtype=bool)
-            for q, t in _predicate_tests(x, lam):
-                predicted &= valuations(q, x, cfg, n) >= ceil_q(t)
-            yield tag, x, lam, cfg, predicted, slopes[:, start[x] : start[x] + n]
+        for (x, lam, cfg), n in zip(groups[tag], _pair_reps(trials_per_case, len(groups[tag]))):
+            if n:
+                tests = _predicate_tests(x, lam)
+                drawn.append((tag, x, lam, cfg, n, tests))
+                # x's columns: its pattern, the most reps a pair needs, and its
+                # precision if a test branches on d, else 0
+                col = columns.setdefault(x, [cfg.pattern, 0, 0])
+                col[1] = max(col[1], n)
+                col[2] = max(col[2], cfg.prec * any(q == _BRANCH_ON_D for q, _ in tests))
+    if not drawn:
+        return
+    start = dict(zip(columns, itertools.accumulate((n for _, n, _ in columns.values()), initial=0)))
+    slopes, a, ae_bd, db_gc, d_zero = _campaign_columns(list(columns.values()), p, seed)
+    vals = {"a": a, "ae-bd": ae_bd, "db+gc": db_gc, _BRANCH_ON_D: np.where(d_zero, ae_bd, db_gc)}
+    for tag, x, lam, cfg, n, tests in drawn:
+        cut = slice(s := start[x], s + n)
+        predicted = np.ones(n, dtype=bool)
+        for q, t in tests:
+            predicted &= vals[q][cut] >= ceil_q(t)
+        yield tag, x, lam, cfg, predicted, slopes[:, cut]
 
 
 def predicate_campaign(

@@ -13,10 +13,12 @@ enough that no entry overflows for any prime with (p-1)**2 + p < 2**63
 As val(det) = 0, a valuation of tr or e2 at 0 or above cannot move the
 Newton polygon, so tr and e2 are read through pi^-1 and det through pi^0,
 each entry only through its horizon (_horizons), all nine in one hash
-pass.  That pins every slope sequence exactly, with no retry; histograms,
-campaigns and kappa_check run on it.  For I * xI, chi(UM) = chi(MU) and
-M @ U lies in xI, so M @ U is read through xI's horizons; it and
-kappa_check's conjugates are products of blocks.
+pass.  That pins every slope sequence exactly, with no retry.  Each caller
+makes one block pass: a histogram through _sampled_slopes, a campaign
+through _campaign_columns (d's zero test included), kappa_check through
+_kappa_passes and a scalar draw through _drawn_series.  For I * xI, chi(UM)
+= chi(MU) and M @ U lies in xI, so M @ U is read through xI's horizons; it
+and kappa_check's conjugates are products of blocks.
 
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: a
@@ -353,37 +355,27 @@ def _sampled_slopes(x, mode, p, seed, ids):
 
 
 def _campaign_columns(columns, p, seed):
-    """Per column, the doubled slopes (3 rows) and the valuations of a,
-    ae - bd and db + gc, for the draws of each (pattern, n) of columns in
-    turn, trial ids 0 .. n-1, all read at the horizons of the patterns'
-    least onsets."""
-    tops = _horizons(_least_onsets([q for q, _ in columns]))
+    """Per column, the doubled slopes (3 rows), the valuations of a, ae - bd
+    and db + gc, and whether d = A[1, 0] vanishes below the column's prec
+    (as sample_pattern draws it), for the draws of each (pattern, n, prec) of
+    columns in turn, trial ids 0 .. n-1: all read at the horizons of the
+    patterns' least onsets, and d through pi^(prec - 1) for the highest prec
+    if that is higher.  Columns that read no d pass prec 0."""
+    tops = _horizons(_least_onsets([q for q, _, _ in columns]))
+    tops[3] = max([tops[3]] + [prec - 1 for *_, prec in columns if prec])
     patterns, ids = [], []
-    for q, n in columns:
+    for q, n, _ in columns:
         patterns += [q] * n
         ids.append(np.arange(n, dtype=np.int64))
-    ids = np.concatenate(ids)
+    ids, precs = np.concatenate(ids), np.repeat([prec for *_, prec in columns], [n for _, n, _ in columns])
 
     def block(cut):
         entries = _pattern_blocks(patterns[cut], p, seed, ids[cut], tops)
         slopes, (ae, bd, cg) = _slopes_block(entries, p)
-        return (np.stack(slopes), _lead_val(entries[0]),
-                _lead_val(_combine(p, [ae], [bd])), _lead_val(_combine(p, [bd, cg])))
+        return (np.stack(slopes), _lead_val(entries[0]), _lead_val(_combine(p, [ae], [bd])),
+                _lead_val(_combine(p, [bd, cg])), _lead_val(entries[3]) >= precs[cut])
 
     return _joined(_blockwise(block, len(ids), BLOCK))
-
-
-def _zero_to_precision(cfg, slot, ids):
-    """Per trial id, whether entry slot of that draw of cfg vanishes at every
-    exponent below cfg.prec, as is_zero_to_precision reads sample_pattern's
-    draw: that slot is drawn through pi^(prec-1), every other one through a
-    top below its onset, so not at all."""
-    tops = [cfg.prec - 1 if s == slot else e.k - 1 for s, e in enumerate(sum(cfg.pattern.entries, ()))]
-
-    def block(cut):
-        return (~_pattern_blocks(cfg.pattern, cfg.p, cfg.seed, ids[cut], tops)[slot][0].any(axis=0),)
-
-    return _joined(_blockwise(block, len(ids), BLOCK))[0]
 
 
 # -- kappa_check's tests ---------------------------------------------------------
@@ -463,10 +455,10 @@ def _k1_inverse_passes(x, kpat, acfg, ids, top):
     return _passes(checks, len(ids))
 
 
-def _kappa_passes(x, kpat, xpat, jrows, p, seed, trials, acfg):
+def _kappa_passes(x, kpat, jrows, p, seed, trials, acfg):
     """Per trial id 0 .. trials-1, the pass masks of kappa_check's tests:
-    forward (j^-1 k j in xpat, with k's slopes), identity (k back from
-    conjugation by 1, ids 0 .. 31 only) and, given acfg, the K1 inverse.
+    forward (j^-1 k j in x's xI pattern, with k's slopes), identity (k back
+    from conjugation by 1, ids 0 .. 31 only) and, given acfg, the K1 inverse.
 
     Slot s of j^-1 k j is formed through pi^T_s, as far as _passes decides
     its xI entry (pi^(k-1) for a min k, pi^k if exact) and _slopes_block
@@ -474,10 +466,11 @@ def _kappa_passes(x, kpat, xpat, jrows, p, seed, trials, acfg):
     xI; k j and k as far as the products above them and k's slopes read
     them, j through pi^(max T - g), g the least onset of k, and the K1
     inverse's A through the least top its checks read (_k1_inverse_passes)."""
+    horizons, ((xpat, *_),), _ = _sample_windows(x, "xI")
     xentries = sum(xpat.entries, ())
     oj = [0 if s == "one" else math.inf if s == "zero" else s for row in jrows for s in row]
     oi = [*oj[:6], min(oj[6], oj[3] + oj[7]), *oj[7:]]  # j^-1: (1), (-d, 1), (dh - g, -h, 1)
-    tops = [max(h, e.k - (e.kind == "min")) for h, e in zip(_horizons(_least_onsets([xpat])), xentries)]
+    tops = [max(h, e.k - (e.kind == "min")) for h, e in zip(horizons, xentries)]
     # (k j)[k, l] as far as j^-1 (k j) reads it, and k[k, m] as far as k j reads it
     tkj = [max(tops[3 * i + l] - oi[3 * i + k] for i in range(3)) for k in range(3) for l in range(3)]
     tk = [max(h, *(tkj[s - s % 3 + l] - oj[3 * (s % 3) + l] for l in range(3)))

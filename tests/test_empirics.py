@@ -774,6 +774,41 @@ class TestCampaignBlocks:
                 window_only += A[1, 0].val_lower_bound() in range(7, cfg.prec)
         assert window_only > 0
 
+        # a column reads d to its own precision, not to its block's highest:
+        # mu=-1,0,1;w=s121 (precision 12, d from pi^1) shares the block of x
+        # (precision 20).  At p = 2 about 2**14 / 2**6 = 256 of 2**14 draws
+        # have d zero through pi^6, about 8 through pi^11, and nearly all of
+        # those not through pi^19
+        cfgs = {z: cfg for pairs in groups.values() for z, _, cfg in pairs}
+        y, n = X("mu=-1,0,1;w=s121"), 1 << 14
+        assert (cfgs[x].prec, cfgs[y].prec) == (20, 12)
+        columns = [(cfgs[x].pattern, 1, cfgs[x].prec), (cfgs[y].pattern, n, cfgs[y].prec)]
+        d_zero = kernel._campaign_columns(columns, 2, 0)[-1][1:]
+        d, v = _per_slot_blocks(cfgs[y].pattern, 2, 0, np.arange(n, dtype=np.int64), [6] * 9)[3]
+        through_6 = ~d[: 7 - v].any(axis=0)
+        assert not d_zero[~through_6].any()
+        longer = SampleConfig(pattern=cfgs[y].pattern, p=2, prec=20, seed=0)
+        below_12_only = 0
+        for i in np.flatnonzero(through_6).tolist():
+            zero = sample_pattern(cfgs[y], i)[1, 0].is_zero_to_precision()
+            assert bool(d_zero[i]) == zero, i
+            below_12_only += zero and not sample_pattern(longer, i)[1, 0].is_zero_to_precision()
+        assert below_12_only > 0
+
+    def test_a_campaign_draws_each_block_once(self, monkeypatch):
+        # the d branch of IIIA at mu2 + 1 = mu3 reads d from the block that
+        # gives the slopes and the valuations, not from a block of its own
+        calls, draw = [], kernel._pattern_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_pattern_blocks", counted)
+        report = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases={"IIIA"})
+        assert report.ok and report.trials_total > 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("case, p, count", [("VA", 11, 14), ("IIB", 2, 45)])
     def test_flipped_case_reports_every_mismatch_verbatim(self, monkeypatch, case, p, count):
         # swap the two minors in one case's tests; the campaign must report
