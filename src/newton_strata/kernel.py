@@ -5,11 +5,12 @@ Every entry is an exponent-major int64 block (arr, v) for B samples: row t
 of arr holds the coefficient of pi^(v + t), v is the least onset over the
 samples, and the block is known through pi^(v + len(arr) - 1).  No row
 below v is stored, and every window is the exponent it reaches.  Every
-sum of products (each entry of a matrix product, the cofactors, det and
-e2) is one _dot: its products are truncated exactly and added shift by
-shift into one int64 array, reduced mod p once at the end, or often
-enough that no entry overflows for any prime with (p-1)**2 + p < 2**63
-(SampleConfig rejects larger ones).
+sum the kernel forms is one _dot of blocks and products of blocks: each
+entry of a matrix product, the cofactors, det, tr, e2, the campaign's
+minors ae - bd and db + gc, and every negation.  Its terms are truncated
+exactly and added into one int64 array, reduced mod p once at the end,
+or often enough that no entry overflows for any prime with (p-1)**2 + p
+< 2**63 (SampleConfig rejects larger ones).
 As val(det) = 0, a valuation of tr or e2 at 0 or above cannot move the
 Newton polygon, so tr and e2 are read through pi^-1 and det through pi^0,
 each entry only through its horizon (_horizons), all nine in one hash
@@ -202,53 +203,40 @@ def _drawn_series(pattern, p, seed, index, prec, slot_base=0):
 
 
 def _dot(p, top, plus, minus=()):
-    """(sum of a * b over the block pairs of plus - the same over minus)
-    mod p, through pi^top at most, in one int64 array reduced once.
+    """(sum of the terms of plus - the same over minus) mod p, through
+    pi^top at most, in one int64 array reduced once.
 
-    The product of (a, va) and (b, vb) starts at u = va + vb and is known
-    through n = min(top - u + 1, len(a), len(b)) rows: it stops at pi^top,
-    or where either factor runs out.  The sum starts at the least u and is
-    known as far as every product is.  Shift k of a pair adds a[k] * b[: m-k]
-    into its rows from k on, m its rows in the sum, so at most one product
-    per entry; the sum is reduced every ((1<<63) - p) // (p-1)**2 shifts, so
-    no int64 entry overflows whenever (p-1)**2 + p < 2**63.  A sum of no rows
-    is the empty view a[:0] of the first factor, with nothing allocated.
+    A term is a block (arr, v), told by its first element, an array, or a
+    pair of blocks, their product.  The block starts at v and is known
+    through n = min(top - v + 1, len(arr)) rows; the product of (a, va) and
+    (b, vb) starts at u = va + vb and is known through n = min(top - u + 1,
+    len(a), len(b)) rows: each stops at pi^top, or where a factor runs out.
+    The sum starts at the least onset and is known as far as every term is.
+    A block adds into its rows once, and shift k of a pair adds a[k] *
+    b[: m-k] into its rows from k on, m its rows in the sum, so at most one
+    product per entry; the sum is reduced every ((1<<63) - p) // (p-1)**2
+    additions, so no int64 entry overflows whenever (p-1)**2 + p < 2**63.
+    A sum of no rows is an empty view of the first term's first array,
+    with nothing allocated.
     """
-    pairs = [(x, y, op) for terms, op in ((plus, np.add), (minus, np.subtract)) for x, y in terms]
-    onsets = [va + vb for (_, va), (_, vb), _ in pairs]
+    terms = [(t, None, op) if isinstance(t[0], np.ndarray) else (*t, op)
+             for group, op in ((plus, np.add), (minus, np.subtract)) for t in group]
+    onsets = [va + (0 if y is None else y[1]) for (_, va), y, _ in terms]
     v = min(onsets)
-    end = min(u + max(0, min(top - u + 1, len(a), len(b))) for u, ((a, _), (b, _), _) in zip(onsets, pairs))
-    first = pairs[0][0][0]
+    end = min(u + max(0, min(top - u + 1, len(a), len(a if y is None else y[0]))) for u, ((a, _), y, _) in zip(onsets, terms))
+    first = terms[0][0][0]
     if end == v:
         return first[:0], v
     acc = np.zeros((end - v, first.shape[1]), dtype=np.int64)
     step, shifts = ((1 << 63) - p) // (p - 1) ** 2, 0
-    for u, ((a, _), (b, _), op) in zip(onsets, pairs):
-        for k in range(end - u):
+    for u, ((a, _), y, op) in zip(onsets, terms):
+        for k in range(end - u if y is not None else min(1, end - u)):
             if shifts == step:
                 _reduce(acc, p)
                 shifts = 0
             dst = acc[u - v + k :]
-            op(dst, a[k] * b[: len(dst)], out=dst)
+            op(dst, a[: len(dst)] if y is None else a[k] * y[0][: len(dst)], out=dst)
             shifts += 1
-    _reduce(acc, p)
-    return acc, v
-
-
-def _combine(p, plus, minus=()):
-    """(sum of plus - sum of minus) mod p for blocks, the linear sum that
-    _dot takes of products: from the least onset v, known as far as every
-    term is, so through the least v_t + len_t - 1.  Each term adds into the
-    rows from its own onset; one whose onset lies past that range adds
-    nothing."""
-    terms = (*plus, *minus)
-    v = min(u for _, u in terms)
-    n = min(u + len(arr) for arr, u in terms) - v
-    acc = np.zeros((n, terms[0][0].shape[1]), dtype=np.int64)
-    for arr, u in plus:
-        acc[u - v :] += arr[: max(0, n - u + v)]
-    for arr, u in minus:
-        acc[u - v :] -= arr[: max(0, n - u + v)]
     _reduce(acc, p)
     return acc, v
 
@@ -298,41 +286,34 @@ def _lead_val(block):
 
 
 def _slopes_block(entries, p):
-    """Doubled slope triples (2*lam) for one block of samples, and the
-    products (ae, bd, cg) that the predicate quantities read.
+    """Doubled slope triples (2*lam) for one block of samples.
 
     The polygon of the characteristic polynomial gives, with v1 = val(trace)
     and v2 = val(sum of principal 2x2 minors) and val(det) = 0 (the closed
     form of isocrystal.newton_polygon):
         2*lam1    = max(-2*v1, -v2, 0)
         2*(-lam3) = max(-2*v2, -v1, 0)
-    A valuation of 0 or above moves neither formula, so tr, e2 and ae, bd,
-    cg are formed through pi^-1 (every predicate threshold is at most 0),
-    det through pi^0 and the cofactor of each a, b, c through pi^(-its
-    onset).  Each cofactor and det is one _dot, and e2 = ae - bd + ai - cg
-    + cof_a reuses a's cofactor ei - fh, formed through pi^-1 at least.
+    A valuation of 0 or above moves neither formula, so tr and e2 are
+    formed through pi^-1, det through pi^0 and the cofactor of each a, b, c
+    through pi^(-its onset).  Each is one _dot, and e2 = ae + ai + cof_a -
+    bd - cg reuses a's cofactor ei - fh, formed through pi^-1 at least.
     Should tr or e2 fall short of pi^-1, or det of pi^0, this raises; a
     column zero through pi^-1 gives its true valuation's slopes.
     """
     a, b, c, d, e, f, g, h, i = entries
-    # the determinant first, so that cof_b and cof_c are freed before the
-    # products the caller keeps are formed
     cof_a = _dot(p, max(-1, -a[1]), [(e, i)], [(f, h)])
     cof_b = _dot(p, -b[1], [(d, i)], [(f, g)])
     cof_c = _dot(p, -c[1], [(d, h)], [(e, g)])
     det = _dot(p, 0, [(a, cof_a), (c, cof_c)], [(b, cof_b)])
     if det[1] + len(det[0]) < 1 or not bool(np.all(_lead_val(det) == 0)):
         raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
-    del cof_b, cof_c, det
-
-    ae, bd, cg, ai = (_dot(p, -1, [(x, y)]) for x, y in ((a, e), (b, d), (c, g), (a, i)))
-    tr, mi = _combine(p, [a, e, i]), _combine(p, [ae, ai, cof_a], [bd, cg])
+    tr, mi = _dot(p, -1, [a, e, i]), _dot(p, -1, [(a, e), (a, i), cof_a], [(b, d), (c, g)])
     if tr[1] + len(tr[0]) < 0 or mi[1] + len(mi[0]) < 0:
         raise ArithmeticError("tr or e2 not known through pi^-1; kernel inconsistency")
     v_tr, v_mi = _lead_val(tr), _lead_val(mi)
     two_l1 = np.maximum(np.maximum(-2 * v_tr, -v_mi), 0)
     two_l3n = np.maximum(np.maximum(-2 * v_mi, -v_tr), 0)
-    return (two_l1, two_l3n - two_l1, -two_l3n), (ae, bd, cg)
+    return two_l1, two_l3n - two_l1, -two_l3n
 
 
 def _encode(t1, t2, t3):
@@ -350,7 +331,7 @@ def _sampled_slopes(x, mode, p, seed, ids):
     of max(BLOCK, 32 * BLOCK // rows) columns, rows the coefficients a column
     stores: a budget of 2**17, so a short window pays a block's cost less often."""
     windows = _sample_windows(x, mode)
-    return _blockwise(lambda cut: _slopes_block(_sample_blocks(windows, p, seed, ids[cut]), p)[0],
+    return _blockwise(lambda cut: _slopes_block(_sample_blocks(windows, p, seed, ids[cut]), p),
                       len(ids), max(BLOCK, 32 * BLOCK // windows[2]))
 
 
@@ -360,7 +341,9 @@ def _campaign_columns(columns, p, seed):
     (as sample_pattern draws it), for the draws of each (pattern, n, prec) of
     columns in turn, trial ids 0 .. n-1: all read at the horizons of the
     patterns' least onsets, and d through pi^(prec - 1) for the highest prec
-    if that is higher.  Columns that read no d pass prec 0."""
+    if that is higher.  Columns that read no d pass prec 0.  The minors are
+    two _dot calls on the block the slopes read, through pi^-1 (every
+    predicate threshold is at most 0)."""
     tops = _horizons(_least_onsets([q for q, _, _ in columns]))
     tops[3] = max([tops[3]] + [prec - 1 for *_, prec in columns if prec])
     patterns, ids = [], []
@@ -370,10 +353,9 @@ def _campaign_columns(columns, p, seed):
     ids, precs = np.concatenate(ids), np.repeat([prec for *_, prec in columns], [n for _, n, _ in columns])
 
     def block(cut):
-        entries = _pattern_blocks(patterns[cut], p, seed, ids[cut], tops)
-        slopes, (ae, bd, cg) = _slopes_block(entries, p)
-        return (np.stack(slopes), _lead_val(entries[0]), _lead_val(_combine(p, [ae], [bd])),
-                _lead_val(_combine(p, [bd, cg])), _lead_val(entries[3]) >= precs[cut])
+        a, b, c, d, e, _, g, _, _ = entries = _pattern_blocks(patterns[cut], p, seed, ids[cut], tops)
+        return (np.stack(_slopes_block(entries, p)), _lead_val(a), _lead_val(_dot(p, -1, [(a, e)], [(b, d)])),
+                _lead_val(_dot(p, -1, [(d, b), (g, c)])), _lead_val(d) >= precs[cut])
 
     return _joined(_blockwise(block, len(ids), BLOCK))
 
@@ -402,8 +384,7 @@ def _unipotent_inverse(j, p, top):
     """Blocks of j^-1 through pi^top for the lower-unipotent j of
     _unipotent_blocks: rows (1), (-d, 1), (dh - g, -h, 1)."""
     one, zero, d, g, h = j[0], j[1], j[3], j[6], j[7]
-    return [one, zero, zero, _combine(p, [zero], [d]), one, zero,
-            _combine(p, [_dot(p, top, [(d, h)])], [g]), _combine(p, [zero], [h]), one]
+    return [one, zero, zero, _dot(p, top, [], [d]), one, zero, _dot(p, top, [(d, h)], [g]), _dot(p, top, [], [h]), one]
 
 
 def _passes(checks, n):
@@ -442,10 +423,10 @@ def _k1_inverse_passes(x, kpat, acfg, ids, top):
     if not (c[0].any(axis=0).all() and D[0].any(axis=0).all()):
         raise InsufficientPrecision("c or ce - bf is zero to precision; cannot invert")
     # cD d' = -fD, cD h' = c(bi - ch) and cD g' = -c(ei - fh); cD (d'h' - g') = iD
-    cD, fD, iD, c_h, c_g = (_dot(p, top + 2 * g, [(u, v)]) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch), (c, ei_fh)))
+    cD, fD, iD, c_h = (_dot(p, top + 2 * g, [(u, v)]) for u, v in ((c, D), (f, D), (i, D), (c, bi_ch)))
     zero = (c[0][:0], top + 2 * g + 1)
-    J = [cD, zero, zero, _combine(p, [zero], [fD]), cD, zero, _combine(p, [zero], [c_g]), c_h, cD]
-    Jt = [cD, zero, zero, fD, cD, zero, iD, _combine(p, [zero], [c_h]), cD]
+    J = [cD, zero, zero, _dot(p, top + 2 * g, [], [fD]), cD, zero, _dot(p, top + 2 * g, [], [(c, ei_fh)]), c_h, cD]
+    Jt = [cD, zero, zero, fD, cD, zero, iD, _dot(p, top + 2 * g, [], [c_h]), cD]
     N = _matmul_blocks(_matmul_blocks(J, A, p, [top + 3 * g] * 9), Jt, p, [top + 6 * g] * 9)
     v_c, v_D = _lead_val(c), _lead_val(D)
     # v(d') = v(f) - v(c), v(h') = v(bi - ch) - v(D), v(g') = v(ei - fh) - v(D)
@@ -488,7 +469,7 @@ def _kappa_passes(x, kpat, jrows, p, seed, trials, acfg):
         forward = _passes([(e, blk, 0) for e, blk in zip(xentries, kappa)], cols.size)
         # the columns in xI, read from the xI onsets (their rows below are zero)
         kept = [(arr[max(0, e.k - v):, forward], max(v, e.k)) for (arr, v), e in zip(kappa, xentries)]
-        same = np.stack(_slopes_block(kept, p)[0]) == np.stack(_slopes_block([(a[:, forward], v) for a, v in K], p)[0])
+        same = np.stack(_slopes_block(kept, p)) == np.stack(_slopes_block([(a[:, forward], v) for a, v in K], p))
         forward[forward] = np.all(same, axis=0)
 
         n = int(np.count_nonzero(cols < 32))

@@ -1,5 +1,6 @@
 """Monte-Carlo sampling over coset patterns and its statistical reports."""
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -12,7 +13,7 @@ from newton_strata.isocrystal import IsoMatrix, SlopeSeq, slope_leq, slope_seque
 from newton_strata.series import InsufficientPrecision, TruncatedSeries
 from newton_strata.affine_weyl import AffineWeylElt, PatternEntry, ValuationPattern, coset_pattern, enumerate_grid
 from newton_strata.strata import poset_of, stratum_predicate
-from newton_strata.kernel import _combine, _decode, _dot, _encode, _least_onsets, _pattern_blocks
+from newton_strata.kernel import _decode, _dot, _encode, _least_onsets, _pattern_blocks
 from newton_strata.empirics import (
     _sample_unipotent,
     _unipotent_rows,
@@ -275,8 +276,16 @@ def _padded(blocks, base, n):
 def _python_dot(p, top, plus, minus):
     """Reference for _dot with Python integers, column by column: each
     product from va + vb through pi^top or where a factor runs out, the sum
-    from the least onset as far as every product is known."""
-    terms = [(x, y, 1) for x, y in plus] + [(x, y, -1) for x, y in minus]
+    from the least onset as far as every product is known.  A block term is
+    its product with a one of as many rows."""
+    def pair(term):
+        if not isinstance(term[0], np.ndarray):
+            return term
+        one = np.zeros_like(term[0])
+        one[:1] = 1
+        return term, (one, 0)
+
+    terms = [(*pair(t), sign) for group, sign in ((plus, 1), (minus, -1)) for t in group]
     spans = [(va + vb, max(0, min(top - va - vb + 1, len(a), len(b)))) for (a, va), (b, vb), _ in terms]
     v, end = min(u for u, _ in spans), min(u + n for u, n in spans)
     out = np.zeros((end - v, terms[0][0][0].shape[1]), dtype=np.int64)
@@ -354,7 +363,7 @@ def _horizon_slopes(xs, mode, p, seed, n):
     """The same slopes from the kernel, one block per x."""
     ids = np.arange(n, dtype=np.int64)
     blocks = (kernel._sample_blocks(kernel._sample_windows(x, mode), p, seed, ids) for x in xs)
-    return np.concatenate([np.stack(kernel._slopes_block(entries, p)[0]) for entries in blocks], axis=1)
+    return np.concatenate([np.stack(kernel._slopes_block(entries, p)) for entries in blocks], axis=1)
 
 
 # the |mu_i| <= 4 grid in one reference block, and an element at +-40 in another
@@ -387,32 +396,57 @@ class TestBulkKernel:
         assert zero_rows > 10, zero_rows
 
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1, P_MAX])
-    def test_combine_matches_python_integers(self, p, rng):
-        # (onset, rows) of the plus and the minus terms: unequal onsets and
-        # lengths, empty terms (zero entries), terms whose onset lies past
-        # the sum's known range, and only empty terms.  The sum starts at
-        # the least onset and is known as far as every term is
+    def test_dot_sums_blocks_with_pairs_as_python_integers(self, p, rng):
+        # block terms given as (onset, rows) of the plus and the minus
+        # terms: unequal onsets and lengths, empty terms (zero entries),
+        # terms whose onset lies past the sum's known range, only empty
+        # terms, and 24 blocks, which overflow before a worst-case product
+        # unless each counts toward the reductions.  Alone, with top past
+        # every term, the sum starts at the least onset and is known as far
+        # as every term is; then mixed with products (in a worst case last,
+        # from pi^0), and cut at a top inside the terms
         cases = [
             ([(0, 5), (2, 4)], []),
             ([(1, 3)], [(-1, 6), (3, 0)]),
             ([(4, 0), (0, 2)], [(7, 3)]),
             ([(2, 0)], [(5, 0)]),
             ([(-3, 8), (0, 8), (3, 8)], [(1, 2), (2, 9)]),
+            ([(0, 4)] * 24, []),
         ]
+        zero_rows = 0
         for plus, minus in cases:
-            for worst in (True, False):
+            for worst, top, mixed in itertools.product((True, False), (12, 2), (False, True)):
                 terms = [_block(rng, p, n, o, worst) for o, n in plus + minus]
-                acc, v = _combine(p, terms[: len(plus)], terms[len(plus) :])
-                lo, hi = min(o for o, _ in plus + minus), min(o + n for o, n in plus + minus)
-                assert v == lo and acc.shape == (hi - lo, 4), (plus, minus)
+                sums = [terms[: len(plus)], terms[len(plus) :]]
+                if mixed:
+                    for group in sums:
+                        pair = tuple(_block(rng, p, int(rng.integers(1, 9)), 0 if worst else int(rng.integers(-2, 3)), worst)
+                                     for _ in "xy")
+                        group.insert(len(group) if worst else int(rng.integers(0, len(group) + 1)), pair)
+                out, v = _dot(p, top, *sums)
+                want, onset = _python_dot(p, top, *sums)
+                assert v == onset and out.shape == want.shape and np.array_equal(out, want), (plus, minus, worst, top, mixed)
+                if top == 12 and not mixed:
+                    lo, hi = min(o for o, _ in plus + minus), min(o + n for o, n in plus + minus)
+                    assert v == lo and out.shape == (hi - lo, 4), (plus, minus)
+                if not len(out):
+                    # a sum of no rows is an empty view of its first term's first array
+                    first = (sums[0] or sums[1])[0]
+                    assert out.base is (first if isinstance(first[0], np.ndarray) else first[0])[0], (plus, minus)
+                    zero_rows += 1
+        assert zero_rows >= 4, zero_rows
 
-                def coeff(arr, o, e, col):
-                    return int(arr[e - o, col]) if 0 <= e - o < len(arr) else 0
+    def test_a_slopes_block_makes_six_sums(self, monkeypatch):
+        # tr, e2, det and the three cofactors it reads are one _dot each
+        calls, dot = [], kernel._dot
 
-                for col in range(4):
-                    for e in range(lo, hi):
-                        signed = [coeff(arr, o, e, col) * (1 if t < len(plus) else -1) for t, (arr, o) in enumerate(terms)]
-                        assert acc[e - lo, col] == sum(signed) % p, (plus, minus, worst, e)
+        def counted(*args):
+            calls.append(args[1])
+            return dot(*args)
+
+        monkeypatch.setattr(kernel, "_dot", counted)
+        blocks = list(kernel._sampled_slopes(X("mu=-2,0,2;w=s121"), "xI", 11, 0, range(100)))
+        assert len(blocks) == 1 and len(calls) == 6, calls
 
     @pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
     def test_horizon_windows_read_the_full_window_slopes(self, p):

@@ -10,7 +10,7 @@ import newton_strata
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "newton_strata"
 # the names that build, multiply or read a block
-BLOCK_NAMES = {"_dot", "_combine", "_matmul_blocks", "_pattern_blocks", "_lead_val", "_slopes_block", "_raw_hash"}
+BLOCK_NAMES = {"_dot", "_matmul_blocks", "_pattern_blocks", "_lead_val", "_slopes_block", "_raw_hash"}
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
@@ -21,8 +21,8 @@ def _tree(name):
 
 def _names(tree):
     """Every module-level name a module defines, reads or imports, and every
-    attribute it reads off the kernel module (a method of the same name, as
-    TruncatedSeries._combine, is another thing)."""
+    attribute it reads off the kernel module (a method of the same name on
+    another object is another thing)."""
     yield from (node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
