@@ -3,7 +3,8 @@
 Elements are x = pi^mu w with mu an integer triple summing to zero and w a
 permutation of three letters.  Permutations are stored as tuples (w(0), w(1),
 w(2)) acting on positions; the coordinate action is (w(nu))_i = nu_{w^-1(i)}.
-The base-alcove interior point p0 and all geometry use exact rationals.
+length and chamber_of read x(p0), for the base-alcove interior point p0,
+as the integer point 12 * x(p0).
 """
 
 from __future__ import annotations
@@ -124,13 +125,6 @@ class AffineWeylElt:
     def __str__(self):
         return f"mu={self.mu[0]},{self.mu[1]},{self.mu[2]};w={self.w_name}"
 
-    def to_json(self):
-        return {"mu": list(self.mu), "w": self.w_name}
-
-    @classmethod
-    def from_json(cls, obj) -> "AffineWeylElt":
-        return cls.from_parts(obj["mu"], obj["w"])
-
     def inverse(self) -> "AffineWeylElt":
         winv = _pinv(self.w)
         return AffineWeylElt(tuple(-m for m in _papply(winv, self.mu)), winv)
@@ -152,29 +146,24 @@ def compose(x: AffineWeylElt, y: AffineWeylElt) -> AffineWeylElt:
 P0 = (Fraction(-5, 12), Fraction(-1, 12), Fraction(1, 2))
 # 12 * p0, so that 12 * x(p0) = 12 * mu + w(12 * p0) has integer coordinates
 _P0_12 = (-5, -1, 6)
-_POS_ROOTS = ((1, -1, 0), (0, 1, -1), (1, 0, -1))
+# the positive roots e_i - e_j, as index pairs (i, j)
+_POS_ROOTS = ((0, 1), (1, 2), (0, 2))
 
 
-def _pair(root, v):
-    return sum(Fraction(r) * c for r, c in zip(root, v))
+def _point_12(x: AffineWeylElt):
+    """12 * x(p0), in integers."""
+    return tuple(12 * m + c for m, c in zip(x.mu, _papply(x.w, _P0_12)))
 
 
 def length(x: AffineWeylElt) -> int:
     """Number of affine root hyperplanes separating a1 from x(a1).
 
-    Counted as integers strictly between <alpha, p0> and <alpha, x(p0)>
-    for each positive root alpha; both pairings are non-integral because
-    p0 is interior.
+    Counted in integers, as the multiples of 12 strictly between
+    <alpha, 12 p0> and <alpha, 12 x(p0)> for each positive root alpha;
+    neither pairing is a multiple of 12 because p0 is interior.
     """
-    q = x.act_point(P0)
-    total = 0
-    for root in _POS_ROOTS:
-        a, b = _pair(root, P0), _pair(root, q)
-        lo, hi = min(a, b), max(a, b)
-        # endpoints are never integers, so floor(hi) - floor(lo) counts
-        # the integers in the open interval
-        total += (hi.numerator // hi.denominator) - (lo.numerator // lo.denominator)
-    return total
+    q = _point_12(x)
+    return sum(abs((q[i] - q[j]) // 12 - (_P0_12[i] - _P0_12[j]) // 12) for i, j in _POS_ROOTS)
 
 
 @dataclass(frozen=True)
@@ -194,7 +183,7 @@ class Chamber:
 
 def chamber_of(x: AffineWeylElt) -> Chamber:
     """The s with x(p0) in s(C0), compared in integers as 12 * x(p0)."""
-    u = tuple(12 * m + c for m, c in zip(x.mu, _papply(x.w, _P0_12)))
+    u = _point_12(x)
     for name in W_NAMES:
         s = WORD_TO_PERM[name]
         if u[s[0]] < u[s[1]] < u[s[2]]:
@@ -277,13 +266,6 @@ class PatternEntry:
             return False
         raise InsufficientPrecision(f"cannot decide val == {self.k} at precision {ts.prec}")
 
-    def to_json(self):
-        return {"kind": self.kind, "k": self.k}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["kind"], int(obj.get("k", 0)))
-
 
 @dataclass(frozen=True)
 class ValuationPattern:
@@ -304,13 +286,6 @@ class ValuationPattern:
         return max(
             abs(e.k) for row in self.entries for e in row if e.kind != "zero"
         )
-
-    def to_json(self):
-        return [[e.to_json() for e in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(tuple(PatternEntry.from_json(e) for e in row) for row in obj))
 
 
 def _shifted_row(base_row, k: int):

@@ -285,7 +285,7 @@ def estimate_codim(
     f1, f2 = c1 / n1, c2 / n2
     scale = math.log(p2 / p1)
     d_hat = math.log(f1 / f2) / scale
-    stderr = math.sqrt((1 - f1) / c1 + (1 - f2) / c2) / scale
+    stderr = math.sqrt((1 - f1) / c1 + (1 - f2) / c2) / abs(scale)
     return CodimEstimate(
         x=str(x), lam=lam, trials=trials, counts=stats,
         estimate=d_hat, stderr=stderr,

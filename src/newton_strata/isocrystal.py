@@ -88,13 +88,6 @@ class SlopeSeq:
     def __str__(self):
         return ",".join(str(l) for l in self.as_tuple())
 
-    def to_json(self):
-        return [f"{l.numerator}/{l.denominator}" for l in self.as_tuple()]
-
-    @classmethod
-    def from_json(cls, obj) -> "SlopeSeq":
-        return cls(*(Fraction(s) for s in obj))
-
     @classmethod
     def parse(cls, text: str) -> "SlopeSeq":
         """Parse "1,0,-1" or "1/2,1/2,-1" (parentheses and spaces allowed)."""
@@ -251,29 +244,14 @@ class CharPoly3:
     gamma: TruncatedSeries
 
 
-def _alternating(*pairs) -> TruncatedSeries:
-    """x0*y0 - x1*y1 + x2*y2 - ... over the pairs, leaving out every product
-    with an exact-zero factor: it is an exact zero and changes no precision.
-    With all of them left out, the first pair's product is the exact zero."""
-    total = None
-    for k, (x, y) in enumerate(pairs):
-        if not (x.is_exact_zero() or y.is_exact_zero()):
-            xy = x * y
-            total = (-xy if k % 2 else xy) if total is None else (total - xy if k % 2 else total + xy)
-    return pairs[0][0] * pairs[0][1] if total is None else total
-
-
 def charpoly3(A: IsoMatrix) -> CharPoly3:
     """The ordinary characteristic polynomial of A (sigma is the identity).
 
-    alpha = -tr A, beta = ae - bd + ai - cg + ei - fh, gamma = -det A; the
-    determinant expands along the first row and reuses the minor ei - fh.
+    alpha = -tr A, beta = ae - bd + ai - cg + ei - fh, gamma = -A.det().
     """
     (a, b, c), (d, e, f), (g, h, i) = A.entries
-    ei_fh = _alternating((e, i), (f, h))
-    det = _alternating((a, ei_fh), (b, _alternating((d, i), (f, g))), (c, _alternating((d, h), (e, g))))
-    beta = _alternating((a, e), (b, d), (a, i), (c, g)) + ei_fh
-    return CharPoly3(-(a + e + i), beta, -det)
+    beta = a * e - b * d + a * i - c * g + e * i - f * h
+    return CharPoly3(-(a + e + i), beta, -A.det())
 
 
 # -- Newton polygons --------------------------------------------------------

@@ -1,4 +1,5 @@
 """Affine Weyl combinatorics, chambers, symmetries, and coset patterns."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -137,16 +138,23 @@ class TestChambers:
             assert chamber_of(psi(x)).weyl_label == tuple(w0[s[w0[i]]] for i in range(3))
 
     def test_integer_chambers_match_the_rational_base_point(self):
-        # the definition: the s with x(p0) in s(C0), read off act_point(P0)
-        # in Fractions, where chamber_of compares 12 * x(p0) in integers
+        # the definitions, read off act_point(P0) in Fractions, where
+        # chamber_of and length read 12 * x(p0) in integers: the s with
+        # x(p0) in s(C0), and the integers strictly between <alpha, p0> and
+        # <alpha, x(p0)> over the positive roots alpha
         def by_fractions(x):
             u = x.act_point(P0)
-            return next(s for s in W_NAMES if u[WORD_TO_PERM[s][0]] < u[WORD_TO_PERM[s][1]] < u[WORD_TO_PERM[s][2]])
+            chamber = next(s for s in W_NAMES if u[WORD_TO_PERM[s][0]] < u[WORD_TO_PERM[s][1]] < u[WORD_TO_PERM[s][2]])
+            walls = 0
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                a, b = sorted((P0[i] - P0[j], u[i] - u[j]))
+                walls += math.floor(b) - math.floor(a)
+            return WORD_TO_PERM[chamber], walls
 
         grid = enumerate_grid(12)
         assert len(grid) == 2814
         for x in grid:
-            assert chamber_of(x).weyl_label == WORD_TO_PERM[by_fractions(x)], x
+            assert (chamber_of(x).weyl_label, length(x)) == by_fractions(x), x
 
 
 class TestSymmetries:
@@ -335,13 +343,6 @@ class TestPatterns:
         cfg = SampleConfig(pattern=pat, p=P, trials=1, seed=9)
         for k in range(20):
             assert pat.contains(sample_pattern(cfg, k))
-
-    def test_pattern_json_roundtrip(self):
-        from newton_strata.affine_weyl import ValuationPattern
-
-        pat = coset_pattern(X("mu=-2,0,2;w=s12"), "xI")
-        again = ValuationPattern.from_json(pat.to_json())
-        assert again == pat or again.to_json() == pat.to_json()
 
     def test_grid_sizes(self):
         assert len(list(enumerate_grid(1))) == 7 * 6

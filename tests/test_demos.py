@@ -1,12 +1,15 @@
-"""Every demo script, and the README quickstart, runs to completion against
-the package in src/."""
+"""Every demo script, the README quickstart and the README's command lines
+run to completion against the package in src/."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from newton_strata import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -37,3 +40,17 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
     assert len(blocks) >= 2
     _runs_and_prints("-c", "\n".join(blocks))
+
+
+def test_readme_command_lines_exit_as_documented(capsys, monkeypatch):
+    # every `newton-strata` line of the README's command-line block, run
+    # in-process: the adlv example is empty (exit 1), the rest succeed (0)
+    monkeypatch.delenv("NEWTON_STRATA_SEED", raising=False)
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, flags=re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("newton-strata ")]
+    assert lines
+    for argv in lines:
+        want = 1 if argv[1] == "adlv" else 0
+        assert cli.main(argv[1:]) == want, argv
+        assert capsys.readouterr().out.strip(), argv

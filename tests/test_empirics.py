@@ -643,6 +643,15 @@ class TestEstimators:
         assert 0.25 < est.estimate < 1.75  # exact value is 1
         json.dumps(est.to_json())
 
+    def test_codim_estimate_is_symmetric_in_the_primes(self):
+        # log(f1/f2) / log(p2/p1) is symmetric; its standard error is a
+        # positive spread whichever prime comes first
+        fwd, rev = (estimate_codim(HEADLINE, lam("0,0,0"), p1=a, p2=b, trials=20_000, seed=1)
+                    for a, b in ((11, 31), (31, 11)))
+        assert rev.estimate == pytest.approx(fwd.estimate)
+        assert rev.stderr == pytest.approx(fwd.stderr) and rev.stderr > 0
+        assert rev.ci95[0] < rev.estimate < rev.ci95[1]
+
     def test_codim_estimate_rejects_foreign_slopes(self):
         with pytest.raises(ValueError):
             estimate_codim(HEADLINE, lam("2,0,-2"), trials=100)

@@ -1,4 +1,5 @@
 """Slope sequences, characteristic polynomials, and Newton polygons."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -73,10 +74,6 @@ class TestSlopeSeq:
         a = SlopeSeq(1, Fraction(-1, 2), Fraction(-1, 2))
         b = SlopeSeq(Fraction(1, 2), Fraction(1, 2), -1)
         assert not slope_leq(a, b) and not slope_leq(b, a)
-
-    def test_json_roundtrip(self):
-        lam = SlopeSeq(Fraction(1, 2), Fraction(1, 2), -1)
-        assert SlopeSeq.from_json(lam.to_json()) == lam
 
 
 class TestIsoMatrix:
@@ -179,6 +176,10 @@ def sympy_charpoly(A, shift, p):
     return out
 
 
+# sha256 of charpoly3's and det's outputs over the digest test's inputs
+CHARPOLY_DIGEST = "a9b0965093ebc90de95d21bdb488a2f18f9a62d8c0fc9170c20c67d61e7b0e36"
+
+
 class TestCharpoly:
     def test_explicit_witness_coefficient_valuations(self):
         A = IsoMatrix(
@@ -224,41 +225,46 @@ class TestCharpoly:
         assert cp.gamma.valuation() == 0 and cp.gamma.is_exact()
         assert slope_sequence(A) == SlopeSeq(0, 0, 0)
 
-    @pytest.mark.parametrize("p", [2, 11])
-    def test_exact_zero_monomials_change_nothing(self, p):
-        # the full expansion keeps every monomial; charpoly3 leaves out those
-        # with an exact-zero factor, and must agree to the last coefficient,
-        # offset and precision, also beside entries only zero to precision
-        def expanded(A):
-            (a, b, c), (d, e, f), (g, h, i) = A.entries
-            ei_fh = e * i - f * h
-            det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
-            return -(a + e + i), (a * e - b * d) + (a * i - c * g) + ei_fh, -det
-
-        rng = np.random.default_rng(p)
-        for _ in range(40):
-            rows = laurent_matrix(rng, p, lo=-2, hi=3).entries
-            kinds = rng.integers(0, 4, size=(3, 3))
-            A = IsoMatrix([
-                [zero(p) if k == 0 else TruncatedSeries.zero(p, 2) if k == 1 else
-                 rows[i][j].truncate(int(rng.integers(3, 7))) if k == 2 else rows[i][j]
-                 for j, k in enumerate(kinds[i])]
-                for i in range(3)
-            ])
-            cp = charpoly3(A)
-            assert (cp.alpha, cp.beta, cp.gamma) == expanded(A)
-
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
     def test_matches_sympy_charpoly_over_gf_p(self, p):
-        # Laurent inputs, scaled by t^3 into polynomial matrices for sympy:
-        # the coefficients of t^3 A are t^3 alpha, t^6 beta, t^9 gamma
+        # exact inputs scaled by t^s into polynomial matrices for sympy: the
+        # coefficients of t^s A are t^s alpha, t^2s beta, t^3s gamma.  Laurent
+        # matrices, some with exact-zero entries, and bound-2 witnesses
         rng = np.random.default_rng(p)
         inputs = [laurent_matrix(rng, p) for _ in range(3)]
         inputs.append(laurent_matrix(rng, p, zero_below=((1, 0), (2, 0))))
+        for _ in range(4):
+            slots = rng.choice(9, size=int(rng.integers(2, 6)), replace=False)
+            inputs.append(laurent_matrix(rng, p, zero_below=[divmod(int(k), 3) for k in slots]))
+        pairs = [(x, lam) for x in enumerate_grid(2) for lam in poset_of(x).elements]
+        inputs += [witness(*pairs[k], p=p) for k in rng.choice(len(pairs), size=6, replace=False)]
+        for A in inputs:
+            assert all(ts.is_exact() for row in A.entries for ts in row)
+            s = max([0] + [-ts.off for row in A.entries for ts in row if ts.coeffs.size])
+            cp = charpoly3(A)
+            ours = [cp.alpha.shift(s).terms(), cp.beta.shift(2 * s).terms(), cp.gamma.shift(3 * s).terms()]
+            assert ours == sympy_charpoly(A, s, p)
+
+    def test_coefficients_and_det_match_the_recorded_digest(self):
+        # offset, precision and coefficients of alpha, beta, gamma and det,
+        # recorded before charpoly3 read gamma from det: every third
+        # truncation of one draw per bound-3 element, and every bound-3
+        # witness that exists at p = 2, 3, 11, 101
+        inputs = [A.truncate(q) for A, prec in grid_draws(3) for q in range(-4, prec + 1, 3)]
+        pairs = [(x, lam) for x in enumerate_grid(3) for lam in poset_of(x).elements]
+        for k, (x, lam) in enumerate(pairs):
+            try:
+                inputs.append(witness(x, lam, p=(2, 3, 11, 101)[k % 4]))
+            except NoWitnessFormula:
+                continue
+        assert len(inputs) == 2637
+        digest = hashlib.sha256()
         for A in inputs:
             cp = charpoly3(A)
-            ours = [cp.alpha.shift(3).terms(), cp.beta.shift(6).terms(), cp.gamma.shift(9).terms()]
-            assert ours == sympy_charpoly(A, 3, p)
+            for ts in (cp.alpha, cp.beta, cp.gamma, A.det()):
+                prec = "inf" if ts.prec == INF else int(ts.prec)
+                digest.update(repr((ts.off, prec, ts.coeffs.tolist())).encode())
+        assert digest.hexdigest() == CHARPOLY_DIGEST
 
 
 class TestNewtonPolygon:
