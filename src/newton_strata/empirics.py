@@ -9,8 +9,8 @@ Batched draws run on the block kernel (kernel.py); sample_pattern and
 sample_ixi draw the same matrices one at a time.
 """
 
+import collections
 import functools
-import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -428,35 +428,43 @@ class CampaignReport:
         }
 
 
+# the rows of _CampaignGrid.tests, and the threshold of a pair not tested on a row's quantity
+_TESTED = ("a", "ae-bd", "db+gc", _BRANCH_ON_D)
+_NO_TEST = np.iinfo(np.int64).min
+_CampaignGrid = collections.namedtuple("_CampaignGrid", "pairs spans patterns tag x tests lam1 lam3 dprec")
+
+
 @functools.lru_cache(maxsize=None)
 def _campaign_grid(bound):
-    """(x, case, pattern name, ((lam, tag), ...)) per grid element with a
-    direct case, in grid order: the part of the groups no seed or p moves."""
-    out = []
+    """Every covered pair of the grid with the campaign data that no seed, p
+    or trial count moves: pairs (tag, x, lam, x's case pattern) in campaign
+    order, tags sorted and each in grid order; spans (tag, case, lo, hi),
+    the tag's pairs[lo:hi]; patterns, one per x.  Per pair: tag, its index
+    into spans; x, its index into patterns; tests, per quantity of _TESTED
+    the ceiling of its _predicate_tests threshold or _NO_TEST; lam1 =
+    floor(2 lam1) and lam3 = ceil(2 lam3), the bounds of slopes below lam;
+    dprec, the precision SampleConfig gives x if a test branches on d."""
+    pairs, patterns, cols = [], [], []
     for x in enumerate_grid(bound):
         try:
             case, name = predicate_case(x)
         except CaseNotApplicable:
             continue
-        tags = tuple(
-            (lam, case if case in ("VIA", "IVA") else case + ("-i" if _first_branch(case, x.mu, lam) else "-ii"))
-            for lam in predicate_poset(x).elements
-        )
-        out.append((x, case, name, tags))
-    return tuple(out)
-
-
-def _campaign_groups(bound, p, seed, cases):
-    """tag -> [(x, lam, cfg)] over every covered pair of the grid, in grid
-    order; cfg samples x's case pattern."""
-    groups = {}
-    for x, case, name, tags in _campaign_grid(bound):
-        if cases is not None and case not in cases:
-            continue
-        cfg = SampleConfig(pattern=coset_pattern(x, name), p=p, trials=1, seed=seed)
-        for lam, tag in tags:
-            groups.setdefault(tag, []).append((x, lam, cfg))
-    return groups
+        patterns.append(coset_pattern(x, name))
+        prec = SampleConfig(pattern=patterns[-1]).prec
+        for lam in predicate_poset(x).elements:
+            tests = dict(_predicate_tests(x, lam))
+            pairs.append((case if case in ("VIA", "IVA") else case + ("-i" if _first_branch(case, x.mu, lam) else "-ii"),
+                          x, lam, patterns[-1]))
+            cols.append([len(patterns) - 1] + [ceil_q(tests[q]) if q in tests else _NO_TEST for q in _TESTED]
+                        + [math.floor(2 * lam.lam1), ceil_q(2 * lam.lam3), prec * (_BRANCH_ON_D in tests)])
+    names, tag, counts = np.unique([pair[0] for pair in pairs], return_inverse=True, return_counts=True)
+    order = np.argsort(tag, kind="stable")
+    xi, *tests, lam1, lam3, dprec = np.array(cols, dtype=np.int64).reshape(-1, len(_TESTED) + 4)[order].T
+    spans = tuple((name, name.split("-")[0], hi - n, hi)
+                  for name, n, hi in zip(names.tolist(), counts.tolist(), np.cumsum(counts).tolist()))
+    return _CampaignGrid(tuple(pairs[i] for i in order.tolist()), spans, tuple(patterns), tag[order], xi, np.stack(tests),
+                         lam1, lam3, dprec)
 
 
 def _pair_reps(trials_per_case, n_pairs):
@@ -467,78 +475,67 @@ def _pair_reps(trials_per_case, n_pairs):
     return [share or (i + 1) * trials_per_case // n_pairs - i * trials_per_case // n_pairs for i in range(n_pairs)]
 
 
-def _campaign_verdicts(groups, trials_per_case, p, seed):
-    """Every campaign draw evaluated in one pass of the block kernel.
+def _campaign_draws(bound, trials_per_case, p, seed, cases):
+    """Every draw of a campaign, evaluated in one pass of the block kernel.
 
-    Each drawn pair's closed-form tests are derived first.  The columns are
-    the trial ids 0 .. n-1 of each x, n the most reps any of its pairs
-    needs, drawn from x's case pattern, d to its precision if a test
-    branches on d.  Yields (tag, x, lam, cfg, predicted, slopes) per pair in
-    campaign order: the verdicts of its tests and the doubled slope triples
-    of its reps 0 .. n-1, n its count from _pair_reps.
-    """
-    drawn, columns = [], {}
-    for tag in sorted(groups):
-        for (x, lam, cfg), n in zip(groups[tag], _pair_reps(trials_per_case, len(groups[tag]))):
-            if n:
-                tests = _predicate_tests(x, lam)
-                drawn.append((tag, x, lam, cfg, n, tests))
-                # x's columns: its pattern, the most reps a pair needs, and its
-                # precision if a test branches on d, else 0
-                col = columns.setdefault(x, [cfg.pattern, 0, 0])
-                col[1] = max(col[1], n)
-                col[2] = max(col[2], cfg.prec * any(q == _BRANCH_ON_D for q, _ in tests))
-    if not drawn:
-        return
-    start = dict(zip(columns, itertools.accumulate((n for _, n, _ in columns.values()), initial=0)))
-    slopes, a, ae_bd, db_gc, d_zero = _campaign_columns(list(columns.values()), p, seed)
-    vals = {"a": a, "ae-bd": ae_bd, "db+gc": db_gc, _BRANCH_ON_D: np.where(d_zero, ae_bd, db_gc)}
-    for tag, x, lam, cfg, n, tests in drawn:
-        cut = slice(s := start[x], s + n)
-        predicted = np.ones(n, dtype=bool)
-        for q, t in tests:
-            predicted &= vals[q][cut] >= ceil_q(t)
-        yield tag, x, lam, cfg, predicted, slopes[:, cut]
+    Each tag of a case in cases (all if None) draws _pair_reps of its pairs.
+    The columns are the trial ids 0 .. n-1 of each drawn x in grid order, n
+    the most reps a pair needs, drawn from x's case pattern, d to its dprec.
+    Returns the _campaign_grid and, per draw in campaign order (pairs, then
+    reps): its pair's index into the grid's pairs, its trial id, its tests'
+    verdict, whether its slopes are below lam, and its doubled slopes."""
+    grid = _campaign_grid(bound)
+    reps = np.zeros(len(grid.pairs), dtype=np.int64)
+    for _, case, lo, hi in grid.spans:
+        if cases is None or case in cases:
+            reps[lo:hi] = _pair_reps(trials_per_case, hi - lo)
+    pair = np.repeat(np.arange(reps.size), reps)
+    rep = np.arange(pair.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    if not pair.size:
+        return grid, pair, rep, *np.zeros((2, 0), dtype=bool), np.zeros((3, 0), dtype=np.int64)
+    # per x: the most reps a pair needs, and its precision if a drawn test branches on d
+    n, dprec = np.zeros((2, len(grid.patterns)), dtype=np.int64)
+    np.maximum.at(n, grid.x, reps)
+    np.maximum.at(dprec, grid.x, grid.dprec * (reps > 0))
+    slopes, *vals = _campaign_columns([(grid.patterns[i], int(n[i]), int(dprec[i])) for i in np.flatnonzero(n).tolist()],
+                                      p, seed)
+    if len(vals) == len(_TESTED):
+        vals[-1] = np.where(vals[-1], vals[1], vals[2])
+    col = (np.cumsum(n) - n)[grid.x[pair]] + rep
+    predicted = np.all(np.stack(vals)[:, col] >= grid.tests[: len(vals), pair], axis=0)
+    slopes = slopes[:, col]
+    return grid, pair, rep, predicted, (slopes[0] <= grid.lam1[pair]) & (slopes[2] >= grid.lam3[pair]), slopes
 
 
-def predicate_campaign(
-    bound: int = 4,
-    trials_per_case: int = 1000,
-    p: int = 11,
-    seed: int = 0,
-    cases=None,
-) -> CampaignReport:
+def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11, seed: int = 0, cases=None) -> CampaignReport:
     """Compare every covered closed-form stratum test with sampled truth.
 
     For each grid element with a direct case, each slope in its described
     poset, and each sampled matrix from the case pattern, asserts that the
     closed-form tests of stratum_predicate(x, lam, A) agree with
     slope_leq(slope_sequence(A), lam).  Every draw is evaluated on the block
-    kernel, which reads the slopes and the valuations of a,
-    ae - bd and db + gc from the same products; the draws are those of
-    sample_pattern, trial id for trial id.  The first 20 mismatching
-    matrices are drawn again by sample_pattern and reported verbatim.
+    kernel, which reads the slopes and the valuations of a, ae - bd and
+    db + gc from the same products; the draws are those of sample_pattern,
+    trial id for trial id.  Each bound's tests and thresholds are built once
+    (_campaign_grid), and all draws are judged in whole-array operations.
+    The first 20 mismatching matrices are drawn again and reported verbatim.
     """
     if trials_per_case < 0:
         raise ValueError("trials must be nonnegative")
-    groups = _campaign_groups(bound, p, seed, cases)
+    _check_modulus(p)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()
-    for tag, x, lam, cfg, predicted, slopes in _campaign_verdicts(groups, trials_per_case, p, seed):
-        st = report.cases.setdefault(tag, {"pairs": len(groups[tag]), "trials": 0, "mismatches": 0})
-        st["trials"] += predicted.size
-        # slope_leq(slopes, lam) on doubled slopes: lam1 and lam1 + lam2 = -lam3 bound them
-        actual = (slopes[0] <= math.floor(2 * lam.lam1)) & (slopes[2] >= ceil_q(2 * lam.lam3))
-        wrong = np.flatnonzero(predicted != actual)
-        st["mismatches"] += wrong.size
-        for rep in wrong[: _MAX_MISMATCHES - len(report.mismatches)].tolist():
-            report.mismatches.append(
-                {
-                    "x": str(x), "lam": str(lam), "index": rep,
-                    "predicate": bool(predicted[rep]), "sampled": str(bool(actual[rep])),
-                    "matrix": _matrix_text(sample_pattern(cfg, rep)),
-                }
-            )
-    report.trials_total = sum(st["trials"] for st in report.cases.values())
+    grid, pair, rep, predicted, actual, _ = _campaign_draws(bound, trials_per_case, p, seed, cases)
+    tag, wrong = grid.tag[pair], np.flatnonzero(predicted != actual)
+    trials, bad = (np.bincount(t, minlength=len(grid.spans)).tolist() for t in (tag, tag[wrong]))
+    for (name, _, lo, hi), n, m in zip(grid.spans, trials, bad):
+        if n:
+            report.cases[name] = {"pairs": hi - lo, "trials": n, "mismatches": m}
+    for i in wrong[:_MAX_MISMATCHES].tolist():
+        _, x, lam, pattern = grid.pairs[pair[i]]
+        cfg = SampleConfig(pattern=pattern, p=p, trials=1, seed=seed)
+        report.mismatches.append({"x": str(x), "lam": str(lam), "index": int(rep[i]), "predicate": bool(predicted[i]),
+                                  "sampled": str(bool(actual[i])), "matrix": _matrix_text(sample_pattern(cfg, int(rep[i])))})
+    report.trials_total = int(pair.size)
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report

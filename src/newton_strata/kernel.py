@@ -341,21 +341,22 @@ def _campaign_columns(columns, p, seed):
     (as sample_pattern draws it), for the draws of each (pattern, n, prec) of
     columns in turn, trial ids 0 .. n-1: all read at the horizons of the
     patterns' least onsets, and d through pi^(prec - 1) for the highest prec
-    if that is higher.  Columns that read no d pass prec 0.  The minors are
-    two _dot calls on the block the slopes read, through pi^-1 (every
-    predicate threshold is at most 0)."""
+    if that is higher.  Columns that read no d pass prec 0, and if all do,
+    d's flag is not formed.  The minors are two _dot calls on the block the
+    slopes read, through pi^-1 (every predicate threshold is at most 0)."""
+    precs = [prec for *_, prec in columns]
     tops = _horizons(_least_onsets([q for q, _, _ in columns]))
-    tops[3] = max([tops[3]] + [prec - 1 for *_, prec in columns if prec])
+    tops[3] = max([tops[3]] + [prec - 1 for prec in precs if prec])
     patterns, ids = [], []
     for q, n, _ in columns:
         patterns += [q] * n
         ids.append(np.arange(n, dtype=np.int64))
-    ids, precs = np.concatenate(ids), np.repeat([prec for *_, prec in columns], [n for _, n, _ in columns])
+    ids, precs = np.concatenate(ids), np.repeat(precs, [n for _, n, _ in columns]) if any(precs) else None
 
     def block(cut):
         a, b, c, d, e, _, g, _, _ = entries = _pattern_blocks(patterns[cut], p, seed, ids[cut], tops)
         return (np.stack(_slopes_block(entries, p)), _lead_val(a), _lead_val(_dot(p, -1, [(a, e)], [(b, d)])),
-                _lead_val(_dot(p, -1, [(d, b), (g, c)])), _lead_val(d) >= precs[cut])
+                _lead_val(_dot(p, -1, [(d, b), (g, c)])), *([] if precs is None else [_lead_val(d) >= precs[cut]]))
 
     return _joined(_blockwise(block, len(ids), BLOCK))
 

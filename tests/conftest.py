@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from newton_strata import kernel
+from newton_strata import empirics, kernel
 from newton_strata.series import INF, TruncatedSeries
 from newton_strata.isocrystal import IsoMatrix
 from newton_strata.affine_weyl import AffineWeylElt, coset_pattern
@@ -12,11 +12,15 @@ P = 11
 
 
 @pytest.fixture(autouse=True)
-def fresh_kernel_windows():
-    """Each test starts with the kernel's per-window caches empty, so a test
-    that patches what a window is made of (kernel._horizons) draws anew."""
+def fresh_windows_and_campaign_grids():
+    """Each test starts with the kernel's per-window caches and the
+    campaign's per-bound tables empty, so a test that patches what a window
+    is made of (kernel._horizons) draws anew, one that patches a pair's
+    tests (empirics._predicate_tests) builds its tables from the patch, and
+    no patched table reaches a later test."""
     kernel._sample_windows.cache_clear()
     kernel._block_layout.cache_clear()
+    empirics._campaign_grid.cache_clear()
 
 
 @pytest.fixture

@@ -245,7 +245,7 @@ class TestOnePassDraw:
         # tops above, at and below the onsets, and a slot of zeros drawn far
         tops = [4, -1, -3, 6, 9, 0, 2, 7, 1]
         # the case patterns of a bound-2 campaign, mixed column by column
-        cases = [cfg.pattern for pairs in empirics._campaign_groups(2, p, 0, None).values() for _, _, cfg in pairs]
+        cases = [pattern for *_, pattern in empirics._campaign_grid(2).pairs]
         mixed = [cases[(7 * col) % len(cases)] for col in range(n)]
         settings = [
             (coset_pattern(HEADLINE, "xI"), kernel._horizons(_least_onsets([coset_pattern(HEADLINE, "xI")])), 0),
@@ -708,6 +708,15 @@ class TestEstimators:
         assert rep.ok and rep.trials_total == 0
         assert rep.cases == {} and rep.mismatches == []
 
+    @pytest.mark.parametrize("kw", [{"cases": {"nope"}}, {"trials_per_case": 0}, {}])
+    def test_campaign_checks_p_even_when_nothing_is_drawn(self, kw):
+        # a campaign that draws nothing builds no sampling config, yet a
+        # modulus that no draw could use is still a domain error
+        with pytest.raises(ValueError, match="p must be prime"):
+            predicate_campaign(bound=1, p=4, **kw)
+        with pytest.raises(ValueError, match="too large"):
+            predicate_campaign(bound=1, p=P_OVER, **kw)
+
 
 # the campaign of the block differential below: bound 3, 200 trials per case
 # tag, seed 0 (1961 trials); sha256 of its report JSON without elapsed_ms,
@@ -717,6 +726,25 @@ CAMPAIGN_DIGESTS = {
     11: "1c818dd3666bf92d1b408387ee75d96fe30b8e7ae85d3e7e4f272a694e7f6300",
     2**31 - 1: "09e0b573d69aa7df1cf7c3f0256b8a378041fc14c4e8a2d39ec04b954c7331df",
 }
+# each case alone at bound 3, as the benchmark runs it, with 60 trials and
+# with 7 (fewer than some tags' pairs), at p 2 and 11 and seeds 0 and 1:
+# sha256 of the list of the 56 reports without elapsed_ms, keys sorted,
+# recorded while each campaign still judged its draws pair by pair
+PER_CASE_DIGEST = "17533ba7d67d8b986b39691613bd2bd0f5d1a93bbe1c01540b359e7dd3a8ec51"
+CASES = ("IA", "IIA", "IIB", "IIIA", "IVA", "VA", "VIA")
+
+
+def _each_draw(bound, trials, p, cases=None):
+    """Each draw of the seed-0 campaign as (tag, x, lam, cfg, rep,
+    predicted, actual, slopes), in campaign order; cfg samples the pair's
+    case pattern at p, and each pair's reps run 0, 1, 2, ... in turn."""
+    grid, pair, rep, predicted, actual, slopes = empirics._campaign_draws(bound, trials, p, 0, cases)
+    assert (np.diff(pair) >= 0).all() and (rep == np.arange(pair.size) - np.searchsorted(pair, pair)).all()
+    cfgs = {}
+    for i, r, verdict, below, nu in zip(pair.tolist(), rep.tolist(), predicted.tolist(), actual.tolist(), slopes.T.tolist()):
+        tag, x, lam, pattern = grid.pairs[i]
+        cfg = cfgs.setdefault(pattern, SampleConfig(pattern=pattern, p=p, trials=1, seed=0))
+        yield tag, x, lam, cfg, r, verdict, below, tuple(nu)
 
 
 class TestCampaignBlocks:
@@ -727,16 +755,15 @@ class TestCampaignBlocks:
     def test_block_verdicts_and_slopes_equal_the_scalar_draws(self, p):
         draws = {}
         n = 0
-        groups = empirics._campaign_groups(3, p, 0, None)
-        for _, x, z, cfg, predicted, slopes in empirics._campaign_verdicts(groups, 200, p, 0):
-            for rep in range(predicted.size):
-                if (x, rep) not in draws:
-                    A = sample_pattern(cfg, rep)
-                    draws[x, rep] = A, slope_sequence(A)
-                A, nu = draws[x, rep]
-                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(x), str(z), rep)
-                assert tuple(slopes[:, rep].tolist()) == tuple(int(2 * v) for v in nu.as_tuple()), (str(x), rep)
-                n += 1
+        for _, x, z, cfg, rep, predicted, actual, slopes in _each_draw(3, 200, p):
+            if (x, rep) not in draws:
+                A = sample_pattern(cfg, rep)
+                draws[x, rep] = A, slope_sequence(A)
+            A, nu = draws[x, rep]
+            assert predicted == stratum_predicate(x, z, A), (str(x), str(z), rep)
+            assert slopes == tuple(int(2 * v) for v in nu.as_tuple()), (str(x), rep)
+            assert actual == slope_leq(nu, z), (str(x), str(z), rep)
+            n += 1
         assert n == 1961
 
     @pytest.mark.parametrize("p", sorted(CAMPAIGN_DIGESTS))
@@ -745,6 +772,32 @@ class TestCampaignBlocks:
         doc.pop("elapsed_ms")
         assert doc["ok"] and doc["trials_total"] == 1961
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == CAMPAIGN_DIGESTS[p]
+
+    def test_per_case_reports_keep_their_recorded_digest(self):
+        docs = []
+        for case, trials, p, seed in itertools.product(CASES, (60, 7), (2, 11), (0, 1)):
+            docs.append(predicate_campaign(bound=3, trials_per_case=trials, p=p, seed=seed, cases={case}).to_json())
+            docs[-1].pop("elapsed_ms")
+            assert docs[-1]["ok"] and {tag.split("-")[0] for tag in docs[-1]["cases"]} == {case}
+        assert any(st["pairs"] > 7 for doc in docs for st in doc["cases"].values())
+        assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == PER_CASE_DIGEST
+
+    def test_a_second_campaign_at_a_bound_derives_no_tests(self, monkeypatch):
+        # a bound's tests and thresholds are derived once, whatever p, seed,
+        # trials or cases a later campaign at that bound asks for
+        first = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases={"IA"})
+        calls, table = [], strata._predicate_tests
+
+        def counted(x, lam):
+            calls.append((x, lam))
+            return table(x, lam)
+
+        monkeypatch.setattr(empirics, "_predicate_tests", counted)
+        second = predicate_campaign(bound=3, trials_per_case=200, p=2, seed=1)
+        assert first.ok and second.ok and second.trials_total == 1961
+        assert calls == []
+        predicate_campaign(bound=2, trials_per_case=5, p=2, seed=1)
+        assert len(calls) == len(empirics._campaign_grid(2).pairs) > 0
 
     def test_zero_trials_draw_nothing(self, monkeypatch):
         def no_block(*args, **kwargs):
@@ -759,17 +812,16 @@ class TestCampaignBlocks:
     def test_no_tag_draws_more_than_trials_per_case(self, trials):
         # bound 3 has tags of 2 to 37 pairs; with fewer trials than pairs a
         # tag draws once on each of `trials` pairs, still the scalar draws
-        groups = empirics._campaign_groups(3, P, 0, None)
         drawn = Counter()
-        for tag, x, z, cfg, predicted, slopes in empirics._campaign_verdicts(groups, trials, P, 0):
-            drawn[tag] += predicted.size
-            for rep in range(predicted.size):
-                A = sample_pattern(cfg, rep)
-                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(x), str(z), rep)
-                assert tuple(slopes[:, rep].tolist()) == tuple(int(2 * v) for v in slope_sequence(A).as_tuple())
-        assert set(drawn) == set(groups)
-        for tag, pairs in groups.items():
-            expected = trials if len(pairs) >= trials else trials // len(pairs) * len(pairs)
+        for tag, x, z, cfg, rep, predicted, _, slopes in _each_draw(3, trials, P):
+            drawn[tag] += 1
+            A = sample_pattern(cfg, rep)
+            assert predicted == stratum_predicate(x, z, A), (str(x), str(z), rep)
+            assert slopes == tuple(int(2 * v) for v in slope_sequence(A).as_tuple())
+        spans = empirics._campaign_grid(3).spans
+        assert set(drawn) == {tag for tag, *_ in spans}
+        for tag, _, lo, hi in spans:
+            expected = trials if hi - lo >= trials else trials // (hi - lo) * (hi - lo)
             assert drawn[tag] == expected <= trials, tag
 
     @pytest.mark.parametrize(
@@ -806,15 +858,13 @@ class TestCampaignBlocks:
         monkeypatch.setattr(strata, "_predicate_tests", branch_only)
         monkeypatch.setattr(empirics, "_predicate_tests", branch_only)
         x = X("mu=-3,1,2;w=s121")
-        groups = empirics._campaign_groups(3, 2, 0, {"IIIA"})
         window_only = 0
-        for _, y, z, cfg, predicted, _ in empirics._campaign_verdicts(groups, 4400, 2, 0):
+        for _, y, z, cfg, rep, predicted, *_ in _each_draw(3, 4400, 2, {"IIIA"}):
             if y != x:
                 continue
-            for rep in range(predicted.size):
-                A = sample_pattern(cfg, rep)
-                assert bool(predicted[rep]) == stratum_predicate(x, z, A), (str(z), rep)
-                window_only += A[1, 0].val_lower_bound() in range(7, cfg.prec)
+            A = sample_pattern(cfg, rep)
+            assert predicted == stratum_predicate(x, z, A), (str(z), rep)
+            window_only += A[1, 0].val_lower_bound() in range(7, cfg.prec)
         assert window_only > 0
 
         # a column reads d to its own precision, not to its block's highest:
@@ -822,7 +872,7 @@ class TestCampaignBlocks:
         # (precision 20).  At p = 2 about 2**14 / 2**6 = 256 of 2**14 draws
         # have d zero through pi^6, about 8 through pi^11, and nearly all of
         # those not through pi^19
-        cfgs = {z: cfg for pairs in groups.values() for z, _, cfg in pairs}
+        cfgs = {z: SampleConfig(pattern=q, p=2, trials=1, seed=0) for _, z, _, q in empirics._campaign_grid(3).pairs}
         y, n = X("mu=-1,0,1;w=s121"), 1 << 14
         assert (cfgs[x].prec, cfgs[y].prec) == (20, 12)
         columns = [(cfgs[x].pattern, 1, cfgs[x].prec), (cfgs[y].pattern, n, cfgs[y].prec)]
@@ -838,6 +888,31 @@ class TestCampaignBlocks:
             below_12_only += zero and not sample_pattern(longer, i)[1, 0].is_zero_to_precision()
         assert below_12_only > 0
 
+    def test_where_d_vanishes_the_branch_reads_ae_bd(self, monkeypatch):
+        # at mu=-3,1,2;w=s121 d vanishes to its precision in about one draw
+        # in 2**18 at p = 2, too rare for a test campaign, so d's flag is
+        # set on every column: a lone threshold 0 on the branch quantity
+        # must then pass exactly the draws with v(ae - bd) >= 0, where
+        # v(db + gc) = -1 would fail them all
+        table, columns = strata._predicate_tests, kernel._campaign_columns
+
+        def branch_only(x, lam):
+            return tuple((q, 0) for q, _ in table(x, lam) if q == strata._BRANCH_ON_D)
+
+        def d_zero_everywhere(*args):
+            out = columns(*args)
+            out[-1][:] = True
+            return out
+
+        monkeypatch.setattr(empirics, "_predicate_tests", branch_only)
+        monkeypatch.setattr(empirics, "_campaign_columns", d_zero_everywhere)
+        x, verdicts = X("mu=-3,1,2;w=s121"), Counter()
+        for _, y, z, cfg, rep, predicted, *_ in _each_draw(3, 200, 2, {"IIIA"}):
+            if y == x and branch_only(x, z):
+                verdicts[predicted] += 1
+                assert predicted == strata._minor_ae_bd(sample_pattern(cfg, rep)).in_P(0), (str(z), rep)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
     def test_a_campaign_draws_each_block_once(self, monkeypatch):
         # the d branch of IIIA at mu2 + 1 = mu3 reads d from the block that
         # gives the slopes and the valuations, not from a block of its own
@@ -851,6 +926,15 @@ class TestCampaignBlocks:
         report = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases={"IIIA"})
         assert report.ok and report.trials_total > 0
         assert len(calls) == 1
+
+    def test_d_is_tested_only_where_a_column_reads_it(self):
+        # d's zero flag is formed only when some column passes a precision;
+        # the slopes and valuations do not depend on whether it is
+        q = coset_pattern(X("mu=-3,1,2;w=s121"), "xI")
+        reads = kernel._campaign_columns([(q, 300, 20), (coset_pattern(HEADLINE, "xI"), 40, 0)], 2, 0)
+        skips = kernel._campaign_columns([(q, 300, 0), (coset_pattern(HEADLINE, "xI"), 40, 0)], 2, 0)
+        assert len(reads) == 5 and len(skips) == 4 and reads[-1].dtype == bool
+        assert all(np.array_equal(u, v) for u, v in zip(reads, skips))
 
     @pytest.mark.parametrize("case, p, count", [("VA", 11, 14), ("IIB", 2, 45)])
     def test_flipped_case_reports_every_mismatch_verbatim(self, monkeypatch, case, p, count):
@@ -868,10 +952,13 @@ class TestCampaignBlocks:
         report = predicate_campaign(bound=3, trials_per_case=200, p=p, seed=0, cases={case})
 
         expected = []
-        groups = empirics._campaign_groups(3, p, 0, {case})
-        for tag in sorted(groups):
-            share = max(1, 200 // len(groups[tag]))
-            for x, z, cfg in groups[tag]:
+        grid = empirics._campaign_grid(3)
+        for _, tag_case, lo, hi in grid.spans:
+            if tag_case != case:
+                continue
+            share = max(1, 200 // (hi - lo))
+            for _, x, z, pattern in grid.pairs[lo:hi]:
+                cfg = SampleConfig(pattern=pattern, p=p, trials=1, seed=0)
                 for rep in range(share):
                     A = sample_pattern(cfg, rep)
                     predicted = stratum_predicate(x, z, A)
