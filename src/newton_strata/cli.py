@@ -230,6 +230,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.bound < 0:
+        raise ValueError("bound must be nonnegative")
     names = W_NAMES if args.w == "all" else (args.w,)
     rows = []
     discrepancies = 0

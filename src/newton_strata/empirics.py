@@ -522,6 +522,8 @@ def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11,
     """
     if trials_per_case < 0:
         raise ValueError("trials must be nonnegative")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     _check_modulus(p)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()

@@ -390,7 +390,7 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     """
     p, flat = A.p, [ts for row in A.entries for ts in row]
     lbs = [ts.val_lower_bound() for ts in flat]
-    a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb].tolist() if top >= lb else [])
+    a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb] if top >= lb else ())
                                  for ts, lb, top in zip(flat, lbs, _horizons(lbs)))
     cap = max(0, 1 - a[0])  # e*i - f*h serves det and e2
     ei_fh = _sum([(e, i), (f, h)], cap, p)
@@ -412,4 +412,4 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
         raise InsufficientPrecision("det is zero to precision")
     if dv != 0:
         raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
-    return _polygon(*(ts.off if ts.coeffs.size else ("ge", ts.prec) if ts.prec < INF else INF for ts in (cp.alpha, cp.beta)))
+    return _polygon(*(ts.off if ts.coeffs else ("ge", ts.prec) if ts.prec < INF else INF for ts in (cp.alpha, cp.beta)))

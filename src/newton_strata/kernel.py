@@ -199,7 +199,7 @@ def _drawn_series(pattern, p, seed, index, prec, slot_base=0):
     """The draw of trial index as nine series through pi^(prec-1), entries
     row by row: one column of _pattern_blocks, a zero entry zero to prec."""
     blocks = _pattern_blocks(pattern, p, seed, np.array([index]), [prec - 1] * 9, slot_base)
-    return [TruncatedSeries._reduced(p, v, arr[:, 0], prec) for arr, v in blocks]
+    return [TruncatedSeries._reduced(p, v, arr[:, 0].tolist(), prec) for arr, v in blocks]
 
 
 def _dot(p, top, plus, minus=()):

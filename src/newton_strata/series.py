@@ -4,7 +4,8 @@ A :class:`TruncatedSeries` stores a Laurent series in the uniformizer pi
 with coefficients in GF(p), known at every exponent below an absolute
 precision bound ``prec``.  Coefficients at exponents >= prec are unknown,
 not zero.  All arithmetic tracks how far the result is determined by the
-inputs and never reports a coefficient beyond that range.
+inputs and never reports a coefficient beyond that range.  Coefficients are
+Python ints, so every product is exact for every p by construction.
 
 The Frobenius sigma raises coefficients to the q-th power; with q = p it is
 the identity on F_p((t)) (Fermat), so no operation here applies it.
@@ -16,8 +17,6 @@ import functools
 import math
 import re
 from fractions import Fraction
-
-import numpy as np
 
 __all__ = [
     "INF",
@@ -70,60 +69,55 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_modulus(p: int) -> None:
-    """p must be prime (inverse is Fermat's) with (p-1)**2 + p < 2**63 (int64)."""
+    """p must be prime (inverse is Fermat's) with (p-1)**2 + p < 2**63.
+
+    The bound is the block kernel's (its int64 sums); it is kept here, where
+    Python integers need none, so that every layer accepts the same primes.
+    """
     if (p - 1) ** 2 + p >= _INT64_BOUND:
         raise ValueError(f"p = {p} is too large: (p-1)**2 + p must stay below 2**63")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _convolve_mod(a, b, p: int) -> np.ndarray:
-    """Full convolution of two residue arrays, reduced mod p, exact in int64.
-
-    One np.convolve while no sum of min(len) products of residues can
-    overflow.  Otherwise shift-and-add over the shorter operand, reducing
-    every ((1<<63) - p) // (p-1)**2 shifts, so no entry passes 2**63 - 1
-    whenever (p-1)**2 + p < 2**63 (as _check_modulus demands).
-    """
-    if min(a.size, b.size) * (p - 1) ** 2 < _INT64_BOUND:
-        return np.convolve(a, b) % p
-    if a.size < b.size:
-        a, b = b, a
-    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-    step = (_INT64_BOUND - p) // (p - 1) ** 2
-    for k in range(b.size):
-        if k and k % step == 0:
-            out %= p
-        out[k : k + a.size] += b[k] * a
-    return out % p
+def _product(a, b, n: int, p: int) -> list:
+    """The first n coefficients of the product of residue sequences a and b, mod p:
+    each operand packed into one int, a slot as wide as the largest sum of the
+    convolution, min(len a, len b) * (p-1)**2, so that no slot carries into
+    the next, then multiplied once and read off slot by slot."""
+    a, b = a[:n], b[:n]
+    w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    x = y = 0
+    for c in reversed(a):
+        x = x << w | c
+    for c in reversed(b):
+        y = y << w | c
+    z, mask, out = x * y, (1 << w) - 1, []
+    for _ in range(n):
+        out.append((z & mask) % p)
+        z >>= w
+    return out
 
 
-# the coefficient array of every series that is zero to its precision
-_EMPTY = np.zeros(0, dtype=np.int64)
-_EMPTY.flags.writeable = False
-
-
-def _trim(off: int, arr, prec):
-    """(off, arr) cut below prec, trimmed to nonzero ends and made read-only."""
-    if prec is not INF and off + arr.size > prec:
-        arr = arr[: max(0, prec - off)]
-    if arr.size and not (arr[0] and arr[-1]):
-        nz = arr.nonzero()[0]
-        off, arr = (off + int(nz[0]), arr[nz[0] : nz[-1] + 1]) if nz.size else (0, _EMPTY)
-    if not arr.size:
-        return 0, _EMPTY
-    arr.flags.writeable = False
-    return off, arr
+def _trim(off: int, coeffs, prec):
+    """(off, coeffs) cut below prec and trimmed to nonzero ends, as a tuple."""
+    if prec is not INF and off + len(coeffs) > prec:
+        coeffs = coeffs[: max(0, prec - off)]
+    if coeffs and not (coeffs[0] and coeffs[-1]):
+        nz = [j for j, c in enumerate(coeffs) if c]
+        off, coeffs = (off + nz[0], coeffs[nz[0] : nz[-1] + 1]) if nz else (0, ())
+    return (off, tuple(coeffs)) if coeffs else (0, ())
 
 
 class TruncatedSeries:
     """Laurent series over GF(p), exact at all exponents below ``prec``.
 
-    The coefficient of pi^(off + j) is ``coeffs[j]``; the array is trimmed
-    so that, when nonempty, both ends are nonzero.  ``prec`` is an integer
-    or ``math.inf`` for exactly known series (finitely many terms, all of
-    them stored).  The modulus must be a prime with (p-1)**2 + p < 2**63,
-    that is p <= 3037000493; a composite or larger one raises ValueError.
+    The coefficient of pi^(off + j) is ``coeffs[j]``, a tuple of ints in
+    [0, p) trimmed so that, when nonempty, both ends are nonzero.  ``prec``
+    is an integer or ``math.inf`` for exactly known series (finitely many
+    terms, all of them stored).  The modulus must be a prime with
+    (p-1)**2 + p < 2**63, that is p <= 3037000493; a composite or larger one
+    raises ValueError.
     """
 
     __slots__ = ("p", "off", "coeffs", "prec")
@@ -133,14 +127,14 @@ class TruncatedSeries:
         prec = INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
         _check_modulus(p)
         self.p, self.prec = p, prec
-        self.off, self.coeffs = _trim(off, np.asarray(coeffs, dtype=np.int64) % p, prec)
+        self.off, self.coeffs = _trim(off, [int(c) % p for c in coeffs], prec)
 
     @classmethod
-    def _reduced(cls, p: int, off: int, arr, prec) -> "TruncatedSeries":
-        """Wrap an int64 array already reduced mod p (prec an int or inf)."""
+    def _reduced(cls, p: int, off: int, coeffs, prec) -> "TruncatedSeries":
+        """Wrap ints already reduced mod p (prec an int or inf)."""
         self = object.__new__(cls)
         self.p, self.prec = p, INF if prec == INF else prec
-        self.off, self.coeffs = _trim(off, arr, self.prec)
+        self.off, self.coeffs = _trim(off, coeffs, self.prec)
         return self
 
     # -- constructors ----------------------------------------------------
@@ -156,10 +150,10 @@ class TruncatedSeries:
             return cls(p, 0, [], prec)
         lo = min(e for e, _ in pairs)
         hi = max(e for e, _ in pairs)
-        arr = np.zeros(hi - lo + 1, dtype=np.int64)
+        coeffs = [0] * (hi - lo + 1)
         for e, c in pairs:
-            arr[e - lo] = (arr[e - lo] + c) % p
-        return cls(p, lo, arr, prec)
+            coeffs[e - lo] = (coeffs[e - lo] + c) % p
+        return cls(p, lo, coeffs, prec)
 
     @classmethod
     def zero(cls, p: int, prec=INF) -> "TruncatedSeries":
@@ -171,16 +165,9 @@ class TruncatedSeries:
 
     @classmethod
     def pi_power(cls, p: int, k: int, prec=INF, coeff: int = 1) -> "TruncatedSeries":
-        """coeff * pi^k, exact by default, as __init__ builds it but with no
-        array conversion or trim: zero if coeff = 0 mod p or k >= prec."""
+        """coeff * pi^k, exact by default: zero if coeff = 0 mod p or k >= prec."""
         _check_modulus(p)
-        self = object.__new__(cls)
-        self.p, self.prec = p, INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
-        self.off, self.coeffs = 0, _EMPTY
-        if coeff % p and k < prec:
-            self.off, self.coeffs = k, np.array([coeff % p], dtype=np.int64)
-            self.coeffs.flags.writeable = False
-        return self
+        return cls._reduced(p, k, (int(coeff) % p,), prec)
 
     @classmethod
     def constant(cls, p: int, c: int, prec=INF) -> "TruncatedSeries":
@@ -189,13 +176,13 @@ class TruncatedSeries:
     # -- basic queries ----------------------------------------------------
 
     def is_zero_to_precision(self) -> bool:
-        return self.coeffs.size == 0
+        return not self.coeffs
 
     def is_exact(self) -> bool:
         return self.prec is INF
 
     def is_exact_zero(self) -> bool:
-        return self.prec is INF and self.coeffs.size == 0
+        return self.prec is INF and not self.coeffs
 
     def valuation(self):
         """Least exponent with a nonzero coefficient, or None for ">= prec".
@@ -203,13 +190,13 @@ class TruncatedSeries:
         None means every stored coefficient vanishes: the valuation is only
         known to be >= prec (or the series is exactly zero when prec = inf).
         """
-        if self.coeffs.size:
+        if self.coeffs:
             return self.off
         return None
 
     def val_lower_bound(self):
         """A bound v with val(self) >= v, always available."""
-        if self.coeffs.size:
+        if self.coeffs:
             return self.off
         return self.prec
 
@@ -218,8 +205,8 @@ class TruncatedSeries:
         if self.prec is not INF and e >= self.prec:
             raise InsufficientPrecision(f"coefficient at pi^{e} unknown (prec={self.prec})")
         j = e - self.off
-        if 0 <= j < self.coeffs.size:
-            return int(self.coeffs[j])
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
         return 0
 
     def in_P(self, k) -> bool:
@@ -251,38 +238,33 @@ class TruncatedSeries:
     def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign * other, to the smaller of the two precisions."""
         self._check(other)
-        prec = min(self.prec, other.prec)
-        if not self.coeffs.size:
-            coeffs = other.coeffs if sign == 1 else -other.coeffs % self.p
-            return TruncatedSeries._reduced(self.p, other.off, coeffs, prec)
-        if not other.coeffs.size:
-            return TruncatedSeries._reduced(self.p, self.off, self.coeffs, prec)
-        lo = min(self.off, other.off)
-        hi = max(self.off + self.coeffs.size, other.off + other.coeffs.size)
-        arr = np.zeros(hi - lo, dtype=np.int64)
-        arr[self.off - lo : self.off - lo + self.coeffs.size] = self.coeffs
-        arr[other.off - lo : other.off - lo + other.coeffs.size] += sign * other.coeffs
-        arr %= self.p
-        return TruncatedSeries._reduced(self.p, lo, arr, prec)
+        p, lo = self.p, min(self.off, other.off)
+        coeffs = [0] * (max(self.off + len(self.coeffs), other.off + len(other.coeffs)) - lo)
+        coeffs[self.off - lo : self.off - lo + len(self.coeffs)] = self.coeffs
+        for j, c in enumerate(other.coeffs, other.off - lo):
+            coeffs[j] = (coeffs[j] + sign * c) % p
+        return TruncatedSeries._reduced(p, lo, coeffs, min(self.prec, other.prec))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._reduced(self.p, self.off, -self.coeffs % self.p, self.prec)
+        return TruncatedSeries._reduced(self.p, self.off, [-c % self.p for c in self.coeffs], self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         for z in (self, other):  # an exact zero times anything is that exact zero
-            if z.prec is INF and not z.coeffs.size:
+            if z.prec is INF and not z.coeffs:
                 return z
         # prec = min(a.prec + val(b), b.prec + val(a)), valuations replaced
         # by their lower bounds when undetermined
         prec = min(self.prec + other.val_lower_bound(), other.prec + self.val_lower_bound())
-        if not self.coeffs.size or not other.coeffs.size:
-            return TruncatedSeries._reduced(self.p, 0, _EMPTY, prec)
-        conv = _convolve_mod(self.coeffs, other.coeffs, self.p)
-        return TruncatedSeries._reduced(self.p, self.off + other.off, conv, prec)
+        if not self.coeffs or not other.coeffs:
+            return TruncatedSeries._reduced(self.p, 0, (), prec)
+        off = self.off + other.off
+        n = min(len(self.coeffs) + len(other.coeffs) - 1, max(prec - off, 0))
+        return TruncatedSeries._reduced(self.p, off, _product(self.coeffs, other.coeffs, n, self.p), prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.p, self.off, (self.coeffs * (c % self.p)) % self.p, self.prec)
+        p, c = self.p, int(c) % self.p
+        return TruncatedSeries._reduced(p, self.off, [x * c % p for x in self.coeffs], self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by pi^k."""
@@ -296,27 +278,22 @@ class TruncatedSeries:
         Exact inputs must be monomials (anything else has an infinite
         expansion).
         """
-        if not self.coeffs.size:
+        p, u, v = self.p, self.coeffs, self.off
+        if not u:
             raise InsufficientPrecision("series is zero to precision; cannot invert")
-        v = self.off
         if self.prec is INF:
-            if self.coeffs.size == 1:
-                c = pow(int(self.coeffs[0]), self.p - 2, self.p)
-                return TruncatedSeries(self.p, -v, [c], INF)
+            if len(u) == 1:
+                return TruncatedSeries(p, -v, [pow(u[0], p - 2, p)], INF)
             raise ValueError("exact non-monomial series has no finite inverse; truncate first")
-        n = int(self.prec - v)  # relative precision of the unit part
-        u = np.zeros(n, dtype=np.int64)
-        m = min(n, self.coeffs.size)
-        u[:m] = self.coeffs[:m]
-        inv0 = pow(int(u[0]), self.p - 2, self.p)
+        n = self.prec - v  # relative precision of the unit part u, len(u) <= n
         # Newton iteration x -> x(2 - ux), doubling the correct length
-        x = np.array([inv0], dtype=np.int64)
-        while x.size < n:
-            k = min(2 * x.size, n)
-            ux = (-_convolve_mod(u[:k], x, self.p)[:k]) % self.p
-            ux[0] = (ux[0] + 2) % self.p
-            x = _convolve_mod(x, ux, self.p)[:k]
-        return TruncatedSeries._reduced(self.p, -v, x, self.prec - 2 * v)
+        x = [pow(u[0], p - 2, p)]
+        while len(x) < n:
+            k = min(2 * len(x), n)
+            ux = [-c % p for c in _product(u, x, k, p)]
+            ux[0] = (ux[0] + 2) % p
+            x = _product(x, ux, k, p)
+        return TruncatedSeries._reduced(p, -v, x, self.prec - 2 * v)
 
     def truncate(self, new_prec) -> "TruncatedSeries":
         if new_prec >= self.prec:
@@ -331,20 +308,19 @@ class TruncatedSeries:
             and self.p == other.p
             and self.prec == other.prec
             and self.off == other.off
-            and self.coeffs.size == other.coeffs.size
-            and bool(np.all(self.coeffs == other.coeffs))
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.p, self.prec, self.off, self.coeffs.tobytes()))
+        return hash((self.p, self.prec, self.off, self.coeffs))
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs with nonzero coefficient."""
-        return [(self.off + j, int(c)) for j, c in enumerate(self.coeffs) if c]
+        return [(self.off + j, c) for j, c in enumerate(self.coeffs) if c]
 
     def to_text(self) -> str:
         """Render like "3*t^-2 + 1*t^0 + 10*t^4"; the zero series prints "0"."""
-        if not self.coeffs.size:
+        if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*t^{e}" for e, c in self.terms())
 

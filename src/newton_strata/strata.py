@@ -23,13 +23,11 @@ from .affine_weyl import (
     AffineWeylElt,
     chamber_of,
     coset_pattern,
-    length,
     phi,
     phi_matrix,
     psi,
     psi_matrix,
     psi_slopes,
-    two_rho_pairing,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "predicate_case",
     "predicate_poset",
     "adlv_nonempty",
-    "conjecture_rhs",
     "witness",
 ]
 
@@ -493,13 +490,6 @@ def _as_slopes(b_or_lambda) -> SlopeSeq:
 def adlv_nonempty(x: AffineWeylElt, b_or_lambda) -> bool:
     """X_x(b) is non-empty exactly when the slopes of b occur in IxI."""
     return _as_slopes(b_or_lambda) in poset_of(x)
-
-
-def conjecture_rhs(x: AffineWeylElt, lam) -> int:
-    """The virtual-dimension bound l(x) - <2 rho, lam>."""
-    pairing = two_rho_pairing(_as_slopes(lam))
-    assert pairing.denominator == 1
-    return length(x) - int(pairing)
 
 
 # -- witness matrices -----------------------------------------------------------

@@ -222,7 +222,7 @@ def _psi_by_products(A):
 
 def _layout(A):
     """Every entry as (p, prec, off, coeffs): byte-level identity, not value."""
-    return [[(ts.p, ts.prec, ts.off, ts.coeffs.tolist()) for ts in row] for row in A.entries]
+    return [[(ts.p, ts.prec, ts.off, list(ts.coeffs)) for ts in row] for row in A.entries]
 
 
 def _grid_witnesses(p):

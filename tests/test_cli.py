@@ -270,6 +270,11 @@ class TestCampaignAndTables:
         code, _, err = run(capsys, "campaign", "--bound", "1", "--trials", "-5")
         assert code == 4 and "trials must be nonnegative" in err
 
+    @pytest.mark.parametrize("argv", [("campaign", "--bound", "-1", "--trials", "5"), ("tables", "--bound", "-2")])
+    def test_negative_bound_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "" and "bound must be nonnegative" in err
+
     def test_campaign_undecided_draw_exits_precision(self, capsys, monkeypatch):
         from newton_strata import kernel
         from newton_strata.series import InsufficientPrecision

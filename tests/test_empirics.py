@@ -142,8 +142,9 @@ def _grid_draw_bytes(p):
     """The scalar draws of the |mu_i| <= 2 grid at p, byte for byte: for each
     element and trial index 0 and 1, sample_pattern's draw, sample_ixi's two
     factors and the K1, K2 and K3 unipotent complements (prec 14, seed 6,
-    slot_base 9); per entry its offset, precision, length, writeable flag and
-    little-endian int64 coefficients."""
+    slot_base 9); per entry its offset, precision, length, a False where
+    int64 arrays once wrote their writeable flag, and its coefficients as
+    little-endian int64."""
     out = []
     for x in enumerate_grid(2):
         cfg = make_config(x, p=p, seed=3)
@@ -151,8 +152,8 @@ def _grid_draw_bytes(p):
             draws = [sample_pattern(cfg, t), *sample_ixi(cfg, t)[:2]]
             draws += [_sample_unipotent(p, _unipotent_rows(x, which), 14, 6, t, 9) for which in ("K1", "K2", "K3")]
             for s in (A[i, j] for A in draws for i in range(3) for j in range(3)):
-                out.append(f"{s.off},{s.prec},{len(s.coeffs)},{s.coeffs.flags.writeable};".encode())
-                out.append(s.coeffs.astype("<i8").tobytes())
+                out.append(f"{s.off},{s.prec},{len(s.coeffs)},{not isinstance(s.coeffs, tuple)};".encode())
+                out.append(np.array(s.coeffs, dtype="<i8").tobytes())
     return b"".join(out)
 
 

@@ -240,7 +240,7 @@ class TestCharpoly:
         inputs += [witness(*pairs[k], p=p) for k in rng.choice(len(pairs), size=6, replace=False)]
         for A in inputs:
             assert all(ts.is_exact() for row in A.entries for ts in row)
-            s = max([0] + [-ts.off for row in A.entries for ts in row if ts.coeffs.size])
+            s = max([0] + [-ts.off for row in A.entries for ts in row if ts.coeffs])
             cp = charpoly3(A)
             ours = [cp.alpha.shift(s).terms(), cp.beta.shift(2 * s).terms(), cp.gamma.shift(3 * s).terms()]
             assert ours == sympy_charpoly(A, s, p)
@@ -263,7 +263,7 @@ class TestCharpoly:
             cp = charpoly3(A)
             for ts in (cp.alpha, cp.beta, cp.gamma, A.det()):
                 prec = "inf" if ts.prec == INF else int(ts.prec)
-                digest.update(repr((ts.off, prec, ts.coeffs.tolist())).encode())
+                digest.update(repr((ts.off, prec, list(ts.coeffs))).encode())
         assert digest.hexdigest() == CHARPOLY_DIGEST
 
 
@@ -627,7 +627,7 @@ def random_read_series(rng, p):
           "truncated": TruncatedSeries(p, off, coeffs, off + int(rng.integers(1, n + 4))),
           "zero to precision": TruncatedSeries.zero(p, off),
           "exact zero": TruncatedSeries.zero(p)}[kind]
-    return ts, (ts.val_lower_bound(), ts.prec, ts.coeffs.tolist())
+    return ts, (ts.val_lower_bound(), ts.prec, list(ts.coeffs))
 
 
 class TestFusedSum:

@@ -1,5 +1,6 @@
 """Module layering, read from the source: only kernel.py builds, multiplies
-or reads a block, and the kernel imports no module built on it."""
+or reads a block, the kernel imports no module built on it, and numpy is
+imported only where columns are batched."""
 import ast
 import importlib
 from pathlib import Path
@@ -50,6 +51,11 @@ def _imported_modules(tree):
 def test_kernel_imports_nothing_built_on_it():
     assert "kernel.py" in MODULES
     assert not set(_imported_modules(_tree("kernel.py"))) & {"strata", "empirics", "cli"}
+
+
+def test_only_the_batched_modules_import_numpy():
+    # the exact layer (series, isocrystal, strata) works on Python ints
+    assert [name for name in MODULES if "numpy" in _imported_modules(_tree(name))] == ["empirics.py", "kernel.py"]
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "kernel.py"])

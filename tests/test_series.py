@@ -9,7 +9,6 @@ from newton_strata.series import (
     INF,
     InsufficientPrecision,
     TruncatedSeries,
-    _convolve_mod,
     _is_prime,
     ceil_q,
 )
@@ -82,7 +81,7 @@ class TestConstruction:
         for got, terms, prec in built:
             want = TruncatedSeries.from_terms(p, terms, prec)
             assert got == want and hash(got) == hash(want) and got.to_json() == want.to_json(), (terms, prec)
-            assert got.prec == prec and not got.coeffs.flags.writeable
+            assert got.prec == prec and isinstance(got.coeffs, tuple)
         assert TruncatedSeries.pi_power(p, 5, 5).is_zero_to_precision()
         assert TruncatedSeries.pi_power(p, 4, 5, p).is_zero_to_precision()
 
@@ -247,8 +246,8 @@ class TestLargePrimes:
 
     @pytest.mark.parametrize("p", [BIG, 3037000493])
     def test_long_convolutions_match_python_integers(self, p, rng):
-        # past the single np.convolve range, shift-and-add reduces every
-        # ((1<<63) - p) // (p-1)**2 shifts: 2 at 2**31 - 1, 1 at 3037000493
+        # the packed product's slots hold min(n, m) * (p-1)**2, the largest
+        # sum, without carrying into the next: worst at all-(p-1) operands
         for n, m in ((3, 3), (3, 8), (7, 4), (16, 16), (29, 5)):
             for worst in (True, False):
                 a = [p - 1] * n if worst else [int(c) for c in rng.integers(0, p, size=n)]
@@ -257,8 +256,8 @@ class TestLargePrimes:
                     sum(a[i] * b[k - i] for i in range(n) if 0 <= k - i < m) % p
                     for k in range(n + m - 1)
                 ]
-                got = _convolve_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-                assert got.dtype == np.int64 and got.tolist() == expect, (n, m, worst)
+                got = TruncatedSeries(p, 0, a, INF) * TruncatedSeries(p, 0, b, INF)
+                assert got.terms() == [(k, c) for k, c in enumerate(expect) if c], (n, m, worst)
 
     def test_rejects_primes_whose_residue_products_overflow(self):
         # int64 residue products (first) and sums (second) overflow here
@@ -267,6 +266,15 @@ class TestLargePrimes:
         with pytest.raises(ValueError, match="too large"):
             p = 2**62 + 135
             TruncatedSeries(p, 0, [p - 1], INF) + TruncatedSeries(p, 0, [p - 1], INF)
+
+    def test_numpy_scalars_enter_as_python_ints(self):
+        # a numpy scalar left in the coefficients would overflow int64 in
+        # x * c at this p; the packed product needs Python ints throughout
+        p, c = 3037000493, 2**62 + 5
+        a = TruncatedSeries(p, 0, [np.int64(p - 1), np.int64(p - 2)], INF)
+        for got, want in ((a.scale(np.int64(c)), a.scale(c)),
+                          (TruncatedSeries.pi_power(p, 1, coeff=np.int64(c)), TruncatedSeries.pi_power(p, 1, coeff=c))):
+            assert got == want and all(type(x) is int for x in got.coeffs + a.coeffs)
 
     def test_rejects_composite_moduli(self):
         # inverse inverts by Fermat, which is wrong over Z/4Z

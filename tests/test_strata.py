@@ -30,7 +30,6 @@ from newton_strata.strata import (
     adlv_nonempty,
     codim,
     codim_roottheoretic,
-    conjecture_rhs,
     enumerate_NG,
     generic_slope,
     is_exceptional,
@@ -379,10 +378,6 @@ class TestAdlv:
     def test_accepts_text_and_tuples(self):
         assert adlv_nonempty(HEADLINE, "0,0,0")
         assert adlv_nonempty(HEADLINE, (1, 0, -1))
-
-    def test_conjecture_rhs_monotone_in_lam(self):
-        vals = [conjecture_rhs(HEADLINE, z) for z in poset_of(HEADLINE).elements]
-        assert all(isinstance(v, int) for v in vals)
 
 
 class TestWitness:
