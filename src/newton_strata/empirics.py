@@ -132,13 +132,18 @@ def sample_ixi(cfg: SampleConfig, index: int = 0):
 
 
 def _poset_worker(args):
-    """Histogram of encoded doubled slopes for trial ids in [lo, hi)."""
+    """Histogram of encoded doubled slopes for trial ids in [lo, hi), codes
+    in increasing order per block.  A block's slopes are counted by (2*lam1,
+    -2*lam3), both at least 0, in one bincount: 2*lam2 = -2*lam1 - 2*lam3."""
     x, mode, p, seed, lo, hi = args
     counts = {}
-    for slopes in _sampled_slopes(x, mode, p, seed, range(lo, hi)):
-        codes, n = np.unique(_encode(*slopes), return_counts=True)
-        for code, cnt in zip(codes.tolist(), n.tolist()):
-            counts[code] = counts.get(code, 0) + cnt
+    for t1, _, t3 in _sampled_slopes(x, mode, p, seed, range(lo, hi)):
+        width = int(-t3.min(initial=0)) + 1
+        n = np.bincount(t1 * width - t3)
+        for k in np.flatnonzero(n).tolist():
+            a, b = divmod(k, width)
+            code = _encode(a, b - a, -b)
+            counts[code] = counts.get(code, 0) + int(n[k])
     return counts
 
 

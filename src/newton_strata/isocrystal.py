@@ -356,18 +356,20 @@ def _sum(pairs, cap, p, signs=(1, -1, 1, -1, 1)):
     list of Python ints, reduced mod p once; the exact zero for cap = -inf
     (a minor whose cofactor entry is the exact zero).  A product with an
     exact-zero factor has onset and precision inf: it adds nothing and
-    changes no precision."""
+    changes no precision.  With cap = inf the sum is whole, as series
+    arithmetic forms it, and an exact one ends with its last product."""
     if cap == -INF:
         return _EXACT_ZERO
     terms, prec = [], cap
     for sign, ((lx, px, cx), (ly, py, cy)) in zip(signs, pairs):
         terms.append((sign, lx + ly, cx, cy))
         prec = min(prec, px + ly, py + lx)
-    lo = min([prec] + [u for _, u, _, _ in terms])
-    acc = [0] * (prec - lo)
+    hi = prec if prec < INF else max([u + len(cx) + len(cy) - 1 for _, u, cx, cy in terms if cx and cy], default=0)
+    lo = min([hi] + [u for _, u, _, _ in terms])
+    acc = [0] * (hi - lo)
     for sign, u, cx, cy in terms:
         # the product's coefficient of pi^(u + r) goes to acc[u - lo + r]
-        n = max(prec - u, 0)
+        n = max(hi - u, 0)
         for i, c in enumerate(cx[:n]):
             if c:
                 c *= sign
@@ -379,6 +381,28 @@ def _sum(pairs, cap, p, signs=(1, -1, 1, -1, 1)):
     return prec, prec, []
 
 
+def _char_sums(reads, p, whole=False):
+    """det, tr and e2 of the read entries as _sum reads, the way charpoly3
+    forms them: det below pi^1, tr and e2 below pi^0, the minor of each
+    entry x of the first row below pi^(1 - lb_x), ei - fh, which e2 reads
+    too, below pi^0 at least; with whole, every sum to its full precision."""
+    a, b, c, d, e, f, g, h, i = reads
+    caps = (INF,) * 6 if whole else (max(0, 1 - a[0]), 1 - b[0], 1 - c[0], 1, 0, 0)
+    ei_fh = _sum([(e, i), (f, h)], caps[0], p)
+    di_fg = _sum([(d, i), (f, g)], caps[1], p)
+    dh_eg = _sum([(d, h), (e, g)], caps[2], p)
+    return (_sum([(a, ei_fh), (b, di_fg), (c, dh_eg)], caps[3], p),
+            _sum([(a, _ONE), (e, _ONE), (i, _ONE)], caps[4], p, (1, 1, 1)),
+            _sum([(a, e), (b, d), (a, i), (c, g), (ei_fh, _ONE)], caps[5], p))
+
+
+def _val_info(read):
+    """The valuation of a sum: an int, INF for the exact zero, or ("ge",
+    prec) when it is zero to precision."""
+    lb, prec, coeffs = read
+    return lb if coeffs else ("ge", prec) if prec < INF else INF
+
+
 def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     """The slope sequence nu-bar(A) of the isocrystal (F^3, A*sigma).
 
@@ -386,30 +410,25 @@ def slope_sequence(A: IsoMatrix) -> SlopeSeq:
     as charpoly3 forms them, to its precision there, the minor of each entry
     x of the first row below pi^(1 - lb_x).  Finite-precision inputs raise
     InsufficientPrecision when the known coefficients do not pin the
-    polygon (the caller controls resampling).
+    polygon (the caller controls resampling).  The raise names the
+    valuations of the full polynomial: a sum zero as far as it was formed
+    is formed again from the whole entries.
     """
     p, flat = A.p, [ts for row in A.entries for ts in row]
     lbs = [ts.val_lower_bound() for ts in flat]
-    a, b, c, d, e, f, g, h, i = ((lb, ts.prec, ts.coeffs[: top + 1 - lb] if top >= lb else ())
-                                 for ts, lb, top in zip(flat, lbs, _horizons(lbs)))
-    cap = max(0, 1 - a[0])  # e*i - f*h serves det and e2
-    ei_fh = _sum([(e, i), (f, h)], cap, p)
-    di_fg = _sum([(d, i), (f, g)], 1 - b[0], p)
-    dh_eg = _sum([(d, h), (e, g)], 1 - c[0], p)
-    det = _sum([(a, ei_fh), (b, di_fg), (c, dh_eg)], 1, p)
+    sums = det, tr, e2 = _char_sums([(lb, ts.prec, ts.coeffs[: top + 1 - lb] if top >= lb else ())
+                                     for ts, lb, top in zip(flat, lbs, _horizons(lbs))], p)
     if det[0] == 0 and det[2]:
-        alpha = _sum([(a, _ONE), (e, _ONE), (i, _ONE)], 0, p, (1, 1, 1))
-        beta = _sum([(a, e), (b, d), (a, i), (c, g), (ei_fh, _ONE)], 0, p)
         try:
-            return _polygon(*(lb if lb < prec else ("ge", prec) for lb, prec, _ in (alpha, beta)))
+            return _polygon(_val_info(tr), _val_info(e2))
         except InsufficientPrecision:
             pass
-    # det is not a unit through pi^0, or the polygon is not pinned: raise
-    # as the full polynomial does, whose valuations the messages name
-    cp = charpoly3(A)
-    dv = cp.gamma.valuation()
-    if dv is None:
+    # below its cap a sum is the full one, and it is zero there to the full
+    # precision when that is less; a sum zero through its cap is read again
+    if any(not coeffs and prec == cap for (_, prec, coeffs), cap in zip(sums, (1, 0, 0))):
+        det, tr, e2 = _char_sums([(lb, ts.prec, ts.coeffs) for ts, lb in zip(flat, lbs)], p, whole=True)
+    if not det[2]:
         raise InsufficientPrecision("det is zero to precision")
-    if dv != 0:
-        raise ValueError(f"val(det) = {dv}; slope_sequence requires an SL-type input")
-    return _polygon(*(ts.off if ts.coeffs else ("ge", ts.prec) if ts.prec < INF else INF for ts in (cp.alpha, cp.beta)))
+    if det[0] != 0:
+        raise ValueError(f"val(det) = {det[0]}; slope_sequence requires an SL-type input")
+    return _polygon(_val_info(tr), _val_info(e2))

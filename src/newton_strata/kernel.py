@@ -8,9 +8,9 @@ below v is stored, and every window is the exponent it reaches.  Every
 sum the kernel forms is one _dot of blocks and products of blocks: each
 entry of a matrix product, the cofactors, det, tr, e2, the campaign's
 minors ae - bd and db + gc, and every negation.  Its terms are truncated
-exactly and added into one int64 array, reduced mod p once at the end,
-or often enough that no entry overflows for any prime with (p-1)**2 + p
-< 2**63 (SampleConfig rejects larger ones).
+exactly and added into one int64 array, reduced mod p at the end and as
+often as keeps every entry from overflowing for any prime with (p-1)**2 +
+p < 2**63 (SampleConfig rejects larger ones).
 As val(det) = 0, a valuation of tr or e2 at 0 or above cannot move the
 Newton polygon, so tr and e2 are read through pi^-1 and det through pi^0,
 each entry only through its horizon (_horizons), all nine in one hash
@@ -129,8 +129,9 @@ def _block_layout(distinct, tops, slot_base):
     """What _pattern_blocks reads from its window alone, cached read-only:
     per slot (v, start, end) of its rows in the hash; the live slots,
     exponents and row index that _raw_hash takes; (first row, mask by row
-    and distinct pattern) where a slot stores rows below an onset; and (row,
-    mask by distinct pattern) per exact lead."""
+    and distinct pattern) where a slot stores rows below an onset; and the
+    rows of every exact lead with their masks by row and distinct pattern,
+    two arrays that set all the leads in one pass."""
     flat = [sum(q.entries, ()) for q in distinct]
     # per slot and distinct pattern, the entry's onset (inf for a zero entry)
     ks = [[math.inf if e.kind == "zero" else e.k for e in es] for es in zip(*flat)]
@@ -149,11 +150,13 @@ def _block_layout(distinct, tops, slot_base):
         if hi > v:
             below.append((start, np.arange(v, hi).reshape(-1, 1) < np.array(k_slot)))
         # an exact lead is a unit, 1 .. p-1, which _reduce keeps
-        leads += [(start + k - v, np.array([e.kind == "exact" and e.k == k for e in entries]))
+        leads += [(start + k - v, [e.kind == "exact" and e.k == k for e in entries])
                   for k in {e.k for e in entries if e.kind == "exact" and e.k < v + end - start}]
-    for arr in arrays + [mask for _, mask in below + leads]:
+    lead_rows = np.array([row for row, _ in leads], dtype=np.intp)
+    lead_masks = np.array([mask for _, mask in leads], dtype=bool).reshape(len(leads), len(distinct))
+    for arr in arrays + [lead_rows, lead_masks] + [mask for _, mask in below]:
         arr.setflags(write=False)
-    return spans, *arrays, tuple(below), tuple(leads)
+    return spans, *arrays, tuple(below), lead_rows, lead_masks
 
 
 def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
@@ -175,12 +178,13 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
         index = {}
         which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
         distinct = tuple({id(q): q for q in patterns}.values())
-    spans, slots, exps, rows, below, leads = _block_layout(distinct, tuple(tops), slot_base)
+    spans, slots, exps, rows, below, lead_rows, lead_masks = _block_layout(distinct, tuple(tops), slot_base)
     raw = _raw_hash(seed, slots, _as_u64(ids).reshape(1, -1), exps, rows)
     for start, mask in below:
         np.copyto(raw[start : start + len(mask)], 0, where=mask[:, which])
-    for row, cols in leads:
-        np.copyto(raw[row], 1 + raw[row] % np.uint64(p - 1), where=cols[which])
+    if len(lead_rows):
+        lead = raw[lead_rows]
+        raw[lead_rows] = np.where(lead_masks[:, which], 1 + lead % np.uint64(p - 1), lead)
     _reduce(raw, p)
     arr = raw.view(np.int64)
     return [(arr[start:end], v) for v, start, end in spans]
@@ -202,9 +206,16 @@ def _drawn_series(pattern, p, seed, index, prec, slot_base=0):
     return [TruncatedSeries._reduced(p, v, arr[:, 0].tolist(), prec) for arr, v in blocks]
 
 
+@functools.lru_cache(maxsize=64)
+def _overflow_step(p):
+    """How many products of residues mod p an int64 sum holds: the sum is
+    reduced that often, so no entry overflows if (p-1)**2 + p < 2**63."""
+    return ((1 << 63) - p) // (p - 1) ** 2
+
+
 def _dot(p, top, plus, minus=()):
     """(sum of the terms of plus - the same over minus) mod p, through
-    pi^top at most, in one int64 array reduced once.
+    pi^top at most, in one int64 array.
 
     A term is a block (arr, v), told by its first element, an array, or a
     pair of blocks, their product.  The block starts at v and is known
@@ -214,22 +225,26 @@ def _dot(p, top, plus, minus=()):
     The sum starts at the least onset and is known as far as every term is.
     A block adds into its rows once, and shift k of a pair adds a[k] *
     b[: m-k] into its rows from k on, m its rows in the sum, so at most one
-    product per entry; the sum is reduced every ((1<<63) - p) // (p-1)**2
-    additions, so no int64 entry overflows whenever (p-1)**2 + p < 2**63.
-    A sum of no rows is an empty view of the first term's first array,
-    with nothing allocated.
+    product per entry.  The sum is reduced mod p every _overflow_step(p)
+    additions and once at the end.  A sum of no rows is an empty view of
+    the first term's first array, with nothing allocated.
     """
-    terms = [(t, None, op) if isinstance(t[0], np.ndarray) else (*t, op)
-             for group, op in ((plus, np.add), (minus, np.subtract)) for t in group]
-    onsets = [va + (0 if y is None else y[1]) for (_, va), y, _ in terms]
-    v = min(onsets)
-    end = min(u + max(0, min(top - u + 1, len(a), len(a if y is None else y[0]))) for u, ((a, _), y, _) in zip(onsets, terms))
-    first = terms[0][0][0]
+    terms, v, end = [], math.inf, math.inf
+    for group, op in ((plus, np.add), (minus, np.subtract)):
+        for t in group:
+            if isinstance(t[0], np.ndarray):
+                (a, u), y, n = t, None, len(t[0])
+            else:
+                (a, u), y = t
+                u, n = u + y[1], min(len(a), len(y[0]))
+            terms.append((u, a, y, op))
+            v, end = min(v, u), min(end, u + max(0, min(top - u + 1, n)))
+    first = terms[0][1]
     if end == v:
         return first[:0], v
     acc = np.zeros((end - v, first.shape[1]), dtype=np.int64)
-    step, shifts = ((1 << 63) - p) // (p - 1) ** 2, 0
-    for u, ((a, _), y, op) in zip(onsets, terms):
+    step, shifts = _overflow_step(p), 0
+    for u, a, y, op in terms:
         for k in range(end - u if y is not None else min(1, end - u)):
             if shifts == step:
                 _reduce(acc, p)
@@ -278,11 +293,15 @@ def _sample_blocks(windows, p, seed, ids):
 
 
 def _lead_val(block):
-    """Valuation per column; a column zero as far as the block is known
-    reads one past that, pi^(v + len)."""
+    """Valuation per column, its first nonzero row r read as len - max over
+    rows of (len - r) * (row r != 0), one reduction over the rows with
+    weights of the least dtype that holds len; a column zero as far as the
+    block is known, and every column of a block of no rows, reads one past
+    that, pi^(v + len)."""
     arr, v = block
-    nz = arr != 0
-    return v + np.where(nz.any(axis=0), nz.argmax(axis=0) if len(arr) else 0, len(arr))
+    n = len(arr)
+    weights = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    return (v + n) - ((arr != 0) * weights).max(axis=0, initial=0).astype(np.int64)
 
 
 def _slopes_block(entries, p):
@@ -305,7 +324,10 @@ def _slopes_block(entries, p):
     cof_b = _dot(p, -b[1], [(d, i)], [(f, g)])
     cof_c = _dot(p, -c[1], [(d, h)], [(e, g)])
     det = _dot(p, 0, [(a, cof_a), (c, cof_c)], [(b, cof_b)])
-    if det[1] + len(det[0]) < 1 or not bool(np.all(_lead_val(det) == 0)):
+    # det is a unit through pi^0: no nonzero row below it, and its pi^0 row
+    # nonzero in every column
+    arr, v = det
+    if not v <= 0 < v + len(arr) or arr[:-v].any() or not arr[-v].all():
         raise ArithmeticError("det not a unit through pi^0; kernel inconsistency")
     tr, mi = _dot(p, -1, [a, e, i]), _dot(p, -1, [(a, e), (a, i), cof_a], [(b, d), (c, g)])
     if tr[1] + len(tr[0]) < 0 or mi[1] + len(mi[0]) < 0:

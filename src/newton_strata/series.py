@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -117,7 +118,8 @@ class TruncatedSeries:
     is an integer or ``math.inf`` for exactly known series (finitely many
     terms, all of them stored).  The modulus must be a prime with
     (p-1)**2 + p < 2**63, that is p <= 3037000493; a composite or larger one
-    raises ValueError.
+    raises ValueError.  A coefficient goes in as a Python or numpy integer;
+    any other type, a float among them, raises TypeError.
     """
 
     __slots__ = ("p", "off", "coeffs", "prec")
@@ -127,7 +129,7 @@ class TruncatedSeries:
         prec = INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
         _check_modulus(p)
         self.p, self.prec = p, prec
-        self.off, self.coeffs = _trim(off, [int(c) % p for c in coeffs], prec)
+        self.off, self.coeffs = _trim(off, [operator.index(c) % p for c in coeffs], prec)
 
     @classmethod
     def _reduced(cls, p: int, off: int, coeffs, prec) -> "TruncatedSeries":
@@ -143,9 +145,8 @@ class TruncatedSeries:
     def from_terms(cls, p: int, terms, prec=INF) -> "TruncatedSeries":
         """Build from {exponent: coefficient} or [(exponent, coefficient)]."""
         pairs = list(terms.items()) if isinstance(terms, dict) else list(terms)
-        pairs = [(e, c % p) for e, c in pairs if c % p]
-        if prec is not INF:
-            pairs = [(e, c) for e, c in pairs if e < prec]
+        pairs = [(e, operator.index(c) % p) for e, c in pairs]
+        pairs = [(e, c) for e, c in pairs if c and e < prec]
         if not pairs:
             return cls(p, 0, [], prec)
         lo = min(e for e, _ in pairs)
@@ -167,7 +168,7 @@ class TruncatedSeries:
     def pi_power(cls, p: int, k: int, prec=INF, coeff: int = 1) -> "TruncatedSeries":
         """coeff * pi^k, exact by default: zero if coeff = 0 mod p or k >= prec."""
         _check_modulus(p)
-        return cls._reduced(p, k, (int(coeff) % p,), prec)
+        return cls._reduced(p, k, (operator.index(coeff) % p,), prec)
 
     @classmethod
     def constant(cls, p: int, c: int, prec=INF) -> "TruncatedSeries":
@@ -263,7 +264,7 @@ class TruncatedSeries:
         return TruncatedSeries._reduced(self.p, off, _product(self.coeffs, other.coeffs, n, self.p), prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
-        p, c = self.p, int(c) % self.p
+        p, c = self.p, operator.index(c) % self.p
         return TruncatedSeries._reduced(p, self.off, [x * c % p for x in self.coeffs], self.prec)
 
     def shift(self, k: int) -> "TruncatedSeries":
@@ -365,7 +366,7 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
         prec = INF if obj.get("prec") is None else int(obj["prec"])
-        return cls.from_terms(int(obj["p"]), [(int(e), int(c)) for e, c in obj["terms"]], prec)
+        return cls.from_terms(int(obj["p"]), [(int(e), c) for e, c in obj["terms"]], prec)
 
     def __repr__(self):
         prec = "inf" if self.prec is INF else self.prec

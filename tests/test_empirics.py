@@ -449,6 +449,50 @@ class TestBulkKernel:
         blocks = list(kernel._sampled_slopes(X("mu=-2,0,2;w=s121"), "xI", 11, 0, range(100)))
         assert len(blocks) == 1 and len(calls) == 6, calls
 
+    def test_lead_val_matches_python_column_by_column(self, rng):
+        # the first nonzero row of each column, or one past the block where
+        # there is none: blocks of 0, 1, 12 and 300 rows (wider weights),
+        # every fifth column all zero, and 2**15 + 3 columns
+        for (rows, cols), v in zip(((0, 5), (1, 7), (12, 40), (300, 9), (1, 2**15 + 3), (12, 2**15 + 3)), itertools.cycle((-4, 0, 3))):
+            arr = rng.integers(0, 3, size=(rows, cols)) * (rng.random((rows, cols)) < 0.3)
+            arr[:, ::5] = 0
+            got = kernel._lead_val((arr, v))
+            want = [v + next((r for r in range(rows) if arr[r, col]), rows) for col in range(cols)]
+            assert got.dtype == np.int64 and got.tolist() == want, (rows, cols)
+
+    @pytest.mark.parametrize("case", ["unit", "onset above 0", "nonzero below pi^0", "zero at pi^0"])
+    def test_a_det_not_a_unit_through_pi0_raises(self, case):
+        # diag(a, 1, 1), the off-diagonal entries without rows: det is a
+        # through pi^0, and a unit one gives the slopes 0, 0, 0
+        n = 6
+        one = (np.zeros((3, n), dtype=np.int64), 0)
+        one[0][0] = 1
+        units = np.full((1, n), 3)
+        a = {"unit": (units, 0), "onset above 0": (units, 1),
+             "nonzero below pi^0": (np.vstack([np.eye(1, n, 2, dtype=np.int64), units]), -1),
+             "zero at pi^0": (units * (np.arange(n) != 4), 0)}[case]
+        none = (np.zeros((0, n), dtype=np.int64), 5)
+        entries = [a, none, none, none, one, none, none, none, one]
+        if case == "unit":
+            assert all(t.tolist() == [0] * n for t in kernel._slopes_block(entries, 11))
+        else:
+            with pytest.raises(ArithmeticError, match="det not a unit"):
+                kernel._slopes_block(entries, 11)
+
+    @pytest.mark.parametrize("p", [2, 11, 65537, 2**31 - 1])
+    def test_poset_worker_counts_each_blocks_triples(self, p):
+        # a Counter of each block's triples, its codes added in increasing
+        # order: counts and order alike, over one block and two
+        x = X("mu=-8,2,6;w=s121")
+        for mode, trials in itertools.product(("xI", "IxI"), (0, 1, 1024, 40000)):
+            want = {}
+            for slopes in kernel._sampled_slopes(x, mode, p, 3, range(trials)):
+                block = Counter(_encode(*t) for t in zip(*(s.tolist() for s in slopes)))
+                for code in sorted(block):
+                    want[code] = want.get(code, 0) + block[code]
+            got = empirics._poset_worker((x, mode, p, 3, 0, trials))
+            assert list(got.items()) == list(want.items()) and sum(got.values()) == trials, (mode, trials)
+
     @pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
     def test_horizon_windows_read_the_full_window_slopes(self, p):
         # every element of the |mu_i| <= 4 grid and one at +-40, both modes:
@@ -1244,9 +1288,11 @@ def test_a_cached_layout_is_read_only():
     # two distinct patterns in one block: rows below an onset and exact leads
     patterns = (coset_pattern(HEADLINE, "xI"), coset_pattern(X("mu=1,-3,2;w=s2"), "xI"))
     tops = tuple(kernel._horizons(_least_onsets(patterns)))
-    spans, slots, exps, rows, below, leads = kernel._block_layout(patterns, tops, 0)
-    assert below and leads
-    for arr in (slots, exps, rows, *(mask for _, mask in below + leads)):
+    spans, slots, exps, rows, below, lead_rows, lead_masks = kernel._block_layout(patterns, tops, 0)
+    assert below and len(lead_rows) == len(lead_masks) and lead_masks.shape[1] == len(patterns)
+    # each lead row is exact in one pattern and not in the other here
+    assert lead_masks.any(axis=1).all() and not lead_masks.all(axis=1).any()
+    for arr in (slots, exps, rows, lead_rows, lead_masks, *(mask for _, mask in below)):
         assert arr.size
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0

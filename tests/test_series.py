@@ -85,6 +85,23 @@ class TestConstruction:
         assert TruncatedSeries.pi_power(p, 5, 5).is_zero_to_precision()
         assert TruncatedSeries.pi_power(p, 4, 5, p).is_zero_to_precision()
 
+    def test_non_integral_coefficients_raise(self):
+        # a float was truncated: [1.5, 2.7] read 1 + 2t and {0: 1.5} read 1
+        for build in (lambda: TruncatedSeries(P, 0, [1.5, 2.7], INF), lambda: ts({0: 1.5}),
+                      lambda: ts([(1, 2.0)], 5), lambda: ts({0: 1}).scale(1.5),
+                      lambda: TruncatedSeries.pi_power(P, 1, coeff=0.5),
+                      lambda: TruncatedSeries.from_json({"p": P, "terms": [[0, 1.5]], "prec": None})):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_python_and_numpy_integers_go_in(self):
+        want = TruncatedSeries(P, 0, [1, P - 1], INF)
+        assert TruncatedSeries(P, 0, np.array([1, -1], dtype=np.int64), INF) == want
+        assert TruncatedSeries(P, 0, [np.uint64(1), np.int32(-1)], INF) == want
+        assert ts({0: np.int64(1), 1: -1}) == ts([(np.int64(0), True), (1, P - 1)]) == want
+        assert ts({0: 1, 1: 1}).scale(np.int64(-1)) == ts({0: -1, 1: -1})
+        assert all(type(c) is int for c in TruncatedSeries(P, 0, np.arange(3), INF).coeffs)
+
     @pytest.mark.parametrize("p", [1, 4, 2**31, 3037000493 + 2, 2**61 - 1])
     def test_monomial_constructors_reject_bad_moduli(self, p):
         for build in (lambda: TruncatedSeries.zero(p), lambda: TruncatedSeries.one(p, 3),
