@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,15 +163,8 @@ class IsoMatrix:
         return hash((self.p, self.entries))
 
     def __matmul__(self, other: "IsoMatrix") -> "IsoMatrix":
-        return IsoMatrix(
-            [
-                [
-                    _sum_series([self.entries[i][k] * other.entries[k][j] for k in range(3)])
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-        )
+        a, b = self.entries, other.entries
+        return IsoMatrix([[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)] for i in range(3)])
 
     def transpose(self) -> "IsoMatrix":
         return IsoMatrix([[self.entries[j][i] for j in range(3)] for i in range(3)])
@@ -197,7 +191,7 @@ class IsoMatrix:
     def inverse(self) -> "IsoMatrix":
         adj = self.adjugate()
         # det along the first row, from the cofactors in adj's first column
-        det = _sum_series([self.entries[0][k] * adj.entries[k][0] for k in range(3)])
+        det = self[0, 0] * adj[0, 0] + self[0, 1] * adj[1, 0] + self[0, 2] * adj[2, 0]
         return adj.scale(det.inverse())
 
     def truncate(self, new_prec) -> "IsoMatrix":
@@ -223,13 +217,6 @@ class IsoMatrix:
             "[" + ", ".join(ts.to_text() for ts in row) + "]" for row in self.entries
         )
         return f"IsoMatrix({rows})"
-
-
-def _sum_series(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 # -- characteristic polynomials ---------------------------------------------
@@ -331,6 +318,9 @@ _MONOMIALS = ((0,), (4,), (8,), (0, 4), (0, 8), (4, 8), (1, 3), (2, 6), (5, 7),
 # per slot, the other slots of each monomial that contains it, padded to
 # two with slots 10 (onset 1: tr and e2 stop at pi^-1) and 9 (onset 0)
 _OTHERS = [[(*(t for t in m if t != s), 10, 9)[:2] for m in _MONOMIALS if s in m] for s in range(9)]
+# the 28 distinct pairs, and per slot a getter of its pairs' places there
+_PAIRS = sorted({pair for pairs in _OTHERS for pair in pairs})
+_SLOT_PAIRS = [operator.itemgetter(*map(_PAIRS.index, pairs)) for pairs in _OTHERS]
 
 
 def _horizons(onsets):
@@ -338,7 +328,8 @@ def _horizons(onsets):
     through pi^0 read from that entry: over the monomials containing it, the
     max of -(sum of the other onsets), inf marking a zero entry."""
     o = [*onsets, 0, 1]
-    return [max([-o[x] - o[y] for x, y in pairs]) for pairs in _OTHERS]
+    sums = [-o[x] - o[y] for x, y in _PAIRS]
+    return [max(get(sums)) for get in _SLOT_PAIRS]
 
 
 # A read series is (lb, prec, coeffs): coeffs[j] is the coefficient of
@@ -354,22 +345,32 @@ def _sum(pairs, cap, p, signs=(1, -1, 1, -1, 1)):
     each to TruncatedSeries's precision min(prec_x + lb_y, prec_y + lb_x)
     and the sum to their least, with every product added straight into one
     list of Python ints, reduced mod p once; the exact zero for cap = -inf
-    (a minor whose cofactor entry is the exact zero).  A product with an
-    exact-zero factor has onset and precision inf: it adds nothing and
-    changes no precision.  With cap = inf the sum is whole, as series
-    arithmetic forms it, and an exact one ends with its last product."""
+    (a minor whose cofactor entry is the exact zero).  One pass over the
+    pairs reads the precision, the least onset and the end; a product with
+    a factor zero to precision adds no term, only its precision (the exact
+    zero's onset and precision are inf), and a product of two single
+    coefficients is added directly.  With cap = inf the sum is whole, as
+    series arithmetic forms it, and an exact one ends with its last product."""
     if cap == -INF:
         return _EXACT_ZERO
-    terms, prec = [], cap
+    terms, prec, lo, end = [], cap, INF, -INF
     for sign, ((lx, px, cx), (ly, py, cy)) in zip(signs, pairs):
-        terms.append((sign, lx + ly, cx, cy))
         prec = min(prec, px + ly, py + lx)
-    hi = prec if prec < INF else max([u + len(cx) + len(cy) - 1 for _, u, cx, cy in terms if cx and cy], default=0)
-    lo = min([hi] + [u for _, u, _, _ in terms])
+        if cx and cy:
+            u = lx + ly
+            terms.append((sign, u, cx, cy))
+            lo, end = min(lo, u), max(end, u + len(cx) + len(cy) - 1)
+    hi = prec if prec < INF else end if terms else 0
+    lo = min(lo, hi)
     acc = [0] * (hi - lo)
     for sign, u, cx, cy in terms:
         # the product's coefficient of pi^(u + r) goes to acc[u - lo + r]
-        n = max(hi - u, 0)
+        n = hi - u
+        if n <= 0:
+            continue
+        if len(cx) == len(cy) == 1:
+            acc[u - lo] += sign * cx[0] * cy[0]
+            continue
         for i, c in enumerate(cx[:n]):
             if c:
                 c *= sign

@@ -118,18 +118,18 @@ class TruncatedSeries:
     is an integer or ``math.inf`` for exactly known series (finitely many
     terms, all of them stored).  The modulus must be a prime with
     (p-1)**2 + p < 2**63, that is p <= 3037000493; a composite or larger one
-    raises ValueError.  A coefficient goes in as a Python or numpy integer;
-    any other type, a float among them, raises TypeError.
+    raises ValueError.  A coefficient, the offset, an exponent and a finite
+    precision go in as Python or numpy integers; any other type, a float
+    among them, raises TypeError.
     """
 
     __slots__ = ("p", "off", "coeffs", "prec")
 
     def __init__(self, p: int, off: int, coeffs, prec):
-        # canonicalize so that prec is either the int value or math.inf itself
-        prec = INF if (isinstance(prec, float) and math.isinf(prec)) else int(prec)
+        prec = INF if prec == INF else operator.index(prec)  # an int, or math.inf itself
         _check_modulus(p)
         self.p, self.prec = p, prec
-        self.off, self.coeffs = _trim(off, [operator.index(c) % p for c in coeffs], prec)
+        self.off, self.coeffs = _trim(operator.index(off), [operator.index(c) % p for c in coeffs], prec)
 
     @classmethod
     def _reduced(cls, p: int, off: int, coeffs, prec) -> "TruncatedSeries":
@@ -145,7 +145,7 @@ class TruncatedSeries:
     def from_terms(cls, p: int, terms, prec=INF) -> "TruncatedSeries":
         """Build from {exponent: coefficient} or [(exponent, coefficient)]."""
         pairs = list(terms.items()) if isinstance(terms, dict) else list(terms)
-        pairs = [(e, operator.index(c) % p) for e, c in pairs]
+        pairs = [(operator.index(e), operator.index(c) % p) for e, c in pairs]
         pairs = [(e, c) for e, c in pairs if c and e < prec]
         if not pairs:
             return cls(p, 0, [], prec)
@@ -167,8 +167,7 @@ class TruncatedSeries:
     @classmethod
     def pi_power(cls, p: int, k: int, prec=INF, coeff: int = 1) -> "TruncatedSeries":
         """coeff * pi^k, exact by default: zero if coeff = 0 mod p or k >= prec."""
-        _check_modulus(p)
-        return cls._reduced(p, k, (operator.index(coeff) % p,), prec)
+        return cls(p, k, (coeff,), prec)
 
     @classmethod
     def constant(cls, p: int, c: int, prec=INF) -> "TruncatedSeries":
@@ -269,6 +268,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by pi^k."""
+        k = operator.index(k)
         return TruncatedSeries._reduced(self.p, self.off + k, self.coeffs, self.prec + k)
 
     def inverse(self) -> "TruncatedSeries":
@@ -365,8 +365,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TruncatedSeries":
-        prec = INF if obj.get("prec") is None else int(obj["prec"])
-        return cls.from_terms(int(obj["p"]), [(int(e), c) for e, c in obj["terms"]], prec)
+        prec = INF if obj.get("prec") is None else obj["prec"]
+        return cls.from_terms(int(obj["p"]), obj["terms"], prec)
 
     def __repr__(self):
         prec = "inf" if self.prec is INF else self.prec

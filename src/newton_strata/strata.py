@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import INF, InsufficientPrecision, TruncatedSeries, ceil_q
+from .series import INF, InsufficientPrecision, TruncatedSeries, _check_modulus, ceil_q
 from .isocrystal import _MONOMIALS, IsoMatrix, SlopeSeq, _polygon, slope_leq, slope_sequence
 from .affine_weyl import (
     AffineWeylElt,
@@ -496,13 +496,14 @@ def adlv_nonempty(x: AffineWeylElt, b_or_lambda) -> bool:
 
 
 def _pp(p, e, coeff=1):
-    return TruncatedSeries.pi_power(p, ceil_q(e), coeff=coeff)
+    # witness checks p once, so no entry checks it again
+    return TruncatedSeries._reduced(p, ceil_q(e), (coeff % p,), INF)
 
 
 def _grid(p, *rows):
     """Entry grid from rows of exponents: e is pi^ceil(e), None an exact
     zero, and a series stands for itself."""
-    zero = TruncatedSeries.zero(p)
+    zero = TruncatedSeries._reduced(p, 0, (), INF)
     return [[zero if e is None else e if isinstance(e, TruncatedSeries) else _pp(p, e) for e in row] for row in rows]
 
 
@@ -647,49 +648,56 @@ def _verified(y: AffineWeylElt, lam: SlopeSeq, grids):
 _RECIPES = ((), ("phi",), ("phi", "phi"), ("psi",), ("psi", "phi"), ("psi", "phi", "phi"))
 
 
-def _normalizations(x: AffineWeylElt):
-    """Yield (recipe, y, reflected) with x = recipe applied innermost-first to y.
+@functools.lru_cache(maxsize=1024)
+def _normalizations(x: AffineWeylElt) -> tuple:
+    """The (recipe, y, reflected) with x = recipe applied innermost-first to y.
 
     Each base y is a translation, antidominant with mu2 >= 0, or (reflected)
     in the chamber reflected through the first simple wall with mu1 >= 0
-    and mu1 != mu3.  Recipes are tried lazily, one chamber_of each.
+    and mu1 != mu3.  They depend on x alone, so all six recipes are read
+    once per x, one chamber_of each, and kept in recipe order.
     """
+    out = []
     for recipe in _RECIPES:
         y = x
         for g in reversed(recipe):
             y = phi(phi(y)) if g == "phi" else psi(y)
         if y.w_name == "1":
-            yield recipe, y, False
+            out.append((recipe, y, False))
             continue
         name = chamber_of(y).name
         if name == "C0":
             if y.mu[1] < 0:
                 # mirror through the involution into the mu2 >= 0 half; psi
                 # fixes the antidominant chamber and flips the sign of mu2
-                yield ("psi",) + recipe, psi(y), False
+                out.append((("psi",) + recipe, psi(y), False))
             else:
-                yield recipe, y, False
+                out.append((recipe, y, False))
         elif name == "s1(C0)" and y.mu[0] >= 0 and y.mu[0] != y.mu[2]:
-            yield recipe, y, True
+            out.append((recipe, y, True))
+    return tuple(out)
 
 
 def witness(x: AffineWeylElt, lam, p: int = 11) -> IsoMatrix:
     """An explicit matrix in the xI coset of x with slope sequence exactly lam.
 
     Each normalization writes x as automorphisms (tau-conjugation and the
-    transpose-inverse involution) applied to a base y.  The base formulas
-    give candidate grids for y and the transported slopes, _verified keeps
-    the first that is exactly a witness there, and the automorphisms, which
-    carry coset patterns and slopes along, take it to x: phi_matrix is an
-    entry permutation with pi-shifts and psi_matrix a permuted inverse, so
-    the transport multiplies no series outside that inverse.  Raises
-    ElementsNotInPoset when lam does not occur in IxI, and NoWitnessFormula
-    when no candidate of any normalization verifies: at p = 2 the s1s2s1
-    union templates whose two pi^-1 terms cancel (-2 = 0) do not.
+    transpose-inverse involution) applied to a base y; they are read once
+    per x.  The base formulas give candidate grids for y and the
+    transported slopes, _verified keeps the first that is exactly a witness
+    there, and the automorphisms, which carry coset patterns and slopes
+    along, take it to x: phi_matrix is an entry permutation with pi-shifts
+    and psi_matrix a permuted inverse, so the transport multiplies no
+    series outside that inverse.  p is checked once, before any grid, and
+    a bad one raises ValueError.  Raises ElementsNotInPoset when lam does
+    not occur in IxI, and NoWitnessFormula when no candidate of any
+    normalization verifies: at p = 2 the s1s2s1 union templates whose two
+    pi^-1 terms cancel (-2 = 0) do not.
     """
     lam = _as_slopes(lam)
     if lam not in poset_of(x):
         raise ElementsNotInPoset(f"{lam} not in N(G)_x for x = {x}")
+    _check_modulus(p)
     for recipe, y, reflected in _normalizations(x):
         lam0 = psi_slopes(lam) if recipe.count("psi") % 2 else lam
         grids = _mirror_candidates(y, lam0, p) if reflected else _base_grids(y, lam0, p)

@@ -630,6 +630,17 @@ def random_read_series(rng, p):
     return ts, (ts.val_lower_bound(), ts.prec, list(ts.coeffs))
 
 
+def test_horizons_are_the_max_over_each_slots_pairs():
+    # each distinct pair of onsets is summed once and shared between the
+    # slots that read it; the result is the per-slot scan it replaced
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        onsets = [INF if rng.integers(0, 4) == 0 else int(rng.integers(-6, 7)) for _ in range(9)]
+        o = [*onsets, 0, 1]
+        want = [max(-o[x] - o[y] for x, y in pairs) for pairs in isocrystal._OTHERS]
+        assert isocrystal._horizons(onsets) == want, onsets
+
+
 class TestFusedSum:
     @pytest.mark.parametrize("p", [2, 11, 2**31 - 1])
     def test_fused_sum_matches_series_arithmetic(self, p):

@@ -94,6 +94,30 @@ class TestConstruction:
             with pytest.raises(TypeError):
                 build()
 
+    def test_non_integral_exponents_and_precisions_raise(self):
+        # each was truncated or stored: prec 4.7 read 4, prec 2.5 read 2,
+        # offset 0.5 gave exponents 0.5 and 1.5, pi_power kept offset 1.5
+        for build in (lambda: TruncatedSeries.from_json({"p": 11, "terms": [[1.5, 3]], "prec": 4.7}),
+                      lambda: TruncatedSeries.from_json({"p": 11, "terms": [[1, 3]], "prec": 4.7}),
+                      lambda: TruncatedSeries.from_json({"p": 11, "terms": [[1.5, 3]], "prec": None}),
+                      lambda: TruncatedSeries(11, 0, [1, 2], 2.5),
+                      lambda: TruncatedSeries(11, 0.5, [1, 2], INF),
+                      lambda: TruncatedSeries.pi_power(11, 1.5),
+                      lambda: TruncatedSeries.zero(11, 2.5),
+                      lambda: ts({0.5: 1}),
+                      lambda: ts({0: 1}).shift(0.5)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_integer_exponents_and_precisions_go_in_as_ints(self):
+        for x in (TruncatedSeries(P, np.int64(2), [1, 3], np.int32(6)),
+                  TruncatedSeries.pi_power(P, np.int64(-1), np.int64(4)),
+                  ts({np.int64(1): 2}, np.int64(5)),
+                  TruncatedSeries.from_json({"p": P, "terms": [[2, 3]], "prec": 7})):
+            assert type(x.off) is int and type(x.prec) is int
+        assert TruncatedSeries(P, 0, [1], math.inf).prec is INF
+        assert TruncatedSeries.pi_power(P, 3, float("inf")).prec is INF
+
     def test_python_and_numpy_integers_go_in(self):
         want = TruncatedSeries(P, 0, [1, P - 1], INF)
         assert TruncatedSeries(P, 0, np.array([1, -1], dtype=np.int64), INF) == want

@@ -424,6 +424,8 @@ class TestWitness:
             (3, "51c546a3fc735fb23a8d58f350c7539a6ed8da0a61c396adc6318d2ffeb0151f"),
             (11, "5f3fd19165ceac06f5425f2344dbd6717e186e567a9bc6d3a446f04ff03dd90a"),
             (13, "c7abf274e39c67f6cda9eee17d08ee86803b55dc29b04e36b8b9a4e5723931e5"),
+            (29, "44ebe5aa9328a37442563313eb4e8ea61a0f188991664b71a2148e1c8ffdb0cc"),
+            (101, "d1b90eedce34b8c9d6e3c8ba85293909e462066274626e74b78da3a413aff5c5"),
         ],
     )
     def test_bound2_witnesses_keep_their_recorded_entries(self, p, digest):
@@ -440,6 +442,55 @@ class TestWitness:
                 n += 1
         assert n == 280
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [4, 1, 2**62 + 135])
+    @pytest.mark.parametrize("text", ["mu=-2,0,2;w=s121", "mu=0,-2,2;w=s2", "mu=2,-1,-1"],
+                             ids=["antidominant", "reflected", "translation"])
+    def test_bad_moduli_raise_value_error(self, text, p):
+        # the modulus is checked once per witness, outside _verified, which
+        # skips a candidate that raises ValueError: a check moved inside it
+        # would turn into NoWitnessFormula
+        x = X(text)
+        kind = {"mu=-2,0,2;w=s121": "C0", "mu=0,-2,2;w=s2": "s1(C0)"}.get(text)
+        assert x.w_name == "1" if kind is None else chamber_of(x).name == kind
+        for z in poset_of(x).elements:
+            with pytest.raises(ValueError, match="prime|too large") as info:
+                witness(x, z, p=p)
+            assert type(info.value) is ValueError
+
+    def test_a_second_pass_reads_no_chamber_and_no_extra_slopes(self, monkeypatch):
+        # an element's normalizations are read once: over the |mu_i| <= 2
+        # grid at p = 11 a second pass calls chamber_of no more, and checks
+        # as many candidates (311, of which 31 fail) as the first
+        from newton_strata import strata
+
+        counts = {"chamber_of": 0, "slope_sequence": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        pairs = [(x, z) for x in enumerate_grid(2) for z in poset_of(x).elements]
+        strata._normalizations.cache_clear()
+        for name in counts:
+            monkeypatch.setattr(strata, name, counted(name, getattr(strata, name)))
+        passes = []
+        for _ in range(2):
+            counts.update(chamber_of=0, slope_sequence=0)
+            for x, z in pairs:
+                witness(x, z, p=11)
+            passes.append(dict(counts))
+        assert passes[0]["chamber_of"] > 0 and passes[0]["slope_sequence"] == 311
+        assert passes[1] == {"chamber_of": 0, "slope_sequence": 311}
+
+    def test_a_witness_carries_the_prime_it_was_built_at(self):
+        pairs = [(x, z) for x in enumerate_grid(2) for z in poset_of(x).elements]
+        for p in (11, 13):
+            for x, z in pairs:
+                W = witness(x, z, p=p)
+                assert W.p == p and all(W[i, j].p == p for i in range(3) for j in range(3)), (x, z, p)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_prime_witnesses_verify_or_raise(self, p):
