@@ -19,13 +19,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .series import TruncatedSeries, _check_modulus, ceil_q
-from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep, slope_leq
+from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
 from .kernel import (_OFFSET, _campaign_columns, _decode, _drawn_series, _encode, _kappa_passes, _sampled_slopes,
                      _unipotent_pattern)
 from .strata import (
     CaseNotApplicable,
     _BRANCH_ON_D,
+    _as_slopes,
     _first_branch,
     _predicate_tests,
     poset_of,
@@ -61,6 +62,13 @@ class ZeroCount(ArithmeticError):
 # -- configuration --------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    """The hash reads a seed mod 2**64, so one outside [0, 2**64) would
+    silently draw what another seed draws."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass
 class SampleConfig:
     """Parameters of one sampling run over a fixed valuation pattern.
@@ -69,7 +77,8 @@ class SampleConfig:
     characteristic polynomial is known past pi^0, which pins its slopes
     and every predicate threshold, so every draw resolves; a higher prec
     only extends the same draws.  Sampling is exact for (p-1)**2 + p <
-    2**63 and 2 * max_abs_k < 2**20; anything outside raises ValueError.
+    2**63 and 2 * max_abs_k < 2**20, and a seed lies in [0, 2**64);
+    anything outside raises ValueError.
     """
 
     pattern: ValuationPattern
@@ -81,6 +90,7 @@ class SampleConfig:
 
     def __post_init__(self):
         _check_modulus(self.p)
+        _check_seed(self.seed)
         max_k = self.pattern.max_abs_k()
         if 2 * max_k >= _OFFSET:
             raise ValueError(f"pattern onsets reach {max_k}; need 2 * |k| < 2**20")
@@ -132,19 +142,41 @@ def sample_ixi(cfg: SampleConfig, index: int = 0):
 
 
 def _poset_worker(args):
-    """Histogram of encoded doubled slopes for trial ids in [lo, hi), codes
-    in increasing order per block.  A block's slopes are counted by (2*lam1,
-    -2*lam3), both at least 0, in one bincount: 2*lam2 = -2*lam1 - 2*lam3."""
-    x, mode, p, seed, lo, hi = args
-    counts = {}
-    for t1, _, t3 in _sampled_slopes(x, mode, p, seed, range(lo, hi)):
-        width = int(-t3.min(initial=0)) + 1
-        n = np.bincount(t1 * width - t3)
-        for k in np.flatnonzero(n).tolist():
-            a, b = divmod(k, width)
-            code = _encode(a, b - a, -b)
-            counts[code] = counts.get(code, 0) + int(n[k])
-    return counts
+    """Per prime of primes, the histogram of encoded doubled slopes for
+    trial ids in [lo, hi), codes in increasing order per block; each block
+    is hashed once for all the primes.  A block's slopes are counted by
+    (2*lam1, -2*lam3), both at least 0, in one bincount: 2*lam2 = -2*lam1 -
+    2*lam3."""
+    x, mode, primes, seed, lo, hi = args
+    histograms = [{} for _ in primes]
+    for slopes in _sampled_slopes(x, mode, primes, seed, range(lo, hi)):
+        for counts, (t1, _, t3) in zip(histograms, slopes):
+            width = int(-t3.min(initial=0)) + 1
+            n = np.bincount(t1 * width - t3)
+            for k in np.flatnonzero(n).tolist():
+                a, b = divmod(k, width)
+                code = _encode(a, b - a, -b)
+                counts[code] = counts.get(code, 0) + int(n[k])
+    return histograms
+
+
+def _sampled_codes(x, mode, primes, seed, trials, workers):
+    """Per prime of primes, the encoded doubled slope counts of the draws of
+    trial ids 0 .. trials-1, split into one contiguous chunk per worker; the
+    counts do not depend on the split."""
+    step = max(1, -(-trials // workers))
+    chunks = [(x, mode, primes, seed, lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_poset_worker, chunks))
+    else:
+        parts = [_poset_worker(c) for c in chunks]
+    histograms = [{} for _ in primes]
+    for part in parts:
+        for counts, got in zip(histograms, part):
+            for code, n in got.items():
+                counts[code] = counts.get(code, 0) + n
+    return histograms
 
 
 # -- histograms ------------------------------------------------------------------
@@ -200,19 +232,7 @@ def empirical_poset(x: AffineWeylElt, cfg: SampleConfig = None, mode: str = "xI"
         # the kernel draws from the xI coset of x itself, whatever cfg says
         raise ValueError(f"empirical_poset samples the xI coset of {x}; use make_config(x)")
     t0 = time.perf_counter()
-    chunks = []
-    step = max(1, -(-cfg.trials // cfg.workers))
-    for lo in range(0, cfg.trials, step):
-        chunks.append((x, mode, cfg.p, cfg.seed, lo, min(lo + step, cfg.trials)))
-    if cfg.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_poset_worker, chunks))
-    else:
-        parts = [_poset_worker(c) for c in chunks]
-    counts = {}
-    for part in parts:
-        for code, n in part.items():
-            counts[code] = counts.get(code, 0) + n
+    [counts] = _sampled_codes(x, mode, (cfg.p,), cfg.seed, cfg.trials, cfg.workers)
     slopes = {_from_doubled(*_decode(code)): n for code, n in counts.items()}
     return StratumHistogram(
         x=str(x), p=cfg.p, trials=cfg.trials, counts=slopes,
@@ -270,8 +290,14 @@ def estimate_codim(
 
     With f(p) the frequency of {slope sequence <= lam} over sampled xI,
     the estimate is log(f(p1)/f(p2)) / log(p2/p1), with a binomial 95%
-    interval propagated through the logs.
+    interval propagated through the logs.  lam is read as witness reads it
+    (a SlopeSeq, its text or a triple).  Both configs are checked before
+    anything is drawn; then one pass over the trial ids, chunked per worker
+    as in empirical_poset, hashes each block once for both primes, and a
+    draw is a hit where its doubled slopes have t1 <= floor(2 lam1) and
+    t3 >= ceil(2 lam3).
     """
+    lam = _as_slopes(lam)
     poset = poset_of(x)
     if lam not in poset:
         raise ValueError(f"{lam} is not a Newton slope of x = {x}")
@@ -279,10 +305,12 @@ def estimate_codim(
         raise ValueError("lam equals the generic slope; nothing to estimate")
     if p1 == p2:
         raise ValueError(f"p1 and p2 are both {p1}; the estimate needs two different primes")
-    stats = {}
     for p in (p1, p2):
-        hist = empirical_poset(x, make_config(x, p=p, trials=trials, seed=seed, workers=workers))
-        hits = sum(n for s, n in hist.counts.items() if slope_leq(s, lam))
+        make_config(x, p=p, trials=trials, seed=seed, workers=workers)
+    lam1, lam3 = math.floor(2 * lam.lam1), ceil_q(2 * lam.lam3)
+    stats = {}
+    for p, counts in zip((p1, p2), _sampled_codes(x, "xI", (p1, p2), seed, trials, workers)):
+        hits = sum(n for code, n in counts.items() for t1, _, t3 in [_decode(code)] if t1 <= lam1 and t3 >= lam3)
         if hits == 0:
             raise ZeroCount(f"no hits at lam = {lam} for p = {p}; increase trials")
         stats[p] = (hits, trials)
@@ -530,6 +558,7 @@ def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11,
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     _check_modulus(p)
+    _check_seed(seed)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()
     grid, pair, rep, predicted, actual, _ = _campaign_draws(bound, trials_per_case, p, seed, cases)

@@ -24,8 +24,12 @@ and kappa_check's conjugates are products of blocks.
 Coefficients are drawn by a counter-based hash of (seed, trial, entry
 slot, exponent), so a sample is a pure function of its trial index: a
 scalar draw (_drawn_series) is one column of a block, and results do not
-depend on how trials are split across blocks or workers.  What depends
-only on a window (_sample_windows, _block_layout) is cached read-only.
+depend on how trials are split across blocks or workers.  The hash never
+reads p, so a block draw takes a tuple of primes and hashes once for all
+of them; only the unit leads and the reduction mod p are per prime, and a
+two-prime estimate reads both primes' slopes from one pass (_sampled_slopes).
+What depends only on a window (_sample_windows, _block_layout) is cached
+read-only.
 
 This module is the only one that builds, multiplies or reads a block.  Its
 callers get per-column arrays back, and a block holds BLOCK columns, or in a
@@ -159,18 +163,22 @@ def _block_layout(distinct, tops, slot_base):
     return spans, *arrays, tuple(below), lead_rows, lead_masks
 
 
-def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
+def _pattern_blocks(patterns, primes, seed, ids, tops, slot_base=0):
     """Exponent-major coefficient blocks for all 9 entries, slot s drawn
-    through pi^tops[s].
+    through pi^tops[s], one list of blocks per prime of primes.
 
     patterns is one ValuationPattern for every column, or a sequence with
     one pattern per column.  blocks[3*i+j] = (arr, v): row t of arr holds
     the coefficient of pi^(v + t), v the least onset over the columns, and
     rows below a column's own onset are zero.  A slot zero in every column
     has no rows and v one past its top; a slot whose top lies below its
-    onset has no rows and v at its onset.  Every block is a view of one
-    array, hashed in one pass over the cached _block_layout; one pattern is
-    one distinct pattern, its column map broadcast.
+    onset has no rows and v at its onset.  The hash does not depend on p:
+    one _raw_hash pass over the cached _block_layout draws every slot, and
+    the rows below each column's onset are zeroed once.  Each prime then
+    sets the exact leads, 1 + h % (p-1), and reduces mod p, the last one in
+    the hashed array itself and every other in a copy; each prime's blocks
+    are views of one array.  One pattern is one distinct pattern, its
+    column map broadcast.
     """
     if isinstance(patterns, ValuationPattern):
         distinct, which = (patterns,), np.zeros(1, dtype=np.intp)
@@ -182,12 +190,19 @@ def _pattern_blocks(patterns, p, seed, ids, tops, slot_base=0):
     raw = _raw_hash(seed, slots, _as_u64(ids).reshape(1, -1), exps, rows)
     for start, mask in below:
         np.copyto(raw[start : start + len(mask)], 0, where=mask[:, which])
-    if len(lead_rows):
-        lead = raw[lead_rows]
-        raw[lead_rows] = np.where(lead_masks[:, which], 1 + lead % np.uint64(p - 1), lead)
-    _reduce(raw, p)
-    arr = raw.view(np.int64)
-    return [(arr[start:end], v) for v, start, end in spans]
+    out = []
+    for n, p in enumerate(primes, 1):
+        h = raw if n == len(primes) else raw.copy()
+        if len(lead_rows):
+            lead = h[lead_rows]
+            _reduce(lead, p - 1)
+            lead += 1
+            # where a block mixes patterns, a lead row is a unit only in some columns
+            h[lead_rows] = lead if len(distinct) == 1 else np.where(lead_masks[:, which], lead, h[lead_rows])
+        _reduce(h, p)
+        arr = h.view(np.int64)
+        out.append([(arr[start:end], v) for v, start, end in spans])
+    return out
 
 
 def _reduce(arr, p):
@@ -202,7 +217,7 @@ def _reduce(arr, p):
 def _drawn_series(pattern, p, seed, index, prec, slot_base=0):
     """The draw of trial index as nine series through pi^(prec-1), entries
     row by row: one column of _pattern_blocks, a zero entry zero to prec."""
-    blocks = _pattern_blocks(pattern, p, seed, np.array([index]), [prec - 1] * 9, slot_base)
+    [blocks] = _pattern_blocks(pattern, (p,), seed, np.array([index]), [prec - 1] * 9, slot_base)
     return [TruncatedSeries._reduced(p, v, arr[:, 0].tolist(), prec) for arr, v in blocks]
 
 
@@ -279,14 +294,15 @@ def _sample_windows(x, mode):
     return top, draws, sum(max(0, t - k + 1) for _, onsets, tops, _ in draws for k, t in zip(onsets, tops))
 
 
-def _sample_blocks(windows, p, seed, ids):
-    """Entry blocks of the sampled xI (or I * xI) matrices of x, each drawn
-    only through its horizon, windows = _sample_windows(x, mode).  For I * xI,
-    chi(UM) = chi(MU) and M @ U lies in xI * I = xI, so M @ U is formed
-    instead, read through xI's horizons, and M and U only as far as it reads."""
+def _sample_blocks(windows, primes, seed, ids):
+    """Per prime of primes, the entry blocks of the sampled xI (or I * xI)
+    matrices of x, each drawn only through its horizon, windows =
+    _sample_windows(x, mode).  For I * xI, chi(UM) = chi(MU) and M @ U lies
+    in xI * I = xI, so M @ U is formed instead, read through xI's horizons,
+    and M and U only as far as it reads."""
     top, draws, _ = windows
-    blocks = [_pattern_blocks(q, p, seed, ids, tops, base) for q, _, tops, base in draws]
-    return blocks[0] if len(blocks) == 1 else _matmul_blocks(blocks[1], blocks[0], p, top)
+    factors = [_pattern_blocks(q, primes, seed, ids, tops, base) for q, _, tops, base in draws]
+    return factors[0] if len(factors) == 1 else [_matmul_blocks(M, U, p, top) for p, U, M in zip(primes, *factors)]
 
 
 # -- slopes and valuations -------------------------------------------------------
@@ -347,14 +363,19 @@ def _decode(code: int):
     return tuple(((code >> s) & mask) - _OFFSET for s in (2 * _FIELD, _FIELD, 0))
 
 
-def _sampled_slopes(x, mode, p, seed, ids):
+def _sampled_slopes(x, mode, primes, seed, ids):
     """The doubled slope triples of the xI (or I * xI) draws of the trial ids
-    (a range: only a block's ids become an array), one (t1, t2, t3) per block
-    of max(BLOCK, 32 * BLOCK // rows) columns, rows the coefficients a column
-    stores: a budget of 2**17, so a short window pays a block's cost less often."""
+    (a range: only a block's ids become an array), per block of max(BLOCK,
+    32 * BLOCK // rows) columns one (t1, t2, t3) for each prime of primes,
+    rows the coefficients a column stores: a budget of 2**17, so a short
+    window pays a block's cost less often.  A block is hashed once for all
+    the primes, as the hash does not depend on p."""
     windows = _sample_windows(x, mode)
-    return _blockwise(lambda cut: _slopes_block(_sample_blocks(windows, p, seed, ids[cut]), p),
-                      len(ids), max(BLOCK, 32 * BLOCK // windows[2]))
+
+    def block(cut):
+        return [_slopes_block(blocks, p) for p, blocks in zip(primes, _sample_blocks(windows, primes, seed, ids[cut]))]
+
+    return _blockwise(block, len(ids), max(BLOCK, 32 * BLOCK // windows[2]))
 
 
 def _campaign_columns(columns, p, seed):
@@ -376,7 +397,8 @@ def _campaign_columns(columns, p, seed):
     ids, precs = np.concatenate(ids), np.repeat(precs, [n for _, n, _ in columns]) if any(precs) else None
 
     def block(cut):
-        a, b, c, d, e, _, g, _, _ = entries = _pattern_blocks(patterns[cut], p, seed, ids[cut], tops)
+        [entries] = _pattern_blocks(patterns[cut], (p,), seed, ids[cut], tops)
+        a, b, c, d, e, _, g, _, _ = entries
         return (np.stack(_slopes_block(entries, p)), _lead_val(a), _lead_val(_dot(p, -1, [(a, e)], [(b, d)])),
                 _lead_val(_dot(p, -1, [(d, b), (g, c)])), *([] if precs is None else [_lead_val(d) >= precs[cut]]))
 
@@ -397,7 +419,7 @@ def _unipotent_blocks(rows, p, seed, ids, top):
     """Blocks of _sample_unipotent's draws (slot_base 9) through pi^top: a
     one is 1 at pi^0 and zeros above, a zero has no rows, and a min entry
     is hashed from pi^k on."""
-    blocks = _pattern_blocks(_unipotent_pattern(rows), p, seed, ids, [top] * 9, slot_base=9)
+    [blocks] = _pattern_blocks(_unipotent_pattern(rows), (p,), seed, ids, [top] * 9, slot_base=9)
     one = np.zeros((top + 1, len(ids)), dtype=np.int64)
     one[0] = 1
     return [(one, 0) if spec == "one" else block for spec, block in zip((spec for row in rows for spec in row), blocks)]
@@ -439,7 +461,7 @@ def _k1_inverse_passes(x, kpat, acfg, ids, top):
     less, and a zero entry reads N as far as it is known.  Where c or D is
     zero that far the test is undecided, as the inverse is."""
     p, g, (m1, m2, m3) = acfg.p, min(_least_onsets([acfg.pattern])), x.mu
-    A = _pattern_blocks(acfg.pattern, p, acfg.seed, ids, [top] * 9)
+    [A] = _pattern_blocks(acfg.pattern, (p,), acfg.seed, ids, [top] * 9)
     _, b, c, _, e, f, _, h, i = A
     D, bi_ch, ei_fh = (_dot(p, top + g, [(u, v)], [(y, z)])
                        for u, v, y, z in ((c, e, b, f), (b, i, c, h), (e, i, f, h)))
@@ -485,7 +507,7 @@ def _kappa_passes(x, kpat, jrows, p, seed, trials, acfg):
 
     def block(cut):
         cols = ids[cut]
-        K = _pattern_blocks(kpat, p, seed, cols, tk)
+        [K] = _pattern_blocks(kpat, (p,), seed, cols, tk)
         j = _unipotent_blocks(jrows, p, seed, cols, jtop)
         one, zero = j[0], j[1]
         kappa = _matmul_blocks(_unipotent_inverse(j, p, jtop), _matmul_blocks(K, j, p, tkj), p, tops)

@@ -194,6 +194,18 @@ class TestSample:
         assert code == 0
         assert out.splitlines()[0] == "lam1,lam2,lam3,count"
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    @pytest.mark.parametrize("cmd", [("sample", "mu=-2,0,2;w=s121", "--trials", "50"),
+                                     ("campaign", "--bound", "1", "--trials", "5"),
+                                     ("tables", "--w", "s121", "--bound", "1", "--verify", "--trials", "10")])
+    def test_a_seed_outside_64_bits_is_a_domain_error(self, capsys, monkeypatch, cmd, seed):
+        # 2**64 would draw what seed 0 draws, and -1 what 2**64 - 1 draws
+        code, out, err = run(capsys, *cmd, "--seed", seed)
+        assert code == 4 and out == "" and err == f"domain error: seed must lie in [0, 2**64), got {seed}\n"
+        monkeypatch.setenv("NEWTON_STRATA_SEED", seed)
+        assert run(capsys, *cmd)[0] == 4
+        assert run(capsys, *cmd, "--seed", str(2**64 - 1))[0] == 0
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("NEWTON_STRATA_SEED", "5")
         argv = ("sample", "mu=-2,0,2;w=s121", "--trials", "400", "--json")

@@ -61,6 +61,15 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             make_config(HEADLINE, trials=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+    def test_rejects_seeds_the_hash_would_alias(self, seed):
+        # the hash reads a seed mod 2**64: 2**64 would draw seed 0, -1 seed 2**64 - 1
+        assert make_config(HEADLINE, seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SampleConfig(pattern=coset_pattern(HEADLINE, "xI"), seed=seed)
+        with pytest.raises(ValueError, match="seed must lie"):
+            empirical_poset(HEADLINE, make_config(HEADLINE, trials=10, seed=seed))
+
     def test_rejects_primes_outside_the_exact_range(self):
         assert make_config(HEADLINE, p=P_MAX).p == P_MAX
         with pytest.raises(ValueError, match="too large"):
@@ -188,7 +197,8 @@ class TestGoldenDraws:
         cfg = SampleConfig(pattern=coset_pattern(GOLDEN_X, "K2"), p=p, seed=5)
         g = min(_least_onsets([cfg.pattern]))
         ids = np.array([2, 7, 40], dtype=np.int64)
-        blocks = _padded(_pattern_blocks(cfg.pattern, p, cfg.seed, ids, [cfg.prec - 1] * 9, slot_base=9), g, cfg.prec - g)
+        [blocks] = _pattern_blocks(cfg.pattern, (p,), cfg.seed, ids, [cfg.prec - 1] * 9, slot_base=9)
+        blocks = _padded(blocks, g, cfg.prec - g)
         for col, index in enumerate(ids.tolist()):
             A = sample_pattern(cfg, index, slot_base=9)
             for slot, (arr, _) in enumerate(blocks):
@@ -256,11 +266,34 @@ class TestOnePassDraw:
         if n:
             settings += [(mixed, kernel._horizons(_least_onsets(mixed)), 0), (mixed, [5] * 9, 9)]
         for patterns, tops, base in settings:
-            got = _pattern_blocks(patterns, p, 3, ids, tops, slot_base=base)
-            want = _per_slot_blocks(patterns, p, 3, ids, tops, slot_base=base)
-            assert [v for _, v in got] == [v for _, v in want], (tops, base)
-            for slot, ((arr, _), (ref, _)) in enumerate(zip(got, want)):
-                assert arr.shape == ref.shape and np.array_equal(arr, ref), (tops, base, slot)
+            # one hash pass serves every prime of the tuple, p last or first
+            for primes in ((p,), (5, p), (p, 5)):
+                for q, got in zip(primes, _pattern_blocks(patterns, primes, 3, ids, tops, slot_base=base)):
+                    want = _per_slot_blocks(patterns, q, 3, ids, tops, slot_base=base)
+                    assert [v for _, v in got] == [v for _, v in want], (tops, base, primes)
+                    for slot, ((arr, _), (ref, _)) in enumerate(zip(got, want)):
+                        assert arr.shape == ref.shape and np.array_equal(arr, ref), (tops, base, slot, primes)
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1, P_MAX])
+@pytest.mark.parametrize("cols", [5, 5 * 300, 5 * 4000])
+def test_unit_leads_are_one_plus_the_hash_mod_p_minus_one(p, cols, monkeypatch):
+    # hashes at both ends of uint64 and at p-2 and p-1, in lead arrays that
+    # reduce with %= (under 1024 entries), by floor division, and by floor
+    # division in chunks (over 2**14); every prime of a tuple, the last one
+    # in the hashed array itself
+    hs = np.array([0, p - 2, p - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    pattern = coset_pattern(HEADLINE, "xI")
+    tops = tuple(kernel._horizons(_least_onsets([pattern])))
+    spans, *_, lead_rows, _ = kernel._block_layout((pattern,), tops, 0)
+    assert len(lead_rows) == 3
+    monkeypatch.setattr(kernel, "_raw_hash", lambda seed, slots, trials, exps, rows: np.tile(hs, (len(rows), cols // 5)))
+    for primes in ((p,), (p, 3), (3, p)):
+        for q, blocks in zip(primes, _pattern_blocks(pattern, primes, 0, np.arange(cols), tops)):
+            want = [1 + int(h) % (q - 1) for h in hs.tolist()] * (cols // 5)
+            for row in lead_rows.tolist():
+                [(arr, start)] = [(arr, start) for (_, start, end), (arr, _) in zip(spans, blocks) if start <= row < end]
+                assert arr[row - start].tolist() == want, (q, row)
 
 
 def _padded(blocks, base, n):
@@ -338,10 +371,10 @@ def _full_window_slopes(xs, mode, p, seed, n):
     g = min(_least_onsets(xpats[::n]))
     L = 1 - 3 * g
     if mode == "xI":
-        entries = _padded(_pattern_blocks(xpats, p, seed, ids, [-2 * g] * 9), g, L)
+        entries = _padded(_pattern_blocks(xpats, (p,), seed, ids, [-2 * g] * 9)[0], g, L)
     else:
-        U = _padded(_pattern_blocks(coset_pattern(AffineWeylElt.identity(), "I"), p, seed, ids, [-3 * g] * 9), 0, L)
-        M = _padded(_pattern_blocks(xpats, p, seed, ids, [-2 * g] * 9, slot_base=9), g, L)
+        U = _padded(_pattern_blocks(coset_pattern(AffineWeylElt.identity(), "I"), (p,), seed, ids, [-3 * g] * 9)[0], 0, L)
+        M = _padded(_pattern_blocks(xpats, (p,), seed, ids, [-2 * g] * 9, slot_base=9)[0], g, L)
         entries = [_full_window_sum(p, [_full_window_conv(U[3 * i + k], M[3 * k + j], p, L) for k in range(3)])
                    for i in range(3) for j in range(3)]
     a, b, c, d, e, f, g_, h, i = entries
@@ -363,7 +396,7 @@ def _full_window_slopes(xs, mode, p, seed, n):
 def _horizon_slopes(xs, mode, p, seed, n):
     """The same slopes from the kernel, one block per x."""
     ids = np.arange(n, dtype=np.int64)
-    blocks = (kernel._sample_blocks(kernel._sample_windows(x, mode), p, seed, ids) for x in xs)
+    blocks = (kernel._sample_blocks(kernel._sample_windows(x, mode), (p,), seed, ids)[0] for x in xs)
     return np.concatenate([np.stack(kernel._slopes_block(entries, p)) for entries in blocks], axis=1)
 
 
@@ -446,7 +479,7 @@ class TestBulkKernel:
             return dot(*args)
 
         monkeypatch.setattr(kernel, "_dot", counted)
-        blocks = list(kernel._sampled_slopes(X("mu=-2,0,2;w=s121"), "xI", 11, 0, range(100)))
+        blocks = list(kernel._sampled_slopes(X("mu=-2,0,2;w=s121"), "xI", (11,), 0, range(100)))
         assert len(blocks) == 1 and len(calls) == 6, calls
 
     def test_lead_val_matches_python_column_by_column(self, rng):
@@ -486,11 +519,11 @@ class TestBulkKernel:
         x = X("mu=-8,2,6;w=s121")
         for mode, trials in itertools.product(("xI", "IxI"), (0, 1, 1024, 40000)):
             want = {}
-            for slopes in kernel._sampled_slopes(x, mode, p, 3, range(trials)):
+            for [slopes] in kernel._sampled_slopes(x, mode, (p,), 3, range(trials)):
                 block = Counter(_encode(*t) for t in zip(*(s.tolist() for s in slopes)))
                 for code in sorted(block):
                     want[code] = want.get(code, 0) + block[code]
-            got = empirics._poset_worker((x, mode, p, 3, 0, trials))
+            [got] = empirics._poset_worker((x, mode, (p,), 3, 0, trials))
             assert list(got.items()) == list(want.items()) and sum(got.values()) == trials, (mode, trials)
 
     @pytest.mark.parametrize("p", [2, 3, 11, 65537, 2**31 - 1])
@@ -595,7 +628,7 @@ def test_ixi_blocks_keep_the_xi_windows():
     rows: the product is read through xI's horizons, not its own."""
     ids = np.arange(4, dtype=np.int64)
     for x in (x for xs in HORIZON_BLOCKS for x in xs):
-        shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(kernel._sample_windows(x, mode), 11, 3, ids)]
+        shapes = [[(v, len(arr)) for arr, v in kernel._sample_blocks(kernel._sample_windows(x, mode), (11,), 3, ids)[0]]
                   for mode in ("IxI", "xI")]
         assert shapes[0] == shapes[1], str(x)
 
@@ -608,7 +641,7 @@ def test_xi_windows_read_tr_and_e2_below_pi0_only():
     ids = np.arange(1, dtype=np.int64)
 
     def rows(x):
-        return sum(len(arr) for arr, _ in kernel._sample_blocks(kernel._sample_windows(x, "xI"), 11, 3, ids))
+        return sum(len(arr) for arr, _ in kernel._sample_blocks(kernel._sample_windows(x, "xI"), (11,), 3, ids)[0])
 
     assert rows(HEADLINE) == 4
     assert sum(rows(x) for x in enumerate_grid(4)) == 3798
@@ -705,9 +738,87 @@ class TestEstimators:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before rejecting p1 == p2")
 
-        monkeypatch.setattr(empirics, "empirical_poset", no_sampling)
+        monkeypatch.setattr(kernel, "_pattern_blocks", no_sampling)
         with pytest.raises(ValueError, match="two different primes"):
             estimate_codim(HEADLINE, lam("0,0,0"), p1=11, p2=11, trials=100)
+
+    def test_codim_estimate_reads_lam_as_witness_does(self):
+        # 0,0,0 is a Newton slope of the headline, as text, triple or SlopeSeq
+        want = estimate_codim(HEADLINE, lam("0,0,0"), trials=2000, seed=3)
+        for text in ("0,0,0", (0, 0, 0)):
+            assert estimate_codim(HEADLINE, text, trials=2000, seed=3) == want
+        with pytest.raises(ValueError, match="not a Newton slope"):
+            estimate_codim(HEADLINE, "2,0,-2", trials=100)
+
+    @pytest.mark.parametrize("kw", [{"p2": 4}, {"p1": 4}, {"p2": P_OVER}, {"trials": -1}, {"workers": 0},
+                                    {"seed": 2**64}, {"seed": -1}])
+    def test_codim_estimate_checks_both_configs_before_drawing(self, kw, monkeypatch):
+        # p1 = 11 has hits; a bad p2 used to raise only after p1's histogram
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a block before checking both configs")
+
+        monkeypatch.setattr(kernel, "_pattern_blocks", no_draw)
+        with pytest.raises(ValueError):
+            estimate_codim(HEADLINE, lam("0,0,0"), **{"p1": 11, "p2": 31, "trials": 1000, **kw})
+
+    def test_an_estimate_hashes_each_block_once_for_both_primes(self, monkeypatch):
+        calls, raw_hash = [], kernel._raw_hash
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return raw_hash(*args)
+
+        monkeypatch.setattr(kernel, "_raw_hash", counted)
+        est = estimate_codim(HEADLINE, lam("0,0,0"), trials=10**4, seed=2)
+        # the headline stores 4 rows a column: one block holds every trial
+        assert calls == [10**4]
+        calls.clear()
+        monkeypatch.setattr(kernel, "BLOCK", 7)
+        assert estimate_codim(HEADLINE, lam("0,0,0"), trials=10**4, seed=2) == est
+        assert len(calls) == -(-10**4 // 56) and sum(calls) == 10**4
+
+    def test_codim_estimate_does_not_depend_on_the_workers(self):
+        one, two = (estimate_codim(X("mu=-3,1,2;w=s121"), lam("1,0,-1"), p1=3, p2=11, trials=30_001, seed=6, workers=n)
+                    for n in (1, 2))
+        assert one == two and one.counts[3][0] > one.counts[11][0] > 0
+
+    @pytest.mark.parametrize("text", ["mu=-2,0,2;w=s121", "mu=-3,1,2;w=s121", "mu=-4,2,2;w=s12"])
+    def test_codim_estimate_counts_the_hits_of_each_primes_histogram(self, text):
+        # the estimate reads its hits from doubled integers; per-prime
+        # histograms at the same seed, read through slope_leq, give the
+        # same counts, or the same ZeroCount, for every lam below nu_x
+        x, trials, seed = X(text), 100_000, 9
+        pairs = [(11, 31), (5, 11), (2, 3), (31, 11), (65537, 3)]
+        hists = {p: empirical_poset(x, make_config(x, p=p, trials=trials, seed=seed)).counts
+                 for p in {p for pair in pairs for p in pair}}
+        estimated = Counter()
+        for z in poset_of(x).elements:
+            if z == poset_of(x).nu_x:
+                continue
+            hits = {p: sum(n for s, n in hist.items() if slope_leq(s, z)) for p, hist in hists.items()}
+            for p1, p2 in pairs:
+                empty = [p for p in (p1, p2) if not hits[p]]
+                if empty:
+                    with pytest.raises(ZeroCount, match=f"^no hits at lam = {z} for p = {empty[0]};"):
+                        estimate_codim(x, z, p1=p1, p2=p2, trials=trials, seed=seed)
+                    continue
+                est = estimate_codim(x, z, p1=p1, p2=p2, trials=trials, seed=seed)
+                assert est.counts == {p1: (hits[p1], trials), p2: (hits[p2], trials)}, (str(z), p1, p2)
+                assert est.estimate == pytest.approx(math.log(hits[p1] / hits[p2]) / math.log(p2 / p1))
+                estimated[p1, p2] += 1
+        assert set(estimated) == set(pairs)
+
+    def test_kappa_check_and_campaign_reject_seeds_the_hash_would_alias(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie"):
+                kappa_check(HEADLINE, "K1", trials=4, seed=seed)
+            with pytest.raises(ValueError, match="seed must lie"):
+                predicate_campaign(bound=1, trials_per_case=4, seed=seed)
+            # a campaign that draws nothing checks its seed all the same
+            with pytest.raises(ValueError, match="seed must lie"):
+                predicate_campaign(bound=1, trials_per_case=0, seed=seed)
+        assert kappa_check(HEADLINE, "K1", trials=4, seed=2**64 - 1).ok
+        assert predicate_campaign(bound=1, trials_per_case=4, seed=2**64 - 1).ok
 
     def test_kappa_parametrization_k1(self):
         rep = kappa_check(X("mu=-2,0,2;w=s121"), "K1", trials=40, seed=4)
@@ -1214,9 +1325,9 @@ def test_reports_do_not_depend_on_the_block_width(p, monkeypatch):
     assert any(doc.get("failures") for doc in whole)
     draws, draw = [], kernel._pattern_blocks
 
-    def counted(patterns, p, seed, ids, *args, **kwargs):
-        blocks = draw(patterns, p, seed, ids, *args, **kwargs)
-        draws.append((ids, sum(len(arr) for arr, _ in blocks)))
+    def counted(patterns, primes, seed, ids, *args, **kwargs):
+        blocks = draw(patterns, primes, seed, ids, *args, **kwargs)
+        draws.append((ids, sum(len(arr) for arr, _ in blocks[0])))
         return blocks
 
     monkeypatch.setattr(kernel, "_pattern_blocks", counted)
@@ -1233,8 +1344,9 @@ def test_reports_do_not_depend_on_the_block_width(p, monkeypatch):
             blocks[-1][1] += n
         else:
             blocks.append([ids, n])
-    # the estimate alone spans 2 * 179 blocks of 56 columns (4 rows a column)
-    assert len(blocks) > 2 * ESTIMATE_TRIALS // 56
+    # the estimate alone spans 179 blocks of 56 columns (4 rows a column),
+    # each hashed once for both primes
+    assert len(blocks) > ESTIMATE_TRIALS // 56
     for ids, n in blocks:
         assert len(ids) <= max(7, 32 * 7 // n), (ids, n)
         # only the last block of a histogram holds fewer than BLOCK columns
@@ -1248,8 +1360,8 @@ def test_a_short_window_gets_a_wider_block():
     for x, mode, rows, width in ((HEADLINE, "xI", 4, 32768), (HEADLINE, "IxI", 8, 16384),
                                  (X("mu=-40,0,40;w=s121"), "xI", 156, kernel.BLOCK)):
         assert kernel._sample_windows(x, mode)[2] == rows
-        blocks = list(kernel._sampled_slopes(x, mode, 11, 0, range(2 * width + 1)))
-        assert [len(t1) for t1, _, _ in blocks] == [width, width, 1], (str(x), mode)
+        blocks = list(kernel._sampled_slopes(x, mode, (11,), 0, range(2 * width + 1)))
+        assert [len(t1) for [(t1, _, _)] in blocks] == [width, width, 1], (str(x), mode)
 
 
 def _window_docs(p, cold):
@@ -1342,10 +1454,10 @@ def _one_row_short(monkeypatch, pattern, slot=None):
     or in the given one only."""
     draw = kernel._pattern_blocks
 
-    def short(patterns, p, seed, ids, tops, slot_base=0):
+    def short(patterns, primes, seed, ids, tops, slot_base=0):
         if patterns == pattern:
             tops = [t - (slot is None or s == slot) for s, t in enumerate(tops)]
-        return draw(patterns, p, seed, ids, tops, slot_base)
+        return draw(patterns, primes, seed, ids, tops, slot_base)
 
     monkeypatch.setattr(kernel, "_pattern_blocks", short)
 
@@ -1389,10 +1501,10 @@ class TestKappaWindows:
             x, kpat, drawn = X(text), coset_pattern(X(text), which), []
             draw = kernel._pattern_blocks
 
-            def recorded(patterns, p, seed, ids, tops, slot_base=0):
+            def recorded(patterns, primes, seed, ids, tops, slot_base=0):
                 if patterns == kpat:
                     drawn.append(tops)
-                return draw(patterns, p, seed, ids, tops, slot_base)
+                return draw(patterns, primes, seed, ids, tops, slot_base)
 
             with monkeypatch.context() as mp:
                 mp.setattr(kernel, "_pattern_blocks", recorded)
