@@ -12,6 +12,7 @@ sample_ixi draw the same matrices one at a time.
 import collections
 import functools
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -21,8 +22,9 @@ import numpy as np
 from .series import TruncatedSeries, _check_modulus, ceil_q
 from .isocrystal import IsoMatrix, SlopeSeq, _from_doubled, dominant_rep
 from .affine_weyl import AffineWeylElt, ValuationPattern, coset_pattern, enumerate_grid
-from .kernel import (_OFFSET, _campaign_columns, _decode, _drawn_series, _encode, _kappa_passes, _sampled_slopes,
-                     _unipotent_pattern)
+from . import kernel
+from .kernel import (_OFFSET, _campaign_blocks, _campaign_columns, _decode, _drawn_series, _encode, _kappa_passes,
+                     _sampled_slopes, _unipotent_pattern)
 from .strata import (
     CaseNotApplicable,
     _BRANCH_ON_D,
@@ -508,15 +510,25 @@ def _pair_reps(trials_per_case, n_pairs):
     return [share or (i + 1) * trials_per_case // n_pairs - i * trials_per_case // n_pairs for i in range(n_pairs)]
 
 
-def _campaign_draws(bound, trials_per_case, p, seed, cases):
-    """Every draw of a campaign, evaluated in one pass of the block kernel.
+_CampaignPlan = collections.namedtuple("_CampaignPlan", "grid pair rep col trials columns tests lam1 lam3 blocks")
+# a campaign of more trials per case is drawn, not planned, for most of its
+# time, and its plan (about 80 bytes a draw) is built per call, not kept
+_PLANNED_TRIALS = 1024
 
-    Each tag of a case in cases (all if None) draws _pair_reps of its pairs.
-    The columns are the trial ids 0 .. n-1 of each drawn x in grid order, n
-    the most reps a pair needs, drawn from x's case pattern, d to its dprec.
-    Returns the _campaign_grid and, per draw in campaign order (pairs, then
-    reps): its pair's index into the grid's pairs, its trial id, its tests'
-    verdict, whether its slopes are below lam, and its doubled slopes."""
+
+@functools.lru_cache(maxsize=32)
+def _campaign_plan(bound, trials_per_case, cases, width):
+    """Everything of a campaign that no seed or p moves, cached read-only.
+
+    cases is a frozenset of case names, or None for all; each tag of a case
+    in cases draws _pair_reps of its pairs.  The columns are the trial ids 0
+    .. n-1 of each drawn x in grid order, n the most reps a pair needs,
+    drawn from x's case pattern, d to its dprec.  Per draw in campaign order
+    (pairs, then reps): pair, its pair's index into the grid's pairs; rep,
+    its trial id; col, its column; tests, lam1 and lam3, its pair's rows of
+    the grid.  trials counts the draws of each tag; columns are the
+    (pattern, n, dprec) of each drawn x, and blocks their _campaign_blocks
+    of at most width columns."""
     grid = _campaign_grid(bound)
     reps = np.zeros(len(grid.pairs), dtype=np.int64)
     for _, case, lo, hi in grid.spans:
@@ -524,20 +536,52 @@ def _campaign_draws(bound, trials_per_case, p, seed, cases):
             reps[lo:hi] = _pair_reps(trials_per_case, hi - lo)
     pair = np.repeat(np.arange(reps.size), reps)
     rep = np.arange(pair.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    if not pair.size:
-        return grid, pair, rep, *np.zeros((2, 0), dtype=bool), np.zeros((3, 0), dtype=np.int64)
     # per x: the most reps a pair needs, and its precision if a drawn test branches on d
     n, dprec = np.zeros((2, len(grid.patterns)), dtype=np.int64)
     np.maximum.at(n, grid.x, reps)
     np.maximum.at(dprec, grid.x, grid.dprec * (reps > 0))
-    slopes, *vals = _campaign_columns([(grid.patterns[i], int(n[i]), int(dprec[i])) for i in np.flatnonzero(n).tolist()],
-                                      p, seed)
+    columns = tuple((grid.patterns[i], int(n[i]), int(dprec[i])) for i in np.flatnonzero(n).tolist())
+    plan = _CampaignPlan(grid, pair, rep, (np.cumsum(n) - n)[grid.x[pair]] + rep,
+                         tuple(np.bincount(grid.tag[pair], minlength=len(grid.spans)).tolist()), columns,
+                         grid.tests[:, pair], grid.lam1[pair], grid.lam3[pair],
+                         _campaign_blocks(columns, width) if columns else ())
+    for arr in (plan.pair, plan.rep, plan.col, plan.tests, plan.lam1, plan.lam3):
+        arr.setflags(write=False)
+    return plan
+
+
+def _plan_of(bound, trials_per_case, cases):
+    """The _campaign_plan of cases, one name (a str) or a collection of
+    names (None: all), at the kernel's block width; kept only up to
+    _PLANNED_TRIALS trials per case."""
+    names = None if cases is None else frozenset([cases] if isinstance(cases, str) else cases)
+    plan = _campaign_plan if trials_per_case <= _PLANNED_TRIALS else _campaign_plan.__wrapped__
+    return plan(bound, trials_per_case, names, kernel.BLOCK)
+
+
+def _campaign_verdicts(plan, p, seed):
+    """Per draw of plan, evaluated in one pass of the block kernel, its
+    tests' verdict and whether its slopes are below lam; and per column of
+    plan its doubled slopes."""
+    if not plan.pair.size:
+        return *np.zeros((2, 0), dtype=bool), np.zeros((3, 0), dtype=np.int64)
+    slopes, *vals = _campaign_columns(plan.blocks, p, seed)
     if len(vals) == len(_TESTED):
         vals[-1] = np.where(vals[-1], vals[1], vals[2])
-    col = (np.cumsum(n) - n)[grid.x[pair]] + rep
-    predicted = np.all(np.stack(vals)[:, col] >= grid.tests[: len(vals), pair], axis=0)
-    slopes = slopes[:, col]
-    return grid, pair, rep, predicted, (slopes[0] <= grid.lam1[pair]) & (slopes[2] >= grid.lam3[pair]), slopes
+    predicted = np.ones(plan.pair.size, dtype=bool)
+    for val, tests in zip(vals, plan.tests):
+        predicted &= val[plan.col] >= tests
+    return predicted, (slopes[0][plan.col] <= plan.lam1) & (slopes[2][plan.col] >= plan.lam3), slopes
+
+
+def _campaign_draws(bound, trials_per_case, p, seed, cases):
+    """Every draw of a campaign as predicate_campaign judges it: the
+    _campaign_grid, then per draw in campaign order its pair's index into
+    the grid's pairs, its trial id, its _campaign_verdicts and its doubled
+    slopes."""
+    plan = _plan_of(bound, trials_per_case, cases)
+    predicted, actual, slopes = _campaign_verdicts(plan, p, seed)
+    return plan.grid, plan.pair, plan.rep, predicted, actual, slopes[:, plan.col]
 
 
 def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11, seed: int = 0, cases=None) -> CampaignReport:
@@ -550,9 +594,15 @@ def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11,
     kernel, which reads the slopes and the valuations of a, ae - bd and
     db + gc from the same products; the draws are those of sample_pattern,
     trial id for trial id.  Each bound's tests and thresholds are built once
-    (_campaign_grid), and all draws are judged in whole-array operations.
-    The first 20 mismatching matrices are drawn again and reported verbatim.
+    (_campaign_grid), and each (bound, trials_per_case, cases) its draws,
+    columns and block layouts (_campaign_plan, kept up to 1024 trials per
+    case), so a warm campaign only hashes, multiplies and compares; all
+    draws are judged in whole-array operations.  cases is one case name (a
+    str) or a collection of them, None for all; bound and trials_per_case
+    are integers, and anything else raises TypeError.  The first 20
+    mismatching matrices are drawn again and reported verbatim.
     """
+    bound, trials_per_case = operator.index(bound), operator.index(trials_per_case)
     if trials_per_case < 0:
         raise ValueError("trials must be nonnegative")
     if bound < 0:
@@ -561,17 +611,19 @@ def predicate_campaign(bound: int = 4, trials_per_case: int = 1000, p: int = 11,
     _check_seed(seed)
     report = CampaignReport(bound=bound, p=p, trials_per_case=trials_per_case)
     t0 = time.perf_counter()
-    grid, pair, rep, predicted, actual, _ = _campaign_draws(bound, trials_per_case, p, seed, cases)
-    tag, wrong = grid.tag[pair], np.flatnonzero(predicted != actual)
-    trials, bad = (np.bincount(t, minlength=len(grid.spans)).tolist() for t in (tag, tag[wrong]))
-    for (name, _, lo, hi), n, m in zip(grid.spans, trials, bad):
+    plan = _plan_of(bound, trials_per_case, cases)
+    predicted, actual, _ = _campaign_verdicts(plan, p, seed)
+    wrong = np.flatnonzero(predicted != actual)
+    bad = np.bincount(plan.grid.tag[plan.pair[wrong]], minlength=len(plan.grid.spans)).tolist()
+    for (name, _, lo, hi), n, m in zip(plan.grid.spans, plan.trials, bad):
         if n:
             report.cases[name] = {"pairs": hi - lo, "trials": n, "mismatches": m}
     for i in wrong[:_MAX_MISMATCHES].tolist():
-        _, x, lam, pattern = grid.pairs[pair[i]]
+        _, x, lam, pattern = plan.grid.pairs[plan.pair[i]]
         cfg = SampleConfig(pattern=pattern, p=p, trials=1, seed=seed)
-        report.mismatches.append({"x": str(x), "lam": str(lam), "index": int(rep[i]), "predicate": bool(predicted[i]),
-                                  "sampled": str(bool(actual[i])), "matrix": _matrix_text(sample_pattern(cfg, int(rep[i])))})
-    report.trials_total = int(pair.size)
+        rep = int(plan.rep[i])
+        report.mismatches.append({"x": str(x), "lam": str(lam), "index": rep, "predicate": bool(predicted[i]),
+                                  "sampled": str(bool(actual[i])), "matrix": _matrix_text(sample_pattern(cfg, rep))})
+    report.trials_total = int(plan.pair.size)
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report

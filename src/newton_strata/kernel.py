@@ -29,13 +29,16 @@ reads p, so a block draw takes a tuple of primes and hashes once for all
 of them; only the unit leads and the reduction mod p are per prime, and a
 two-prime estimate reads both primes' slopes from one pass (_sampled_slopes).
 What depends only on a window (_sample_windows, _block_layout) is cached
-read-only.
+read-only, and a campaign's blocks are laid out once (_campaign_blocks),
+their layouts and trial ids read-only, for the plan its caller caches, so a
+warm campaign only hashes, multiplies and compares.
 
 This module is the only one that builds, multiplies or reads a block.  Its
 callers get per-column arrays back, and a block holds BLOCK columns, or in a
 histogram max(BLOCK, 32 * BLOCK // rows), rows the coefficients per column.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -119,13 +122,20 @@ def _blockwise(fn, n, width):
 
 
 def _joined(parts):
-    """The per-column arrays of each block's result, joined along columns."""
-    return [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
+    """The per-column arrays of each block's result, joined along columns;
+    those of a lone block as they are."""
+    parts = list(parts)
+    return list(parts[0]) if len(parts) == 1 else [np.concatenate(arrays, axis=-1) for arrays in zip(*parts)]
 
 
 def _least_onsets(patterns):
     """Slot-wise least onset over the patterns, inf where all are zero."""
     return [min(math.inf if e.kind == "zero" else e.k for e in es) for es in zip(*(sum(q.entries, ()) for q in patterns))]
+
+
+# what _pattern_blocks reads of a block's window: each mask has a column per
+# distinct pattern, or, where a block mixes patterns, one per block column
+_Layout = collections.namedtuple("_Layout", "spans slots exps rows below lead_rows lead_masks")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -160,36 +170,55 @@ def _block_layout(distinct, tops, slot_base):
     lead_masks = np.array([mask for _, mask in leads], dtype=bool).reshape(len(leads), len(distinct))
     for arr in arrays + [lead_rows, lead_masks] + [mask for _, mask in below]:
         arr.setflags(write=False)
-    return spans, *arrays, tuple(below), lead_rows, lead_masks
+    return _Layout(spans, *arrays, tuple(below), lead_rows, lead_masks)
 
 
-def _pattern_blocks(patterns, primes, seed, ids, tops, slot_base=0):
+def _pattern_layout(patterns, tops, slot_base=0):
+    """The layout lookup of _pattern_blocks: the _block_layout of the
+    distinct patterns among patterns, its masks taken to the columns,
+    read-only, where they are more than one.
+
+    patterns is one ValuationPattern for every column, or a sequence with
+    one pattern per column, told apart by identity in order of first
+    column.  One distinct pattern keeps its masks of one column, which
+    broadcast.
+    """
+    if isinstance(patterns, ValuationPattern):
+        return _block_layout((patterns,), tuple(tops), slot_base)
+    index = {}
+    which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
+    layout = _block_layout(tuple({id(q): q for q in patterns}.values()), tuple(tops), slot_base)
+    if len(index) == 1:
+        return layout
+    layout = layout._replace(below=tuple((start, mask[:, which]) for start, mask in layout.below),
+                             lead_masks=layout.lead_masks[:, which])
+    for arr in (layout.lead_masks, *(mask for _, mask in layout.below)):
+        arr.setflags(write=False)
+    return layout
+
+
+def _pattern_blocks(patterns, primes, seed, ids, tops=None, slot_base=0):
     """Exponent-major coefficient blocks for all 9 entries, slot s drawn
     through pi^tops[s], one list of blocks per prime of primes.
 
-    patterns is one ValuationPattern for every column, or a sequence with
-    one pattern per column.  blocks[3*i+j] = (arr, v): row t of arr holds
-    the coefficient of pi^(v + t), v the least onset over the columns, and
-    rows below a column's own onset are zero.  A slot zero in every column
-    has no rows and v one past its top; a slot whose top lies below its
-    onset has no rows and v at its onset.  The hash does not depend on p:
-    one _raw_hash pass over the cached _block_layout draws every slot, and
-    the rows below each column's onset are zeroed once.  Each prime then
-    sets the exact leads, 1 + h % (p-1), and reduces mod p, the last one in
-    the hashed array itself and every other in a copy; each prime's blocks
-    are views of one array.  One pattern is one distinct pattern, its
-    column map broadcast.
+    patterns is what _pattern_layout takes, with tops and slot_base, or the
+    _Layout it gives for them, as a campaign plan holds it.  blocks[3*i+j]
+    = (arr, v): row t of arr holds the coefficient of pi^(v + t), v the
+    least onset over the columns, and rows below a column's own onset are
+    zero.  A slot zero in every column has no rows and v one past its top;
+    a slot whose top lies below its onset has no rows and v at its onset.
+    The hash does not depend on p: one _raw_hash pass over the layout draws
+    every slot, and the rows below each column's onset are zeroed once.
+    Each prime then sets the exact leads, 1 + h % (p-1), and reduces mod p,
+    the last one in the hashed array itself and every other in a copy; each
+    prime's blocks are views of one array.
     """
-    if isinstance(patterns, ValuationPattern):
-        distinct, which = (patterns,), np.zeros(1, dtype=np.intp)
-    else:
-        index = {}
-        which = np.array([index.setdefault(id(q), len(index)) for q in patterns], dtype=np.intp)
-        distinct = tuple({id(q): q for q in patterns}.values())
-    spans, slots, exps, rows, below, lead_rows, lead_masks = _block_layout(distinct, tuple(tops), slot_base)
+    if not isinstance(patterns, _Layout):
+        patterns = _pattern_layout(patterns, tops, slot_base)
+    spans, slots, exps, rows, below, lead_rows, lead_masks = patterns
     raw = _raw_hash(seed, slots, _as_u64(ids).reshape(1, -1), exps, rows)
     for start, mask in below:
-        np.copyto(raw[start : start + len(mask)], 0, where=mask[:, which])
+        np.copyto(raw[start : start + len(mask)], 0, where=mask)
     out = []
     for n, p in enumerate(primes, 1):
         h = raw if n == len(primes) else raw.copy()
@@ -198,7 +227,7 @@ def _pattern_blocks(patterns, primes, seed, ids, tops, slot_base=0):
             _reduce(lead, p - 1)
             lead += 1
             # where a block mixes patterns, a lead row is a unit only in some columns
-            h[lead_rows] = lead if len(distinct) == 1 else np.where(lead_masks[:, which], lead, h[lead_rows])
+            h[lead_rows] = lead if lead_masks.shape[1] == 1 else np.where(lead_masks, lead, h[lead_rows])
         _reduce(h, p)
         arr = h.view(np.int64)
         out.append([(arr[start:end], v) for v, start, end in spans])
@@ -378,31 +407,51 @@ def _sampled_slopes(x, mode, primes, seed, ids):
     return _blockwise(block, len(ids), max(BLOCK, 32 * BLOCK // windows[2]))
 
 
+# one block of a campaign: its _Layout, trial ids and the precision
+# each column reads d to (None where no column of the campaign reads d)
+_CampaignBlock = collections.namedtuple("_CampaignBlock", "layout ids precs")
+
+
+def _campaign_blocks(columns, width):
+    """The blocks of at most width columns that _campaign_columns draws for
+    columns, each a _CampaignBlock with every array read-only: all that no
+    p or seed moves.  Every block is read at the horizons of the patterns' least
+    onsets, and d through pi^(prec - 1) for the highest prec if that is
+    higher."""
+    precs = [prec for *_, prec in columns]
+    tops = _horizons(_least_onsets([q for q, _, _ in columns]))
+    tops[3] = max([tops[3]] + [prec - 1 for prec in precs if prec])
+    patterns = [q for q, n, _ in columns for _ in range(n)]
+    ids = np.concatenate([np.arange(n, dtype=np.int64) for _, n, _ in columns])
+    precs = np.repeat(precs, [n for _, n, _ in columns]) if any(precs) else None
+    ids.setflags(write=False)
+    if precs is not None:
+        precs.setflags(write=False)
+
+    def block(cut):
+        return _CampaignBlock(_pattern_layout(patterns[cut], tops), ids[cut], None if precs is None else precs[cut])
+
+    return tuple(_blockwise(block, len(ids), width))
+
+
 def _campaign_columns(columns, p, seed):
     """Per column, the doubled slopes (3 rows), the valuations of a, ae - bd
     and db + gc, and whether d = A[1, 0] vanishes below the column's prec
     (as sample_pattern draws it), for the draws of each (pattern, n, prec) of
-    columns in turn, trial ids 0 .. n-1: all read at the horizons of the
-    patterns' least onsets, and d through pi^(prec - 1) for the highest prec
-    if that is higher.  Columns that read no d pass prec 0, and if all do,
-    d's flag is not formed.  The minors are two _dot calls on the block the
-    slopes read, through pi^-1 (every predicate threshold is at most 0)."""
-    precs = [prec for *_, prec in columns]
-    tops = _horizons(_least_onsets([q for q, _, _ in columns]))
-    tops[3] = max([tops[3]] + [prec - 1 for prec in precs if prec])
-    patterns, ids = [], []
-    for q, n, _ in columns:
-        patterns += [q] * n
-        ids.append(np.arange(n, dtype=np.int64))
-    ids, precs = np.concatenate(ids), np.repeat(precs, [n for _, n, _ in columns]) if any(precs) else None
-
-    def block(cut):
-        [entries] = _pattern_blocks(patterns[cut], (p,), seed, ids[cut], tops)
+    columns in turn, trial ids 0 .. n-1, in the blocks _campaign_blocks
+    lays them out in; columns may be those blocks, as a campaign plan holds
+    them.  Columns that read no d pass prec 0, and if all do, d's flag is
+    not formed.  The minors are two _dot calls on the block the slopes
+    read, through pi^-1 (every predicate threshold is at most 0)."""
+    if not isinstance(columns[0], _CampaignBlock):
+        columns = _campaign_blocks(columns, BLOCK)
+    parts = []
+    for layout, ids, precs in columns:
+        [entries] = _pattern_blocks(layout, (p,), seed, ids)
         a, b, c, d, e, _, g, _, _ = entries
-        return (np.stack(_slopes_block(entries, p)), _lead_val(a), _lead_val(_dot(p, -1, [(a, e)], [(b, d)])),
-                _lead_val(_dot(p, -1, [(d, b), (g, c)])), *([] if precs is None else [_lead_val(d) >= precs[cut]]))
-
-    return _joined(_blockwise(block, len(ids), BLOCK))
+        parts.append((np.stack(_slopes_block(entries, p)), _lead_val(a), _lead_val(_dot(p, -1, [(a, e)], [(b, d)])),
+                      _lead_val(_dot(p, -1, [(d, b), (g, c)])), *([] if precs is None else [_lead_val(d) >= precs])))
+    return _joined(parts)
 
 
 # -- kappa_check's tests ---------------------------------------------------------

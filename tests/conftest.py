@@ -13,14 +13,15 @@ P = 11
 
 @pytest.fixture(autouse=True)
 def fresh_windows_and_campaign_grids():
-    """Each test starts with the kernel's per-window caches and the
-    campaign's per-bound tables empty, so a test that patches what a window
-    is made of (kernel._horizons) draws anew, one that patches a pair's
-    tests (empirics._predicate_tests) builds its tables from the patch, and
-    no patched table reaches a later test."""
+    """Each test starts with the kernel's per-window caches, the campaign's
+    per-bound tables and its plans empty, so a test that patches what a
+    window is made of (kernel._horizons) draws anew, one that patches a
+    pair's tests (empirics._predicate_tests) builds its tables from the
+    patch, and no patched table or plan reaches a later test."""
     kernel._sample_windows.cache_clear()
     kernel._block_layout.cache_clear()
     empirics._campaign_grid.cache_clear()
+    empirics._campaign_plan.cache_clear()
 
 
 @pytest.fixture

@@ -955,6 +955,74 @@ class TestCampaignBlocks:
         predicate_campaign(bound=2, trials_per_case=5, p=2, seed=1)
         assert len(calls) == len(empirics._campaign_grid(2).pairs) > 0
 
+    def test_a_warm_campaign_redoes_no_per_pattern_work(self, monkeypatch):
+        # a second campaign with the same bound, trials and cases reads its
+        # plan: no onsets, horizons, layouts or reps, and no pattern hashed,
+        # whatever p and seed it draws at
+        first = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases=["VIA"])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm campaign redid per-pattern work")
+
+        for module, name in ((kernel, "_least_onsets"), (kernel, "_horizons"), (kernel, "_block_layout"),
+                             (empirics, "_pair_reps")):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(ValuationPattern, "__hash__", forbidden)
+        second = predicate_campaign(bound=3, trials_per_case=60, p=2, seed=5, cases=["VIA"])
+        assert first.ok and second.ok and second.trials_total == first.trials_total > 0
+        assert second.cases == first.cases
+        assert empirics._campaign_plan.cache_info().hits == 1
+
+    def test_a_plan_is_read_only(self):
+        plan = empirics._plan_of(3, 60, None)
+        assert len(plan.blocks) == 1 and plan.blocks[0].layout.lead_masks.shape[1] == len(plan.blocks[0].ids) > 1
+        arrays = [plan.pair, plan.rep, plan.col, plan.tests, plan.lam1, plan.lam3]
+        for layout, ids, precs in plan.blocks:
+            arrays += [layout.slots, layout.exps, layout.rows, layout.lead_rows, layout.lead_masks, ids, precs]
+            arrays += [mask for _, mask in layout.below]
+        for arr in arrays:
+            assert arr.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert empirics._campaign_plan.cache_info().maxsize is not None
+
+    def test_a_plan_of_many_trials_is_not_kept(self):
+        # a campaign over _PLANNED_TRIALS trials per case builds its plan per
+        # call and keeps none; one at _PLANNED_TRIALS keeps its plan
+        trials = empirics._PLANNED_TRIALS
+        docs = [predicate_campaign(bound=1, trials_per_case=t, p=11, seed=2).to_json() for t in (trials, trials + 1)]
+        assert empirics._campaign_plan.cache_info().currsize == 1
+        predicate_campaign(bound=1, trials_per_case=trials + 1, p=11, seed=2)
+        assert empirics._campaign_plan.cache_info().currsize == 1
+        assert docs[1]["trials_total"] > docs[0]["trials_total"] and docs[1]["ok"]
+
+    def test_every_spelling_of_the_cases_shares_one_plan(self):
+        docs = []
+        for cases in (["VA", "IIB"], ("IIB", "VA"), {"VA", "IIB"}, frozenset({"IIB", "VA"}), ["VA", "IIB", "VA"]):
+            doc = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=3, cases=cases).to_json()
+            doc.pop("elapsed_ms")
+            docs.append(doc)
+        assert all(doc == docs[0] for doc in docs)
+        assert {tag.split("-")[0] for tag in docs[0]["cases"]} == {"VA", "IIB"}
+        assert empirics._campaign_plan.cache_info().misses == 1
+
+    def test_a_case_name_is_one_case(self):
+        # "IIIA" contains "IA" and "IIA" as substrings, and selects neither
+        alone = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases="IIIA").to_json()
+        listed = predicate_campaign(bound=3, trials_per_case=60, p=11, seed=0, cases=["IIIA"]).to_json()
+        assert {tag.split("-")[0] for tag in alone["cases"]} == {"IIIA"}
+        alone.pop("elapsed_ms")
+        listed.pop("elapsed_ms")
+        assert alone == listed
+
+    @pytest.mark.parametrize("kw", [{"trials_per_case": 7.5}, {"bound": 2.0}, {"trials_per_case": "7"}])
+    def test_bound_and_trials_are_integers(self, kw):
+        with pytest.raises(TypeError):
+            predicate_campaign(**{"bound": 1, "trials_per_case": 7, **kw})
+        report = predicate_campaign(bound=np.int64(1), trials_per_case=np.int64(7), p=11, seed=0)
+        assert type(report.bound) is int and type(report.trials_per_case) is int
+        assert json.loads(json.dumps(report.to_json()))["trials_per_case"] == 7
+
     def test_zero_trials_draw_nothing(self, monkeypatch):
         def no_block(*args, **kwargs):
             raise AssertionError("a campaign of 0 trials drew a block")
